@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from layerr import gauss_laguerre, gauss_legendre, grid, tensor_apply, trapezoidal
+from layerr import gauss_laguerre, gauss_legendre, grid, trapezoidal
 
 # Gauss-Legendre: exact for polynomials up to degree 2n-1
 rule = gauss_legendre(5)
@@ -36,7 +36,11 @@ for m in (0, 1, 5, 10):
     approx = np.sum(lag.weights * lag.nodes**m)
     print(f"  moment {m:2d}: {approx:.6e}  exact {math.factorial(m):.6e}")
 
-# the tensor product of the two surface rules
+# the tensor product of the two surface rules: node weights w_t[k] * w_phi[l]
 g = grid(12, 24)
-area = tensor_apply(g, lambda t, phi: 1.0)
-print(f"\ntensor rule applied to 1 over [-1,1] x [0,2pi): {area:.12f} (= 4 pi? {4 * math.pi:.12f})")
+weights = np.outer(g.t_rule.weights, g.phi_rule.weights)
+t, phi = np.meshgrid(g.t_rule.nodes, g.phi_rule.nodes, indexing="ij")
+print(f"\ntensor rule over [-1,1] x [0,2pi) on a {g.n_t}x{g.n_phi} grid:")
+print(f"  integral of 1            : {np.sum(weights):.12f}  (4 pi = {4 * math.pi:.12f})")
+approx = np.sum(weights * t**2 * np.cos(phi) ** 2)
+print(f"  integral of t^2 cos^2 phi: {approx:.12f}  (2 pi / 3 = {2 * math.pi / 3:.12f})")

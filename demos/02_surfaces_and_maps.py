@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from layerr import LINEAR_MAP, Sphere, Spheroid, paper_blob
+from layerr import LINEAR_MAP, Sphere, Spheroid, paper_blob, theta_line
 
 sphere = Sphere(1.0)
 sphere_lin = Sphere(1.0, LINEAR_MAP)
@@ -33,11 +33,15 @@ pos, d_theta, d_phi = spheroid.eval_sph(w, 0.5)
 print("\nspheroid position at complex polar angle", w, ":")
 print("  ", np.round(pos, 6))
 
-# local polynomial surrogates back the root finding near the poles
-surro = blob.taylor_surrogate(0.8, 1.2, q=4)
-exact = np.real(blob.position(1.0, 1.2))
-approx, _ = surro.eval_theta(1.0)
-print("\nblob Taylor surrogate at offset 0.2 from its center:")
-print("   exact   ", np.round(exact, 8))
-print("   surrogate", np.round(np.real(approx), 8))
-print("   max deviation", np.max(np.abs(np.real(approx) - exact)))
+# root finding runs on line evaluators: position and derivative along one
+# parameter with the other fixed, continued analytically off the real axis
+line = theta_line(blob, 1.2)
+pos, d_theta = line(0.8)
+h = 1e-6
+fd = (np.real(line(0.8 + h)[0]) - np.real(line(0.8 - h)[0])) / (2 * h)
+print("\nblob meridian at phi = 1.2, theta = 0.8:")
+print("   position        ", np.round(np.real(pos), 8))
+print("   d/dtheta        ", np.round(np.real(d_theta), 8))
+print("   central diff.   ", np.round(fd, 8))
+pos_c, _ = line(0.8 + 0.2j)
+print("   at theta = 0.8+0.2i:", np.round(pos_c, 6))

@@ -4,81 +4,24 @@ Evaluates layer potentials over smooth closed surfaces discretized with a
 Gauss-Legendre x trapezoidal tensor grid, and predicts the quadrature error
 at off-surface target points from complex roots of the squared-distance
 function, so callers can decide where regular quadrature is good enough.
+
+The package namespace carries the names the README and the demos use; the
+rest of the API lives in the submodules (errors, estimates, potentials,
+quadrature, roots, surfaces, cli).
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateModel,
-    EvaluationError,
-    InfiniteGeometryFactor,
-    LayerrError,
-    NonConvergence,
-    NoRootExists,
-)
-from .estimates import (
-    ConeParams,
-    EstimateBreakdown,
-    cone_test,
-    e_fac_tz_analytic,
-    est_gl,
-    est_tz,
-    full_estimate,
-    geometry_factor_1,
-    geometry_factor_2,
-    gl_contribution,
-    sphere_simplified,
-    tz_contribution,
-)
+from .estimates import full_estimate, sphere_simplified
 from .potentials import (
-    DensitySpec,
-    EvalPoint,
-    KernelSpec,
     harmonic_double,
     harmonic_single,
-    integrand_f,
-    locate,
     measured_error,
     mod_helmholtz_single,
-    nearest_grid_node,
     paper_density,
     potential_quadrature,
-    reference_potential,
     unit_density,
 )
-from .quadrature import (
-    QuadratureGrid,
-    Rule1D,
-    gauss_laguerre,
-    gauss_legendre,
-    grid,
-    tensor_apply,
-    trapezoidal,
-)
-from .roots import (
-    LinearRootModel,
-    RootResult,
-    axisym_phi_root,
-    circle_root,
-    linear_root_model,
-    newton_root,
-    phi_line,
-    sphere_theta_root,
-    surrogate_phi_line,
-    surrogate_theta_line,
-    theta_line,
-)
-from .surfaces import (
-    COSINE_MAP,
-    LINEAR_MAP,
-    AnalyticBlob,
-    Axisymmetric,
-    Sphere,
-    Spheroid,
-    Surface,
-    TaylorSurrogate,
-    ThetaMap,
-    paper_blob,
-    theta_map_by_name,
-)
+from .quadrature import gauss_laguerre, gauss_legendre, grid, trapezoidal
+from .roots import axisym_phi_root, circle_root, newton_root, sphere_theta_root, theta_line
+from .surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
 
 __version__ = "0.1.0"

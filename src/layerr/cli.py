@@ -8,9 +8,8 @@ Subcommands:
     layerr nodes ...             print quadrature nodes and weights
 
 Exit codes: 0 success, 1 configuration error, 2 validation failure.
-Target points are processed in a thread pool sized by LAYERR_THREADS
-(default: available parallelism); rows are written in input order, so
-identical configurations produce byte-identical CSV files.
+Rows are written in input order, so identical configurations produce
+byte-identical CSV files.
 """
 from __future__ import annotations
 
@@ -18,10 +17,8 @@ import argparse
 import configparser
 import csv
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,7 +41,6 @@ from .roots import (
     axisym_phi_root,
     newton_root,
     sphere_theta_root,
-    surrogate_theta_line,
     theta_line,
     VAR_PHI,
     VAR_THETA,
@@ -77,48 +73,49 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _workers() -> int:
-    env = os.environ.get("LAYERR_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+_SURFACES = {
+    "sphere": lambda a, b, tmap: Sphere(a, tmap),
+    "spheroid": Spheroid,
+    "blob": lambda a, b, tmap: paper_blob(tmap),
+}
+_KERNELS = {
+    "harmonic_single": lambda omega: harmonic_single(),
+    "harmonic_double": lambda omega: harmonic_double(),
+    "mod_helmholtz_single": mod_helmholtz_single,
+}
+_DENSITIES = {"unit": unit_density, "paper": paper_density}
+
+
+def _lookup(table: dict, name: str, message: str):
+    """table[name.lower()], or ConfigError(message) naming the lowered key."""
+    key = name.lower()
+    if key not in table:
+        raise ConfigError(message.format(key))
+    return table[key]
 
 
 def _build_surface(shape: str, a: float, b: float, theta_map: str) -> Surface:
-    tmap = theta_map_by_name(theta_map)
-    shape = shape.lower()
-    if shape == "sphere":
-        return Sphere(a, tmap)
-    if shape == "spheroid":
-        return Spheroid(a, b, tmap)
-    if shape == "blob":
-        return paper_blob(tmap)
-    raise ConfigError(f"[surface] unknown shape {shape!r}; use sphere, spheroid or blob")
+    try:
+        tmap = theta_map_by_name(theta_map)
+    except ValueError as exc:
+        raise ConfigError(f"[surface] {exc}")
+    make = _lookup(_SURFACES, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob")
+    return make(a, b, tmap)
 
 
 def _build_kernel(kind: str, omega: float) -> KernelSpec:
-    kind = kind.lower()
-    if kind == "harmonic_single":
-        return harmonic_single()
-    if kind == "harmonic_double":
-        return harmonic_double()
-    if kind == "mod_helmholtz_single":
-        return mod_helmholtz_single(omega)
-    raise ConfigError(f"[kernel] unknown kind {kind!r}")
+    return _lookup(_KERNELS, kind, "[kernel] unknown kind {!r}")(omega)
 
 
 def _build_density(kind: str) -> DensitySpec:
-    kind = kind.lower()
-    if kind == "unit":
-        return unit_density()
-    if kind == "paper":
-        return paper_density()
-    raise ConfigError(f"[density] unknown kind {kind!r}")
+    return _lookup(_DENSITIES, kind, "[density] unknown kind {!r}")()
+
+
+def _unit_direction(theta: float, phi: float) -> np.ndarray:
+    """Unit vector at polar angle theta and azimuth phi."""
+    return np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
 
 
 class ExperimentConfig:
@@ -218,16 +215,7 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec) -> np.ndarray
             theta = math.acos(1.0 - 2.0 * (i + 0.5) / res)
             for j in range(2 * res):
                 phi = 2.0 * math.pi * (j + 0.5) / (2 * res)
-                pts.append(
-                    radius
-                    * np.array(
-                        [
-                            math.sin(theta) * math.cos(phi),
-                            math.sin(theta) * math.sin(phi),
-                            math.cos(theta),
-                        ]
-                    )
-                )
+                pts.append(radius * _unit_direction(theta, phi))
         return np.array(pts)
     if gen == "explicit":
         raw = sec.get("points", "")
@@ -330,8 +318,7 @@ def run_experiment(cfg: ExperimentConfig, out_path=None, timing: bool = False) -
     """Evaluate measured error and estimate at every target; write CSV."""
     g = grid(cfg.n_t, cfg.n_phi)
     out = out_path or cfg.out_path
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(lambda x: _point_row(cfg, g, x, timing), cfg.targets))
+    rows = [_point_row(cfg, g, x, timing) for x in cfg.targets]
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -421,6 +408,10 @@ def sphere_sweep(a: float, p: float, n_list, distances, out_path: str) -> str:
     polar range at radius a + d over a thin azimuthal sector; columns are
     n, d, E_Q_min, E_Q_max, E_simplified with n = 2 n_t in the bound.
     """
+    if a <= 0.0 or p <= 0.0:
+        raise ConfigError("--a and --p must be positive")
+    if any(n_t < 1 for n_t in n_list):
+        raise ConfigError(f"--n values must be positive integers, got {list(n_list)}")
     kernel = harmonic_single()
     density = unit_density()
     rows = []
@@ -436,13 +427,7 @@ def sphere_sweep(a: float, p: float, n_list, distances, out_path: str) -> str:
             for i in range(40):
                 theta = (i + 0.5) * math.pi / 40
                 for phi in (0.0, math.pi / (2 * n), math.pi / n):
-                    x = zeta * np.array(
-                        [
-                            math.sin(theta) * math.cos(phi),
-                            math.sin(theta) * math.sin(phi),
-                            math.cos(theta),
-                        ]
-                    )
+                    x = zeta * _unit_direction(theta, phi)
                     eq = measured_error(surface, kernel, density, g, x)
                     lo, hi = min(lo, eq), max(hi, eq)
             rows.append((n_t, d, lo, hi, sphere_simplified(zeta, a, p, n)))
@@ -460,9 +445,12 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
     Spheres check the polar root, other axisymmetric surfaces the
     azimuthal root, both against the Newton iteration on the analytic
     parametrization (max deviation 1e-10, residuals 1e-10 * scale^2).
-    The blob runs residual-only checks of Newton on its local Taylor
-    surrogate (1e-8 * scale^2).
+    The blob, which has no closed form, checks the residual of the Newton
+    polar root on its analytic parametrization, the solve the estimate
+    runs (1e-8 * scale^2).
     """
+    if a <= 0.0 or b <= 0.0:
+        raise ConfigError("--a and --b must be positive")
     rng = np.random.default_rng(seed)
     name = surface_name.lower()
     max_dev = 0.0
@@ -477,9 +465,7 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
             )
             theta = math.acos(1.0 - 2.0 * rng.random())
             psi = 2.0 * math.pi * rng.random()
-            x = zeta * np.array(
-                [math.sin(theta) * math.cos(psi), math.sin(theta) * math.sin(psi), math.cos(theta)]
-            )
+            x = zeta * _unit_direction(theta, psi)
             ana = sphere_theta_root(a, phi_bar, x)
             newt = newton_root(
                 theta_line(surface, phi_bar),
@@ -525,9 +511,8 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
             phi_star = 2.0 * math.pi * rng.random()
             s = 1.1 + 0.5 * rng.random()
             x = s * np.real(surface.position(theta_star, phi_star))
-            surro = surface.taylor_surrogate(theta_star, phi_star, 4)
             newt = newton_root(
-                surrogate_theta_line(surro),
+                theta_line(surface, phi_star),
                 VAR_THETA,
                 phi_star,
                 x,
@@ -537,7 +522,7 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
             )
             max_res = max(max_res, newt.residual)
         ok = max_res < 1e-8 * scale * scale
-        kind = "blob polar roots on the Taylor surrogate (residual only)"
+        kind = "blob polar roots by Newton on the parametrization (residual only)"
     else:
         raise ConfigError(f"unknown surface {surface_name!r} for roots-check")
     report = (
@@ -552,6 +537,8 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
 
 def _cmd_nodes(args) -> int:
     builders = {"gl": gauss_legendre, "tz": trapezoidal, "laguerre": gauss_laguerre}
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
     rule = builders[args.rule](args.n)
     for node, weight in zip(rule.nodes, rule.weights):
         print(f"{_fmt(node)} {_fmt(weight)}")
@@ -607,7 +594,10 @@ def main(argv=None) -> int:
             print(f"wrote {out} ({len(cfg.targets)} targets)")
             return EXIT_OK
         if args.command == "sphere-sweep":
-            n_list = [int(v) for v in args.n.split(",") if v.strip()]
+            try:
+                n_list = [int(v) for v in args.n.split(",") if v.strip()]
+            except ValueError:
+                raise ConfigError("could not parse '--n' as a comma-separated integer list")
             distances = _floats(args.distances, "--distances")
             out = sphere_sweep(args.a, args.p, n_list, distances, args.out)
             print(f"wrote {out}")
@@ -619,9 +609,6 @@ def main(argv=None) -> int:
         if args.command == "nodes":
             return _cmd_nodes(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

@@ -30,14 +30,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateModel, InfiniteGeometryFactor, NoRootExists, NonConvergence
+from .errors import (
+    DegenerateModel,
+    EvaluationError,
+    InfiniteGeometryFactor,
+    NoRootExists,
+    NonConvergence,
+)
 from .potentials import (
     DensitySpec,
     KernelSpec,
     EvalPoint,
+    _dot_c,
     integrand_f_sph,
     locate,
-    nearest_grid_node,
     surface_scale,
 )
 from .quadrature import QuadratureGrid, gauss_laguerre
@@ -121,7 +127,7 @@ def log_est_gl(t0: complex, n: int, p: float) -> float:
     """log of the Gauss-Legendre error kernel at the polar root t0."""
     abs_s, abs_w = _joukowski(complex(t0))
     if abs_s == 0.0 or abs_w <= 1.0:
-        raise ValueError(f"Gauss-Legendre kernel undefined for t0={t0} on [-1, 1]")
+        raise EvaluationError(f"Gauss-Legendre kernel undefined for t0={t0} on [-1, 1]")
     return (
         _LOG_4PI
         - math.lgamma(p)
@@ -138,52 +144,17 @@ def est_gl(t0: complex, n: int, p: float) -> float:
     return math.exp(log_est_gl(t0, n, p))
 
 
-def _dot_c(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _g1_theta(surface: Surface, theta, phi, x):
-    """Geometry factor of the polar direction, in theta coordinates."""
+def _dr2_dt(surface: Surface, theta, phi, x) -> complex:
+    """d R^2 / d t at (theta, phi): the inverse of the polar geometry factor G1."""
     pos, d_theta, _ = surface.eval_sph(theta, phi)
     d_t = d_theta * surface.theta_map.dtheta_dt_at(theta)
-    den = 2.0 * _dot_c(pos - np.asarray(x), d_t)
-    den = complex(den)
-    if den == 0.0:
-        raise InfiniteGeometryFactor("d R^2 / d t vanishes at the root")
-    return 1.0 / den
+    return complex(2.0 * _dot_c(pos - np.asarray(x), d_t))
 
 
-def _g2_theta(surface: Surface, theta, phi, x):
-    """Geometry factor of the azimuthal direction, in theta coordinates."""
+def _dr2_dphi(surface: Surface, theta, phi, x) -> complex:
+    """d R^2 / d phi at (theta, phi): the inverse of the azimuthal geometry factor G2."""
     pos, _, d_phi = surface.eval_sph(theta, phi)
-    den = 2.0 * _dot_c(pos - np.asarray(x), d_phi)
-    den = complex(den)
-    if den == 0.0:
-        raise InfiniteGeometryFactor("d R^2 / d phi vanishes at the root")
-    return 1.0 / den
-
-
-def geometry_factor_1(surface: Surface, t, phi, x):
-    """(d R^2 / d t)^-1 at (t, phi); t may be complex."""
-    return _g1_theta(surface, surface.theta_map.theta(t), phi, x)
-
-
-def geometry_factor_2(surface: Surface, t, phi, x):
-    """(d R^2 / d phi)^-1 at (t, phi); phi may be complex."""
-    return _g2_theta(surface, surface.theta_map.theta(t), phi, x)
-
-
-def cone_test(x, surface: Surface, g: QuadratureGrid, cone: ConeParams = ConeParams()) -> bool:
-    """Near-axis test: rho / A < (K_c pi / n_t) * min grid distance.
-
-    True means the azimuthal (trapezoidal) error contribution can be
-    dropped. Meaningful for axisymmetric surfaces, whose symmetry axis is
-    the z-axis; the minimum distance is taken over the grid nodes only.
-    """
-    x = np.asarray(x, dtype=float)
-    rho = math.hypot(x[0], x[1])
-    _, _, _, _, dmin = nearest_grid_node(surface, g, x)
-    return rho / cone.A < (cone.K_c * math.pi / g.n_t) * dmin
+    return complex(2.0 * _dot_c(pos - np.asarray(x), d_phi))
 
 
 def e_fac_tz_analytic(surface, x, theta: float, p: float, n_phi: int) -> float:
@@ -321,8 +292,7 @@ def _chain_root(line, variable, fixed, x, prev, scale):
 
 def _log_fg2(frame: _Frame, theta_s, phi_root) -> float:
     """log |f G2^p| at an azimuthal root (polar angle real)."""
-    pos, _, d_phi = frame.surface.eval_sph(theta_s, phi_root)
-    den = complex(2.0 * _dot_c(pos - frame.x, d_phi))
+    den = _dr2_dphi(frame.surface, theta_s, phi_root, frame.x)
     if den == 0.0:
         raise InfiniteGeometryFactor("d R^2 / d phi vanishes at the root")
     f_val = integrand_f_sph(
@@ -333,11 +303,13 @@ def _log_fg2(frame: _Frame, theta_s, phi_root) -> float:
 
 def _log_fg1(frame: _Frame, theta_root, phi_s) -> float:
     """log |f G1^p| at a polar root (azimuth real)."""
-    g1 = _g1_theta(frame.surface, theta_root, phi_s, frame.x)
+    den = _dr2_dt(frame.surface, theta_root, phi_s, frame.x)
+    if den == 0.0:
+        raise InfiniteGeometryFactor("d R^2 / d t vanishes at the root")
     f_val = integrand_f_sph(
         frame.surface, frame.kernel, frame.density, theta_root, phi_s, frame.x
     )
-    return _log_abs(f_val) + frame.kernel.p * _log_abs(g1)
+    return _log_abs(f_val) + frame.kernel.p * _log_abs(1.0 / den)
 
 
 def _tz_sweep_log_kernel(frame: _Frame, phi0: complex, log_fg_anchor: float):
@@ -405,13 +377,11 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
             return 0.0, True, None
         phi0 = model.linear_root(frame.ep.t_star)
     # geometry factor at the root; huge values signal a near-axis target
-    pos, _, d_phi = surf.eval_sph(frame.theta_star, phi0)
-    den = complex(2.0 * _dot_c(pos - x, d_phi))
+    den = _dr2_dphi(surf, frame.theta_star, phi0, x)
     if abs(den) < _G2_SKIP_EPS * frame.scale:
         return 0.0, True, phi0
-    log_g2 = -_log_abs(den)
     f_val = integrand_f_sph(surf, frame.kernel, frame.density, frame.theta_star, phi0, x)
-    log_fg_anchor = _log_abs(f_val) + p * log_g2
+    log_fg_anchor = _log_abs(f_val) - p * _log_abs(den)
     log_flat = log_fg_anchor + log_est_tz(abs(phi0.imag), g.n_phi, p)
     try:
         log_kernel, width = _tz_sweep_log_kernel(frame, phi0, log_fg_anchor)
@@ -527,36 +497,6 @@ def _gl_sweep_log_kernel(frame: _Frame, t0: complex, theta0: complex, log_fg_anc
         return term_at(root, phi_s)
 
     return log_kernel, width
-
-
-def tz_contribution(
-    surface: Surface,
-    kernel: KernelSpec,
-    density: DensitySpec,
-    g: QuadratureGrid,
-    x,
-    cone: ConeParams = ConeParams(),
-    tail_n: int = _DEFAULT_TAIL_NODES,
-) -> float:
-    """Trapezoidal (azimuthal-rule) error contribution at x."""
-    frame = _build_frame(surface, kernel, density, g, x)
-    value, _, _ = _tz_internal(frame, cone, tail_n)
-    return value
-
-
-def gl_contribution(
-    surface: Surface,
-    kernel: KernelSpec,
-    density: DensitySpec,
-    g: QuadratureGrid,
-    x,
-    cone: ConeParams = ConeParams(),
-    tail_n: int = _DEFAULT_TAIL_NODES,
-) -> float:
-    """Gauss-Legendre (polar-rule) error contribution at x."""
-    frame = _build_frame(surface, kernel, density, g, x)
-    value, _ = _gl_internal(frame, cone, tail_n)
-    return value
 
 
 def full_estimate(

@@ -226,9 +226,17 @@ class EvalPoint:
         return float(math.hypot(self.x[0], self.x[1]))
 
 
-def locate(surface: Surface, g: QuadratureGrid, x) -> EvalPoint:
-    """Build an EvalPoint; rejects points sitting on a grid node."""
+def _finite_target(x) -> np.ndarray:
+    """x as a float array; EvaluationError if a coordinate is NaN or infinite."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise EvaluationError(f"target {x.tolist()} is not finite")
+    return x
+
+
+def locate(surface: Surface, g: QuadratureGrid, x) -> EvalPoint:
+    """Build an EvalPoint; rejects non-finite points and points on a grid node."""
+    x = _finite_target(x)
     k, l, t_star, phi_star, dist = nearest_grid_node(surface, g, x)
     scale = surface_scale(surface, g)
     if dist <= 1e-12 * scale:
@@ -252,7 +260,7 @@ def potential_quadrature(
     x,
 ) -> float:
     """Tensor quadrature of f / R^(2p) over the real grid nodes."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_target(x)
     tab = _grid_tables(surface, g)
     sigma = _density_table(surface, g, density)
     diff = tab.positions - x

@@ -1,4 +1,4 @@
-"""Quadrature rules and the tensor-product applicator.
+"""Quadrature rules and the tensor-product grid.
 
 Provides Gauss-Legendre nodes/weights on [-1, 1], the periodic trapezoidal
 rule on [0, 2*pi), and Gauss-Laguerre nodes/weights for integrals of the
@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-
-from .errors import EvaluationError
 
 GAUSS_LEGENDRE = "gauss_legendre"
 TRAPEZOIDAL = "trapezoidal"
@@ -142,20 +139,3 @@ def grid(n_t: int, n_phi: int) -> QuadratureGrid:
     """Build (and cache) the n_t x n_phi tensor-product grid."""
     return QuadratureGrid(n_t, n_phi, gauss_legendre(n_t), trapezoidal(n_phi))
 
-
-def tensor_apply(g: QuadratureGrid, integrand: Callable):
-    """Apply the tensor-product rule to integrand(t, phi).
-
-    Raises EvaluationError naming the offending node if the integrand
-    returns a non-finite value anywhere on the grid.
-    """
-    total = 0.0
-    for tk, wk in zip(g.t_rule.nodes, g.t_rule.weights):
-        for pl, wl in zip(g.phi_rule.nodes, g.phi_rule.weights):
-            v = integrand(tk, pl)
-            if not np.all(np.isfinite([np.real(v), np.imag(v)])):
-                raise EvaluationError(
-                    f"integrand is not finite at node (t={tk!r}, phi={pl!r})"
-                )
-            total = total + wl * wk * v
-    return total

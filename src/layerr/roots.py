@@ -9,9 +9,9 @@ errors decay; this module finds that root.
 Closed forms exist for a circle in a plane, for the azimuthal root of any
 axisymmetric surface at fixed polar angle, and for the polar root of a
 sphere at fixed azimuth. Everything else goes through a one-dimensional
-complex Newton iteration, either on the analytic parametrization or on a
-local Taylor surrogate. A bivariate-linear root model provides the cheap
-sweep used when integrating the error-estimate kernels.
+complex Newton iteration on the analytic parametrization. A
+bivariate-linear root model provides the cheap sweep used when
+integrating the error-estimate kernels.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateModel, NoRootExists, NonConvergence
-from .surfaces import Surface, TaylorSurrogate
+from .surfaces import Surface
 
 METHOD_ANALYTIC_CIRCLE = "analytic_circle"
 METHOD_ANALYTIC_AXISYM_PHI = "analytic_axisym_phi"
@@ -88,23 +88,6 @@ def phi_line(surface: Surface, theta_fixed: float) -> LineEvaluator:
         return pos, d_phi
 
     return line
-
-
-def surrogate_theta_line(s: TaylorSurrogate) -> LineEvaluator:
-    return s.eval_theta
-
-
-def surrogate_phi_line(s: TaylorSurrogate) -> LineEvaluator:
-    return s.eval_phi
-
-
-def squared_distance(line: LineEvaluator, x: np.ndarray, w: complex):
-    """R^2 and its derivative along the line, as complex sums of squares."""
-    pos, dpos = line(w)
-    diff = pos - x
-    r2 = np.sum(diff * diff)
-    dr2 = 2.0 * np.sum(diff * dpos)
-    return complex(r2), complex(dr2)
 
 
 def circle_root(a: float, x: np.ndarray) -> RootResult:
@@ -228,6 +211,23 @@ def newton_root(
     )
 
 
+def _quadratic_root(u_star: float, r, g, gg: float, anchor: bool) -> complex:
+    """Root u (Im >= 0) of the quadratic |r + (u - u_star) g|^2 = 0.
+
+    gg is the squared norm of the direction that scales the root. A real
+    double root at the anchor raises DegenerateModel; elsewhere it is
+    returned with a zero imaginary part.
+    """
+    a = float(np.dot(r, r))
+    b = 2.0 * float(np.dot(r, g))
+    disc = 4.0 * a * gg - b * b
+    if disc <= 0.0:
+        if anchor:
+            raise DegenerateModel("no complex root of the model distance at the anchor")
+        disc = 0.0
+    return complex(u_star - b / (2.0 * gg), math.sqrt(disc) / (2.0 * gg))
+
+
 @dataclass(frozen=True)
 class LinearRootModel:
     """Root of R^2 against the linearized surface, swept along one direction.
@@ -248,17 +248,9 @@ class LinearRootModel:
 
     def linear_root(self, v: float) -> complex:
         """Root of the linearized R^2 at secondary coordinate v (Im >= 0)."""
-        dv = v - self.v_star
-        rt = self.r + self.g_v * dv
-        a = float(np.dot(rt, rt))
-        b = 2.0 * float(np.dot(rt, self.g_u))
-        c = float(np.dot(self.g_u, self.g_u))
-        disc = 4.0 * a * c - b * b
-        if disc <= 0.0:
-            if v == self.v_star:
-                raise DegenerateModel("no complex root of the linearized distance")
-            disc = 0.0
-        return complex(self.u_star - b / (2.0 * c), math.sqrt(disc) / (2.0 * c))
+        rt = self.r + self.g_v * (v - self.v_star)
+        gg = float(np.dot(self.g_u, self.g_u))
+        return _quadratic_root(self.u_star, rt, self.g_u, gg, v == self.v_star)
 
     def model_root(self, v: float) -> complex:
         """Combined model: accurate at v_star, linear-model variation in v."""
@@ -294,15 +286,8 @@ class AzimuthalSweepModel:
         g = self.g_t
         ry = np.array([c * y[0] - s * y[1], s * y[0] + c * y[1], y[2]]) - self.x
         rg = np.array([c * g[0] - s * g[1], s * g[0] + c * g[1], g[2]])
-        a = float(np.dot(ry, ry))
-        b = 2.0 * float(np.dot(ry, rg))
-        cc = float(np.dot(g, g))
-        disc = 4.0 * a * cc - b * b
-        if disc <= 0.0:
-            if dphi == 0.0:
-                raise DegenerateModel("no complex root of the rotated-slice distance")
-            disc = 0.0
-        return complex(self.t_star - b / (2.0 * cc), math.sqrt(disc) / (2.0 * cc))
+        # the rotation preserves |g|, so the unrotated norm scales the root
+        return _quadratic_root(self.t_star, ry, rg, float(np.dot(g, g)), dphi == 0.0)
 
     def model_root(self, phi: float) -> complex:
         return self.offset + self.rotated_root(phi)

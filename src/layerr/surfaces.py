@@ -8,15 +8,13 @@ quadrature nodes so that a sphere has a constant area element.
 
 All evaluators accept one complex argument (theta or phi, never both) and
 continue the parametrization analytically; for real arguments the results
-are real. Local one-variable Taylor surrogates provide polynomial models
-used by the root-finding machinery near parametrization poles.
+are real.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -86,70 +84,6 @@ def theta_map_by_name(name: str) -> ThetaMap:
         raise ValueError(f"unknown theta map {name!r}; use 'linear' or 'cosine'")
 
 
-@dataclass(frozen=True, eq=False)
-class TaylorSurrogate:
-    """One-variable polynomial models of a surface around a grid point.
-
-    coeffs_theta[j] holds the j-th theta-derivative of the position at the
-    center (phi frozen at the center value); coeffs_phi likewise for phi.
-    """
-
-    theta0: float
-    phi0: float
-    q: int
-    coeffs_theta: np.ndarray  # (q+1, 3)
-    coeffs_phi: np.ndarray  # (q+1, 3)
-
-    def _eval(self, coeffs: np.ndarray, delta):
-        pos = np.zeros(3, dtype=complex)
-        dpos = np.zeros(3, dtype=complex)
-        fact = 1.0
-        power = 1.0 + 0.0j
-        for j in range(self.q + 1):
-            pos = pos + coeffs[j] * (power / fact)
-            if j >= 1:
-                dpos = dpos + coeffs[j] * (power_prev * j / fact)
-            power_prev = power
-            power = power * delta
-            fact *= j + 1
-        return pos, dpos
-
-    def eval_theta(self, theta):
-        """Position and theta-derivative of the theta-line model."""
-        return self._eval(self.coeffs_theta, theta - self.theta0)
-
-    def eval_phi(self, phi):
-        """Position and phi-derivative of the phi-line model."""
-        return self._eval(self.coeffs_phi, phi - self.phi0)
-
-
-# Central-difference stencils of O(h^2) for derivative orders 1..4,
-# as (offset, coefficient) pairs; divide by h**order.
-_FD_STENCILS = {
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-    4: ((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)),
-}
-
-
-def _fd_derivative(f: Callable[[float], np.ndarray], x0: float, order: int, h: float):
-    acc = np.zeros(3)
-    for offset, coeff in _FD_STENCILS[order]:
-        acc = acc + coeff * f(x0 + offset * h)
-    return acc / h**order
-
-
-def _richardson_derivative(f, x0: float, order: int, h: float):
-    """Two-level Richardson extrapolation of the O(h^2) central stencils."""
-    d1 = _fd_derivative(f, x0, order, h)
-    d2 = _fd_derivative(f, x0, order, h / 2.0)
-    d3 = _fd_derivative(f, x0, order, h / 4.0)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
 class Surface:
     """Base class: analytic parametrization with first partials.
 
@@ -184,55 +118,6 @@ class Surface:
         if denom == 0.0:
             raise ValueError("grid anisotropy undefined at a parametrization pole")
         return float(np.linalg.norm(np.real(d_t))) / denom
-
-    def length_scale(self) -> float:
-        """Size proxy: max |gamma| over a coarse parameter sample."""
-        thetas = np.linspace(0.0, math.pi, 13)
-        phis = np.linspace(0.0, 2.0 * math.pi, 17)
-        best = 0.0
-        for th in thetas:
-            for ph in phis:
-                best = max(best, float(np.linalg.norm(np.real(self.position(th, ph)))))
-        return best
-
-    # Taylor surrogates -------------------------------------------------
-
-    def _theta_derivs(self, theta0: float, phi0: float, q: int) -> np.ndarray:
-        """Derivative table d^j/d theta^j gamma(theta0, phi0), j = 0..q.
-
-        Default: Richardson-extrapolated central differences of the analytic
-        parametrization (orders up to 4, step 1e-2).
-        """
-        if q > 4:
-            raise ValueError("finite-difference surrogate supports order q <= 4")
-        out = np.empty((q + 1, 3))
-        out[0] = np.real(self.position(theta0, phi0))
-        f = lambda th: np.real(self.position(th, phi0))
-        for j in range(1, q + 1):
-            out[j] = _richardson_derivative(f, theta0, j, 1e-2)
-        return out
-
-    def _phi_derivs(self, theta0: float, phi0: float, q: int) -> np.ndarray:
-        if q > 4:
-            raise ValueError("finite-difference surrogate supports order q <= 4")
-        out = np.empty((q + 1, 3))
-        out[0] = np.real(self.position(theta0, phi0))
-        f = lambda ph: np.real(self.position(theta0, ph))
-        for j in range(1, q + 1):
-            out[j] = _richardson_derivative(f, phi0, j, 1e-2)
-        return out
-
-    def taylor_surrogate(self, theta0: float, phi0: float, q: int = 4) -> TaylorSurrogate:
-        """Build the local one-variable polynomial models at (theta0, phi0)."""
-        if q < 1:
-            raise ValueError("surrogate order must be >= 1")
-        return TaylorSurrogate(
-            theta0,
-            phi0,
-            q,
-            self._theta_derivs(theta0, phi0, q),
-            self._phi_derivs(theta0, phi0, q),
-        )
 
 
 class Axisymmetric(Surface):
@@ -284,28 +169,6 @@ class Spheroid(Axisymmetric):
             zero,
             theta_map,
         )
-
-    def length_scale(self) -> float:
-        return max(self.a, self.b)
-
-    def _theta_derivs(self, theta0, phi0, q):
-        # d^j sin = sin(. + j pi/2), d^j cos = cos(. + j pi/2): exact tables
-        out = np.empty((q + 1, 3))
-        cp, sp = math.cos(phi0), math.sin(phi0)
-        for j in range(q + 1):
-            sj = math.sin(theta0 + j * math.pi / 2.0)
-            cj = math.cos(theta0 + j * math.pi / 2.0)
-            out[j] = (self.a * sj * cp, self.a * sj * sp, self.b * cj)
-        return out
-
-    def _phi_derivs(self, theta0, phi0, q):
-        out = np.empty((q + 1, 3))
-        st, ct = math.sin(theta0), math.cos(theta0)
-        for j in range(q + 1):
-            cj = math.cos(phi0 + j * math.pi / 2.0)
-            sj = math.sin(phi0 + j * math.pi / 2.0)
-            out[j] = (self.a * st * cj, self.a * st * sj, self.b * ct if j == 0 else 0.0)
-        return out
 
 
 class Sphere(Spheroid):

@@ -167,10 +167,53 @@ def test_presets_enumerate_reference_experiments():
         preset_config("moebius")
 
 
-def test_thread_count_env_does_not_change_output(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("LAYERR_THREADS", "1")
-    main(["run", cfg, "--out", str(tmp_path / "one.csv")])
-    monkeypatch.setenv("LAYERR_THREADS", "4")
-    main(["run", cfg, "--out", str(tmp_path / "four.csv")])
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_on_surface_target_recorded_not_fatal(tmp_path):
+    # between two grid nodes on the sphere the polar root is real, so the
+    # Gauss-Legendre kernel is undefined there: that row fails, the run goes on
+    body = CONFIG_TEMPLATE.replace("n_t = 12\nn_phi = 24", "n_t = 20\nn_phi = 40").replace(
+        "points = 1.5, 0, 0; 0, 0, 1.3", "points = 1.0, 1e-9, 0; 1.5, 0, 0"
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_OK
+    rows = read_rows(tmp_path / "out.csv")
+    assert len(rows) == 2
+    assert rows[0]["error"] != "" and rows[0]["E_EST"] == ""
+    assert rows[1]["error"] == ""
+    assert math.isfinite(float(rows[1]["E_EST"])) and math.isfinite(float(rows[1]["E_Q"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["harmonic_single", "harmonic_double", "mod_helmholtz_single"])
+def test_nonfinite_targets_get_error_rows(tmp_path, kind):
+    body = CONFIG_TEMPLATE.replace("kind = harmonic_single", f"kind = {kind}").replace(
+        "points = 1.5, 0, 0; 0, 0, 1.3", "points = nan, 0, 0; inf, 0, 0; 0, -inf, 1; 1.5, 0, 0"
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_OK
+    rows = read_rows(tmp_path / "out.csv")
+    assert [r["error"] != "" for r in rows] == [True, True, True, False]
+    assert all("not finite" in r["error"] for r in rows[:3])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sphere-sweep", "--n", "x", "--distances", "0.1"],
+        ["sphere-sweep", "--n", "0", "--distances", "0.1"],
+        ["sphere-sweep", "--n", "4", "--distances", "0.1", "--p", "0"],
+        ["nodes", "--rule", "gl", "--n", "0"],
+        ["roots-check", "--surface", "sphere", "--a", "-1"],
+    ],
+)
+def test_bad_command_line_values_exit_one(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bad_theta_map_exits_one(tmp_path, capsys):
+    body = CONFIG_TEMPLATE.replace("theta_map = cosine", "theta_map = chebyshev")
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "theta map" in capsys.readouterr().err

@@ -4,19 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from layerr.errors import InfiniteGeometryFactor, NoRootExists
+from layerr.errors import EvaluationError, InfiniteGeometryFactor, NoRootExists
 from layerr.estimates import (
     ConeParams,
-    cone_test,
+    _build_frame,
+    _dr2_dphi,
+    _dr2_dt,
+    _in_cone,
+    _log_fg2,
     e_fac_tz_analytic,
     est_gl,
     est_tz,
     full_estimate,
-    geometry_factor_1,
-    geometry_factor_2,
-    gl_contribution,
     sphere_simplified,
-    tz_contribution,
 )
 from layerr.potentials import harmonic_single, measured_error, unit_density
 from layerr.quadrature import grid
@@ -85,7 +85,7 @@ def test_est_gl_imaginary_root_joukowski():
 
 
 def test_est_gl_rejects_root_on_interval():
-    with pytest.raises(ValueError):
+    with pytest.raises(EvaluationError):
         est_gl(complex(0.5, 0.0), 10, 0.5)
 
 
@@ -116,35 +116,42 @@ def test_geometry_factor_2_matches_circle_closed_form():
     x = np.array([rho * math.cos(nu), rho * math.sin(nu), 0.0])
     root = axisym_phi_root(SPHERE, math.pi / 2, x)
     eta = root.value.imag
-    g2 = geometry_factor_2(SPHERE, 0.0, root.value, x)
+    g2 = 1.0 / _dr2_dphi(SPHERE, math.pi / 2, root.value, x)
     assert abs(g2) == pytest.approx(1.0 / (rho * (math.exp(eta) - math.exp(-eta))), rel=1e-12)
 
 
 def test_geometry_factor_2_infinite_on_axis():
+    x = np.array([0.0, 0.0, 1.7])
+    theta = SPHERE.theta_map.theta(0.3)
+    assert _dr2_dphi(SPHERE, theta, 1.1, x) == 0.0
+    frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), x)
     with pytest.raises(InfiniteGeometryFactor):
-        geometry_factor_2(SPHERE, 0.3, 1.1, np.array([0.0, 0.0, 1.7]))
+        _log_fg2(frame, theta, 1.1)
 
 
 def test_geometry_factor_1_axis_magnitude():
     # polar factor on the axis has magnitude 1 / (2 a |z|)
     x = np.array([0.0, 0.0, 2.0])
     theta0 = sphere_theta_root(1.0, 0.0, x).value
-    t0 = SPHERE.theta_map.t(theta0)
-    g1 = geometry_factor_1(SPHERE, t0, 0.0, x)
+    g1 = 1.0 / _dr2_dt(SPHERE, theta0, 0.0, x)
     assert abs(g1) == pytest.approx(1.0 / 4.0, rel=1e-12)
 
 
 # ------------------------------------------------------------- cone region
 
 
+def in_cone(x, g):
+    return _in_cone(_build_frame(SPHERE, KER, DEN, g, np.array(x)), ConeParams())
+
+
 def test_cone_trivial_on_axis():
-    assert cone_test(np.array([0.0, 0.0, 1.4]), SPHERE, grid(30, 60))
+    assert in_cone([0.0, 0.0, 1.4], grid(30, 60))
 
 
 def test_cone_examples_interior_exterior():
     g = grid(30, 60)
-    assert cone_test(np.array([0.5, 0.0, 0.0]), SPHERE, g)
-    assert not cone_test(np.array([1.2, 0.0, 0.0]), SPHERE, g)
+    assert in_cone([0.5, 0.0, 0.0], g)
+    assert not in_cone([1.2, 0.0, 0.0], g)
 
 
 # ----------------------------------------------------- analytic error factor
@@ -243,7 +250,7 @@ def test_simplified_rejects_bad_input():
 
 def test_tz_zero_on_axis():
     g = grid(20, 40)
-    assert tz_contribution(SPHERE, KER, DEN, g, np.array([0.0, 0.0, 1.5])) == 0.0
+    assert full_estimate(SPHERE, KER, DEN, g, np.array([0.0, 0.0, 1.5])).e_tz == 0.0
 
 
 def test_tz_against_equator_closed_form():
@@ -296,7 +303,7 @@ def test_gl_axis_closed_form():
                 * delta ** -(2 * n_t + 1.0)
                 * 2 * math.pi
             )
-            e_gl = gl_contribution(SPHERE, KER, DEN, g, np.array([0.0, 0.0, z]))
+            e_gl = full_estimate(SPHERE, KER, DEN, g, np.array([0.0, 0.0, z])).e_gl
             assert 0.5 <= e_gl / closed <= 2.0
 
 
@@ -312,7 +319,7 @@ def test_gl_equator_ratio():
 
 def test_gl_far_point_negligible():
     g = grid(16, 32)
-    assert gl_contribution(SPHERE, KER, DEN, g, np.array([3.0, 0.0, 0.0])) < 1e-12
+    assert full_estimate(SPHERE, KER, DEN, g, np.array([3.0, 0.0, 0.0])).e_gl < 1e-12
 
 
 # ------------------------------------------------------------ full estimate

@@ -15,7 +15,6 @@ from layerr.roots import (
     newton_root,
     phi_line,
     sphere_theta_root,
-    surrogate_theta_line,
     theta_line,
 )
 from layerr.surfaces import Sphere, Spheroid, paper_blob
@@ -116,6 +115,8 @@ def test_newton_matches_lemma_on_spheroid():
 
 
 def test_newton_on_blob_surrogate_residual():
+    # the blob has no closed form: Newton on its analytic theta line, the
+    # solve the estimate runs, must drive the residual below the bound
     b = paper_blob()
     scale = 1.2
     rng = np.random.default_rng(5)
@@ -123,8 +124,7 @@ def test_newton_on_blob_surrogate_residual():
         theta_star = 0.4 + 2.2 * rng.random()
         phi_star = 2 * math.pi * rng.random()
         x = (1.15 + 0.3 * rng.random()) * np.real(b.position(theta_star, phi_star))
-        surro = b.taylor_surrogate(theta_star, phi_star, 4)
-        r = newton_root(surrogate_theta_line(surro), VAR_THETA, phi_star, x,
+        r = newton_root(theta_line(b, phi_star), VAR_THETA, phi_star, x,
                         complex(theta_star, 0.1), scale, nearest=True)
         assert r.residual < 1e-8 * scale * scale
 

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from layerr.errors import NonConvergence
+from layerr.roots import VAR_THETA, newton_root, phi_line, theta_line
 from layerr.surfaces import (
     COSINE_MAP,
     LINEAR_MAP,
     Axisymmetric,
     Sphere,
     Spheroid,
-    TaylorSurrogate,
     paper_blob,
     theta_map_by_name,
 )
@@ -180,70 +181,68 @@ def test_area_element_positive_interior_vanishes_at_poles():
         assert np.linalg.norm(np.cross(np.real(dth), np.real(dph))) < 1e-12, name
 
 
-# ------------------------------------------------------------ Taylor models
+# ------------------------------------------------------------- line models
+# Root finding runs Newton on the analytic line evaluators theta_line and
+# phi_line: position and derivative along one parameter, the other fixed.
+
+
+def richardson_derivative(f, x0, h=1e-2):
+    """Two-level Richardson extrapolation of O(h^2) central differences."""
+    d = lambda hh: (f(x0 + hh) - f(x0 - hh)) / (2.0 * hh)
+    r1 = (4.0 * d(h / 2) - d(h)) / 3.0
+    r2 = (4.0 * d(h / 4) - d(h / 2)) / 3.0
+    return (16.0 * r2 - r1) / 15.0
 
 
 def test_surrogate_center_reproduces_position():
     for name, s in surfaces_under_test():
-        surro = s.taylor_surrogate(1.1, 0.6, 4)
-        pos, _ = surro.eval_theta(1.1)
+        pos, _ = theta_line(s, 0.6)(1.1)
         assert np.real(pos) == pytest.approx(np.real(s.position(1.1, 0.6)), abs=1e-14), name
-        pos, _ = surro.eval_phi(0.6)
+        pos, _ = phi_line(s, 1.1)(0.6)
         assert np.real(pos) == pytest.approx(np.real(s.position(1.1, 0.6)), abs=1e-14), name
 
 
 def test_surrogate_matches_sphere_within_taylor_remainder():
-    # trig components with unit amplitude: remainder below 0.3^5/5! ~ 2.1e-5
+    # first-order model from the line derivative: the components are unit
+    # trig products, so the remainder is at most off^2 / 2
     s = Sphere(1.0)
-    surro = s.taylor_surrogate(1.2, 0.8, 4)
-    for off in (-0.3, -0.15, 0.12, 0.3):
-        approx, _ = surro.eval_theta(1.2 + off)
-        exact = np.real(s.position(1.2 + off, 0.8))
-        assert np.max(np.abs(np.real(approx) - exact)) < 2.5e-5
-        approx, _ = surro.eval_phi(0.8 + off)
-        exact = np.real(s.position(1.2, 0.8 + off))
-        assert np.max(np.abs(np.real(approx) - exact)) < 2.5e-5
+    for line, center in ((theta_line(s, 0.8), 1.2), (phi_line(s, 1.2), 0.8)):
+        pos, dpos = line(center)
+        for off in (-0.3, -0.15, 0.12, 0.3):
+            exact, _ = line(center + off)
+            model = np.real(pos) + off * np.real(dpos)
+            assert np.max(np.abs(model - np.real(exact))) <= 0.5 * off * off
 
 
 def test_surrogate_polynomial_reproduction():
-    # a cubic per component is reproduced exactly by the order-4 model
-    coeffs = np.array(
-        [
-            [1.0, -0.5, 2.0],  # value
-            [0.3, 0.7, -1.1],  # first derivative
-            [-2.0, 0.4, 0.0],  # second
-            [0.9, -0.2, 1.5],  # third
-            [0.0, 0.0, 0.0],
-        ]
-    )
-    surro = TaylorSurrogate(0.5, 1.0, 4, coeffs, coeffs)
-
-    def poly(delta):
-        return sum(coeffs[j] * delta**j / math.factorial(j) for j in range(5))
-
-    for delta in (-0.7, 0.0, 0.4, 1.3):
-        pos, dpos = surro.eval_theta(0.5 + delta)
-        assert np.real(pos) == pytest.approx(poly(delta), abs=1e-13)
-        dpoly = sum(coeffs[j] * j * delta ** (j - 1) / math.factorial(j) for j in range(1, 5))
-        assert np.real(dpos) == pytest.approx(dpoly, abs=1e-13)
+    # Newton on a polynomial (straight) line reproduces the closed-form root
+    # of |r + w d|^2 = 0
+    p0 = np.array([1.0, -0.5, 2.0])
+    d = np.array([0.3, 0.7, -1.1])
+    x = np.array([0.2, 0.4, 1.0])
+    r = p0 - x
+    dd, rd = float(d @ d), float(r @ d)
+    expected = complex(-rd / dd, math.sqrt(float(r @ r) * dd - rd * rd) / dd)
+    root = newton_root(lambda w: (p0 + w * d, d), VAR_THETA, 0.0, x, 0.1j)
+    assert root.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_blob_surrogate_derivatives_from_richardson():
-    # finite-difference path: compare first derivative table against analytic
+    # analytic blob partials against Richardson-extrapolated differences
     b = paper_blob()
-    surro = b.taylor_surrogate(1.0, 0.5, 4)
     _, dth, dph = b.eval_sph(1.0, 0.5)
-    assert surro.coeffs_theta[1] == pytest.approx(np.real(dth), rel=1e-8, abs=1e-9)
-    assert surro.coeffs_phi[1] == pytest.approx(np.real(dph), rel=1e-8, abs=1e-9)
+    fd_th = richardson_derivative(lambda th: np.real(b.position(th, 0.5)), 1.0)
+    fd_ph = richardson_derivative(lambda ph: np.real(b.position(1.0, ph)), 0.5)
+    assert np.real(dth) == pytest.approx(fd_th, rel=1e-8, abs=1e-9)
+    assert np.real(dph) == pytest.approx(fd_ph, rel=1e-8, abs=1e-9)
 
 
 def test_surrogate_rejects_bad_order():
-    s = Sphere(1.0)
-    with pytest.raises(ValueError):
-        s.taylor_surrogate(1.0, 0.0, 0)
-    b = paper_blob()
-    with pytest.raises(ValueError):
-        b.taylor_surrogate(1.0, 0.0, 5)
+    # a line along which R^2 is constant has no root: Newton gives up
+    # with a typed error instead of returning a value
+    flat = lambda w: (np.array([1.0, 0.0, 0.0]) + 0.0 * w, np.zeros(3))
+    with pytest.raises(NonConvergence):
+        newton_root(flat, VAR_THETA, 0.0, np.array([0.0, 0.0, 2.0]), 0.1j)
 
 
 def test_axisymmetric_with_callable_profiles():
