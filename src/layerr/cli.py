@@ -255,6 +255,9 @@ def load_config(path: str) -> ExperimentConfig:
         dens_sec = parser["density"] if parser.has_section("density") else {}
         density = _build_density(dens_sec.get("kind", "unit") if dens_sec else "unit")
         grid_sec = parser["grid"]
+        for key in ("n_t", "n_phi"):
+            if key not in grid_sec:
+                raise ConfigError(f"[grid] missing {key}")
         n_t = grid_sec.getint("n_t")
         n_phi = grid_sec.getint("n_phi")
         targets = _generate_targets(surface, n_t, n_phi, parser["targets"])
@@ -447,18 +450,18 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
     parametrization (max deviation 1e-10, residuals 1e-10 * scale^2).
     The blob, which has no closed form, checks the residual of the Newton
     polar root on its analytic parametrization, the solve the estimate
-    runs (1e-8 * scale^2).
+    runs (1e-8 * scale^2). Each draw() returns the fixed coordinate, the
+    target, the closed-form root (or None) and the real part of the guess.
     """
     if a <= 0.0 or b <= 0.0:
         raise ConfigError("--a and --b must be positive")
     rng = np.random.default_rng(seed)
     name = surface_name.lower()
-    max_dev = 0.0
-    max_res = 0.0
     if name == "sphere":
-        surface = Sphere(a)
-        scale = a
-        for _ in range(samples):
+        surface, scale, line, variable, bound = Sphere(a), a, theta_line, VAR_THETA, 1e-10
+        kind = "sphere polar roots (closed form vs Newton)"
+
+        def draw():
             phi_bar = 2.0 * math.pi * rng.random()
             zeta = a * (1.05 + 1.95 * rng.random()) if rng.random() < 0.5 else a / (
                 1.05 + 1.95 * rng.random()
@@ -467,64 +470,46 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
             psi = 2.0 * math.pi * rng.random()
             x = zeta * _unit_direction(theta, psi)
             ana = sphere_theta_root(a, phi_bar, x)
-            newt = newton_root(
-                theta_line(surface, phi_bar),
-                VAR_THETA,
-                phi_bar,
-                x,
-                complex(ana.value.real, 0.1),
-                scale,
-                nearest=True,
-            )
-            max_dev = max(max_dev, abs(ana.value - newt.value))
-            max_res = max(max_res, ana.residual, newt.residual)
-        ok = max_dev < 1e-10 and max_res < 1e-10 * scale * scale
-        kind = "sphere polar roots (closed form vs Newton)"
+            return phi_bar, x, ana, ana.value.real
+
     elif name == "spheroid":
-        surface = Spheroid(a, b)
-        scale = max(a, b)
-        for _ in range(samples):
+        surface, scale, line, variable, bound = Spheroid(a, b), max(a, b), phi_line, VAR_PHI, 1e-10
+        kind = "spheroid azimuthal roots (closed form vs Newton)"
+
+        def draw():
             theta_bar = 0.05 + (math.pi - 0.1) * rng.random()
             s = 1.05 + 0.95 * rng.random()
             theta = math.acos(1.0 - 2.0 * rng.random())
             psi = 2.0 * math.pi * rng.random()
             x = s * np.real(surface.position(theta, psi))
             ana = axisym_phi_root(surface, theta_bar, x)
-            newt = newton_root(
-                phi_line(surface, theta_bar),
-                VAR_PHI,
-                theta_bar,
-                x,
-                complex(ana.value.real, 0.1),
-                scale,
-                nearest=True,
-            )
-            max_dev = max(max_dev, abs(ana.value - newt.value))
-            max_res = max(max_res, ana.residual, newt.residual)
-        ok = max_dev < 1e-10 and max_res < 1e-10 * scale * scale
-        kind = "spheroid azimuthal roots (closed form vs Newton)"
+            return theta_bar, x, ana, ana.value.real
+
     elif name == "blob":
-        surface = paper_blob()
-        scale = 1.2
-        for _ in range(samples):
+        surface, scale, line, variable, bound = paper_blob(), 1.2, theta_line, VAR_THETA, 1e-8
+        kind = "blob polar roots by Newton on the parametrization (residual only)"
+
+        def draw():
             theta_star = 0.3 + (math.pi - 0.6) * rng.random()
             phi_star = 2.0 * math.pi * rng.random()
             s = 1.1 + 0.5 * rng.random()
             x = s * np.real(surface.position(theta_star, phi_star))
-            newt = newton_root(
-                theta_line(surface, phi_star),
-                VAR_THETA,
-                phi_star,
-                x,
-                complex(theta_star, 0.1),
-                scale,
-                nearest=True,
-            )
-            max_res = max(max_res, newt.residual)
-        ok = max_res < 1e-8 * scale * scale
-        kind = "blob polar roots by Newton on the parametrization (residual only)"
+            return phi_star, x, None, theta_star
+
     else:
         raise ConfigError(f"unknown surface {surface_name!r} for roots-check")
+    max_dev = 0.0
+    max_res = 0.0
+    for _ in range(samples):
+        fixed, x, ana, guess = draw()
+        newt = newton_root(
+            line(surface, fixed), variable, fixed, x, complex(guess, 0.1), scale, nearest=True
+        )
+        if ana is not None:
+            max_dev = max(max_dev, abs(ana.value - newt.value))
+            max_res = max(max_res, ana.residual)
+        max_res = max(max_res, newt.residual)
+    ok = max_dev < 1e-10 and max_res < bound * scale * scale
     report = (
         f"roots-check: {kind}\n"
         f"  samples       : {samples}\n"

@@ -9,12 +9,13 @@ integrated along the other direction.
 
 The kernels decay exponentially away from the grid point closest to x, so
 the line integrals are mapped to the half line and evaluated with a small
-Gauss-Laguerre rule. Along the sweep the roots are taken from their
-closed forms where those exist (azimuthal roots of surfaces of
-revolution, polar roots of spheres) and are otherwise chained through
-warm-started Newton solves, with linearized-surface models as fallbacks.
-All magnitude combinations happen in log space so that estimates remain
-meaningful down to the underflow threshold.
+Gauss-Laguerre rule. One root function per direction serves the anchor
+solve at the nearest node and every sweep node: the closed form where one
+exists (azimuthal roots of surfaces of revolution, polar roots of spheres),
+else a Newton solve warm-started from the previous node, with a RootModel
+where Newton fails. One surface evaluation per root gives f and the
+geometry factors. All magnitude combinations happen in log space so that
+estimates remain meaningful down to the underflow threshold.
 
 Near the symmetry axis of an axisymmetric surface the azimuthal root does
 not exist; a cone criterion detects that region, where the trapezoidal
@@ -42,7 +43,7 @@ from .potentials import (
     KernelSpec,
     EvalPoint,
     _dot_c,
-    integrand_f_sph,
+    integrand_f_at,
     locate,
     surface_scale,
 )
@@ -144,19 +145,6 @@ def est_gl(t0: complex, n: int, p: float) -> float:
     return math.exp(log_est_gl(t0, n, p))
 
 
-def _dr2_dt(surface: Surface, theta, phi, x) -> complex:
-    """d R^2 / d t at (theta, phi): the inverse of the polar geometry factor G1."""
-    pos, d_theta, _ = surface.eval_sph(theta, phi)
-    d_t = d_theta * surface.theta_map.dtheta_dt_at(theta)
-    return complex(2.0 * _dot_c(pos - np.asarray(x), d_t))
-
-
-def _dr2_dphi(surface: Surface, theta, phi, x) -> complex:
-    """d R^2 / d phi at (theta, phi): the inverse of the azimuthal geometry factor G2."""
-    pos, _, d_phi = surface.eval_sph(theta, phi)
-    return complex(2.0 * _dot_c(pos - np.asarray(x), d_phi))
-
-
 def e_fac_tz_analytic(surface, x, theta: float, p: float, n_phi: int) -> float:
     """Pointwise azimuthal error factor for an axisymmetric surface.
 
@@ -228,37 +216,72 @@ class _Frame:
 
 
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
-    x = np.asarray(x, dtype=float)
     ep = locate(surface, g, x)
     theta_star = surface.theta_map.theta(ep.t_star)
-    _, g_t, g_phi = surface.eval_t(ep.t_star, ep.phi_star)
-    kappa = float(np.linalg.norm(np.real(g_t))) / float(np.linalg.norm(np.real(g_phi)))
+    kappa = surface.grid_anisotropy(ep.t_star, ep.phi_star)
     scale = surface_scale(surface, g)
-    return _Frame(surface, kernel, density, g, x, ep, theta_star, kappa, scale)
+    return _Frame(surface, kernel, density, g, ep.x, ep, theta_star, kappa, scale)
 
 
-def _theta_root_value(frame: _Frame) -> complex:
-    """Accurate polar root at the nearest node's azimuth (theta variable)."""
-    surf, x = frame.surface, frame.x
+def _theta_root(frame: _Frame, phi, initial: complex, nearest: bool = False) -> complex:
+    """Polar root at phi: closed form on a sphere, else Newton on theta_line."""
+    surf = frame.surface
     if isinstance(surf, Sphere):
-        return sphere_theta_root(surf.radius, frame.ep.phi_star, x).value
-    initial = complex(frame.theta_star, 0.1)
-    line = theta_line(surf, frame.ep.phi_star)
-    return newton_root(
-        line, VAR_THETA, frame.ep.phi_star, x, initial, frame.scale, nearest=True
-    ).value
+        return sphere_theta_root(surf.radius, phi, frame.x).value
+    line = theta_line(surf, phi)
+    return newton_root(line, VAR_THETA, phi, frame.x, initial, frame.scale, nearest=nearest).value
 
 
-def _phi_root_value(frame: _Frame) -> complex:
-    """Accurate azimuthal root at the nearest node's polar angle."""
-    surf, x = frame.surface, frame.x
+def _phi_root(frame: _Frame, theta, initial: complex, nearest: bool = False) -> complex:
+    """Azimuthal root at theta: closed form on an axisymmetric surface, else Newton on phi_line."""
+    surf = frame.surface
     if surf.axisymmetric:
-        return axisym_phi_root(surf, frame.theta_star, x).value
-    initial = complex(frame.ep.phi_star, 0.1)
-    line = phi_line(surf, frame.theta_star)
-    return newton_root(
-        line, VAR_PHI, frame.theta_star, x, initial, frame.scale, nearest=True
-    ).value
+        return axisym_phi_root(surf, theta, frame.x).value
+    line = phi_line(surf, theta)
+    return newton_root(line, VAR_PHI, theta, frame.x, initial, frame.scale, nearest=nearest).value
+
+
+def _tangent_root(frame: _Frame, primary: str):
+    """Root against the tangent plane at the nearest node, the stand-in for an
+    anchor solve that did not converge; None if the target lies in that plane."""
+    try:
+        model = linear_root_model(
+            frame.surface, frame.ep.t_star, frame.ep.phi_star, frame.x, primary, 0.0
+        )
+    except DegenerateModel:
+        return None
+    return model.linear_root(model.v_star)
+
+
+def _root_terms(frame: _Frame, theta, phi):
+    """f, d R^2/dt and d R^2/dphi at (theta, phi) from one surface evaluation.
+
+    The derivatives are the inverse geometry factors G1 (polar root) and G2
+    (azimuthal root). The evaluation can overflow far off the real axis,
+    and the cosine map's Jacobian is infinite at a pole; a non-finite f or
+    derivative is returned as vanishing derivatives, so the root is handled
+    like one at which R^2 has a double zero.
+    """
+    surf = frame.surface
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, d_theta, d_phi = surf.eval_sph(theta, phi)
+        d_t = d_theta * surf.theta_map.dtheta_dt_at(theta)
+        diff = pos - frame.x
+        f_val = integrand_f_at(frame.kernel, frame.density, theta, phi, diff, d_t, d_phi)
+        dr2_dt = complex(2.0 * _dot_c(diff, d_t))
+        dr2_dphi = complex(2.0 * _dot_c(diff, d_phi))
+    if not all(cmath.isfinite(v) for v in (f_val, dr2_dt, dr2_dphi)):
+        return f_val, 0j, 0j
+    return f_val, dr2_dt, dr2_dphi
+
+
+def _log_fg(frame: _Frame, theta, phi, polar: bool) -> float:
+    """log |f G^p| at a polar (G = G1) or azimuthal (G = G2) root."""
+    f_val, dr2_dt, dr2_dphi = _root_terms(frame, theta, phi)
+    den = dr2_dt if polar else dr2_dphi
+    if den == 0.0:
+        raise InfiniteGeometryFactor(f"d R^2 / d {'t' if polar else 'phi'} vanishes at the root")
+    return _log_abs(f_val) - frame.kernel.p * _log_abs(den)
 
 
 def _in_cone(frame: _Frame, cone: ConeParams) -> bool:
@@ -267,8 +290,9 @@ def _in_cone(frame: _Frame, cone: ConeParams) -> bool:
     return rho / cone.A < (cone.K_c * math.pi / frame.grid.n_t) * frame.ep.grid_distance
 
 
-def _tail_log_terms(log_kernel_at, tail_n: int):
-    """Gauss-Laguerre terms log(w_i) + x_i + log kernel(x_i), both directions.
+def _log_sweep_integral(log_kernel_at, width: float, tail_n: int) -> float:
+    """log of width times the Gauss-Laguerre sum of the kernel over both half
+    lines, with log(w_i) + x_i + log kernel(x_i) per node.
 
     The kernel is evaluated in ascending node order per direction so that
     implementations can warm-start root chains from the previous node.
@@ -279,55 +303,23 @@ def _tail_log_terms(log_kernel_at, tail_n: int):
         for xi, wi in zip(rule.nodes, rule.weights):
             lk = log_kernel_at(sign * xi)
             terms.append(lk + xi + math.log(wi))
-    return terms
+    return math.log(width) + _logsumexp(terms)
 
 
-def _chain_root(line, variable, fixed, x, prev, scale):
-    """One warm-started Newton solve along a sweep; None if it fails."""
-    try:
-        return newton_root(line, variable, fixed, x, prev, scale).value
-    except NonConvergence:
-        return None
+def _log_tz_sweep(frame: _Frame, phi0: complex, log_fg_anchor: float, tail_n: int) -> float:
+    """log of the integral of |f G2^p| est along the polar sweep of the
+    azimuthal root.
 
-
-def _log_fg2(frame: _Frame, theta_s, phi_root) -> float:
-    """log |f G2^p| at an azimuthal root (polar angle real)."""
-    den = _dr2_dphi(frame.surface, theta_s, phi_root, frame.x)
-    if den == 0.0:
-        raise InfiniteGeometryFactor("d R^2 / d phi vanishes at the root")
-    f_val = integrand_f_sph(
-        frame.surface, frame.kernel, frame.density, theta_s, phi_root, frame.x
-    )
-    return _log_abs(f_val) - frame.kernel.p * _log_abs(den)
-
-
-def _log_fg1(frame: _Frame, theta_root, phi_s) -> float:
-    """log |f G1^p| at a polar root (azimuth real)."""
-    den = _dr2_dt(frame.surface, theta_root, phi_s, frame.x)
-    if den == 0.0:
-        raise InfiniteGeometryFactor("d R^2 / d t vanishes at the root")
-    f_val = integrand_f_sph(
-        frame.surface, frame.kernel, frame.density, theta_root, phi_s, frame.x
-    )
-    return _log_abs(f_val) + frame.kernel.p * _log_abs(1.0 / den)
-
-
-def _tz_sweep_log_kernel(frame: _Frame, phi0: complex, log_fg_anchor: float):
-    """log of |f G2^p| est along the polar sweep of the azimuthal root.
-
-    Axisymmetric surfaces use the closed-form azimuthal root at every
-    in-range sweep node; other shapes chain warm-started Newton solves on
-    the analytic parametrization. The smooth factor and geometry factor
-    are re-evaluated at each swept root. The linearized model with the
+    Each in-range sweep node takes its root from _phi_root, warm-started
+    from the previous node in the same direction, and re-evaluates the
+    smooth and geometry factors there. The linearized model with the
     anchor weight covers the (negligible) tail beyond the parameter
-    interval and any node where the chain fails.
+    interval and any node where Newton fails.
     """
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     width = 1.0 / (g.n_phi * frame.kappa)
-    model = linear_root_model(
-        frame.surface, frame.ep.t_star, frame.ep.phi_star, frame.x, VAR_PHI, phi0
-    )
+    model = linear_root_model(surf, frame.ep.t_star, frame.ep.phi_star, frame.x, VAR_PHI, phi0)
     chain = {1.0: phi0, -1.0: phi0}
 
     def from_model(t_s):
@@ -338,57 +330,48 @@ def _tz_sweep_log_kernel(frame: _Frame, phi0: complex, log_fg_anchor: float):
         if not -1.0 < t_s < 1.0:
             return from_model(t_s)
         theta_s = surf.theta_map.theta(t_s)
-        if surf.axisymmetric:
-            try:
-                root = axisym_phi_root(surf, theta_s, frame.x).value
-            except NoRootExists:
-                return -math.inf
-        else:
-            direction = 1.0 if offset >= 0 else -1.0
-            root = _chain_root(
-                phi_line(surf, theta_s), VAR_PHI, theta_s, frame.x, chain[direction], frame.scale
-            )
-            if root is None:
-                return from_model(t_s)
-            chain[direction] = root
+        direction = 1.0 if offset >= 0 else -1.0
         try:
-            log_fg = _log_fg2(frame, theta_s, root)
+            root = _phi_root(frame, theta_s, chain[direction])
+        except NoRootExists:
+            return -math.inf
+        except NonConvergence:
+            return from_model(t_s)
+        chain[direction] = root
+        try:
+            log_fg = _log_fg(frame, theta_s, root, polar=False)
         except InfiniteGeometryFactor:
             return -math.inf
         return log_fg + log_est_tz(abs(root.imag), g.n_phi, p)
 
-    return log_kernel, width
+    return _log_sweep_integral(log_kernel, width, tail_n)
 
 
 def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     """Trapezoidal contribution: (value, skipped, phi0 or None)."""
-    surf, g, x = frame.surface, frame.grid, frame.x
+    g = frame.grid
     p = frame.kernel.p
-    if surf.axisymmetric and _in_cone(frame, cone):
+    if frame.surface.axisymmetric and _in_cone(frame, cone):
         return 0.0, True, None
     try:
-        phi0 = _phi_root_value(frame)
+        initial = complex(frame.ep.phi_star, 0.1)
+        phi0 = _phi_root(frame, frame.theta_star, initial, nearest=True)
     except NoRootExists:
         return 0.0, True, None
     except NonConvergence:
-        try:
-            model = linear_root_model(surf, frame.ep.t_star, frame.ep.phi_star, x, VAR_PHI, 0.0)
-        except DegenerateModel:
+        phi0 = _tangent_root(frame, VAR_PHI)
+        if phi0 is None:
             return 0.0, True, None
-        phi0 = model.linear_root(frame.ep.t_star)
     # geometry factor at the root; huge values signal a near-axis target
-    den = _dr2_dphi(surf, frame.theta_star, phi0, x)
+    f_val, _, den = _root_terms(frame, frame.theta_star, phi0)
     if abs(den) < _G2_SKIP_EPS * frame.scale:
         return 0.0, True, phi0
-    f_val = integrand_f_sph(surf, frame.kernel, frame.density, frame.theta_star, phi0, x)
     log_fg_anchor = _log_abs(f_val) - p * _log_abs(den)
     log_flat = log_fg_anchor + log_est_tz(abs(phi0.imag), g.n_phi, p)
     try:
-        log_kernel, width = _tz_sweep_log_kernel(frame, phi0, log_fg_anchor)
-        tail = _logsumexp(_tail_log_terms(log_kernel, tail_n))
         # the sweep can never contribute more measure than the whole
         # t-interval at its anchor value
-        log_val = min(math.log(width) + tail, math.log(2.0) + log_flat)
+        log_val = min(_log_tz_sweep(frame, phi0, log_fg_anchor, tail_n), math.log(2.0) + log_flat)
     except DegenerateModel:
         # target in the tangent plane at the node: integrate a flat kernel
         # over the whole t-interval (length 2) as a coarse stand-in
@@ -398,33 +381,29 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
 
 def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     """Gauss-Legendre contribution: (value, t0 or None)."""
-    surf, g, x = frame.surface, frame.grid, frame.x
+    surf, g = frame.surface, frame.grid
     p = frame.kernel.p
-    theta0 = None
     try:
-        theta0 = _theta_root_value(frame)
+        initial = complex(frame.theta_star, 0.1)
+        theta0 = _theta_root(frame, frame.ep.phi_star, initial, nearest=True)
         t0 = complex(surf.theta_map.t(theta0))
     except NoRootExists:
         return 0.0, None
     except NonConvergence:
-        try:
-            model = linear_root_model(surf, frame.ep.t_star, frame.ep.phi_star, x, VAR_T, 0.0)
-        except DegenerateModel:
+        t0 = _tangent_root(frame, VAR_T)
+        if t0 is None:
             return 0.0, None
-        t0 = model.linear_root(frame.ep.phi_star)
         theta0 = surf.theta_map.theta(t0)
     if t0.imag < 0:
         t0 = t0.conjugate()
-    log_fg = _log_fg1(frame, theta0, frame.ep.phi_star)
+    log_fg = _log_fg(frame, theta0, frame.ep.phi_star, polar=True)
     log_flat = log_fg + log_est_gl(t0, g.n_t, p)
     if surf.axisymmetric and _in_cone(frame, cone):
         # near the axis the polar root barely depends on the azimuth:
         # integrate the flat kernel around the full circle
         return math.exp(_LOG_2PI + log_flat), t0
     try:
-        log_kernel, width = _gl_sweep_log_kernel(frame, t0, theta0, log_fg)
-        tail = _logsumexp(_tail_log_terms(log_kernel, tail_n))
-        log_val = math.log(width) + tail
+        log_val = _log_gl_sweep(frame, t0, theta0, log_fg, tail_n)
     except DegenerateModel:
         # coarse fallback: flat kernel over one azimuthal grid cell
         log_val = math.log(2.0 * math.pi / g.n_phi) + log_flat
@@ -439,64 +418,49 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     return math.exp(log_val), t0
 
 
-def _gl_sweep_log_kernel(frame: _Frame, t0: complex, theta0: complex, log_fg_anchor: float):
-    """log of |f G1^p| est along the azimuthal sweep of the polar root.
+def _log_gl_sweep(frame: _Frame, t0: complex, theta0: complex, log_fg_anchor: float, tail_n: int):
+    """log of the integral of |f G1^p| est along the azimuthal sweep of the
+    polar root.
 
-    Spheres use the exact closed-form polar root at every sweep node;
-    other shapes chain warm-started Newton solves in the polar angle on
-    the analytic parametrization. The smooth factor and geometry factor
-    are re-evaluated at each swept root. The rotated-slice model with the
-    anchor weight, whose chord growth stays faithful at large azimuthal
-    offsets, backs up any node where the chain fails.
+    Each sweep node takes its root from _theta_root, warm-started from the
+    previous node in the same direction, and re-evaluates the smooth and
+    geometry factors there. The rotated-slice model with the anchor
+    weight, whose chord growth stays faithful at large azimuthal offsets,
+    backs up any node where Newton fails; spheres, whose roots come in
+    closed form, need none.
     """
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     width = frame.kappa / (2.0 * g.n_t)
-
-    def term_at(theta_root, phi_s):
-        t_s = complex(surf.theta_map.t(theta_root))
-        try:
-            log_fg = _log_fg1(frame, theta_root, phi_s)
-        except InfiniteGeometryFactor:
-            return -math.inf
-        return log_fg + log_est_gl(t_s, g.n_t, p)
-
-    if isinstance(surf, Sphere):
-        a = surf.radius
-
-        def log_kernel(offset):
-            dphi = offset * width
-            if abs(dphi) > math.pi / 2.0:
-                # each direction owns a quarter turn: beyond it the sweep
-                # enters the basin of the antipodal twin, which is covered
-                # by the full-circle convention instead
-                return -math.inf
-            phi_s = frame.ep.phi_star + dphi
-            try:
-                theta_s = sphere_theta_root(a, phi_s, frame.x).value
-            except NoRootExists:
-                return -math.inf
-            return term_at(theta_s, phi_s)
-
-        return log_kernel, width
-    model = azimuthal_sweep_model(surf, frame.ep.t_star, frame.ep.phi_star, frame.x, t0)
+    model = None
+    if not isinstance(surf, Sphere):
+        model = azimuthal_sweep_model(surf, frame.ep.t_star, frame.ep.phi_star, frame.x, t0)
     chain = {1.0: theta0, -1.0: theta0}
 
     def log_kernel(offset):
         dphi = offset * width
         if abs(dphi) > math.pi / 2.0:
+            # each direction owns a quarter turn: beyond it the sweep
+            # enters the basin of the antipodal twin, which is covered
+            # by the full-circle convention instead
             return -math.inf
         phi_s = frame.ep.phi_star + dphi
         direction = 1.0 if offset >= 0 else -1.0
-        root = _chain_root(
-            theta_line(surf, phi_s), VAR_THETA, phi_s, frame.x, chain[direction], frame.scale
-        )
-        if root is None:
+        try:
+            root = _theta_root(frame, phi_s, chain[direction])
+        except NoRootExists:
+            return -math.inf
+        except NonConvergence:
             return log_fg_anchor + log_est_gl(model.model_root(phi_s), g.n_t, p)
         chain[direction] = root
-        return term_at(root, phi_s)
+        t_s = complex(surf.theta_map.t(root))
+        try:
+            log_fg = _log_fg(frame, root, phi_s, polar=True)
+        except InfiniteGeometryFactor:
+            return -math.inf
+        return log_fg + log_est_gl(t_s, g.n_t, p)
 
-    return log_kernel, width
+    return _log_sweep_integral(log_kernel, width, tail_n)
 
 
 def full_estimate(

@@ -111,8 +111,8 @@ def _sqrt_c(z):
     return math.sqrt(z) if z >= 0 else np.sqrt(complex(z))
 
 
-def integrand_f_sph(surface: Surface, kernel: KernelSpec, density: DensitySpec, theta, phi, x):
-    """Smooth numerator f at (theta, phi); one argument may be complex.
+def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d_t, d_phi):
+    """f at an evaluated point: diff = gamma - x and the (t, phi) partials.
 
     f = k(x, gamma) * sigma * |d gamma/dt x d gamma/dphi| with the norm
     continued as the principal square root of the complex sum of squares.
@@ -120,23 +120,22 @@ def integrand_f_sph(surface: Surface, kernel: KernelSpec, density: DensitySpec, 
     the area element, leaving sigma * (cross . (gamma - x)), which is
     entire and needs no branch choice.
     """
-    pos, d_theta, d_phi = surface.eval_sph(theta, phi)
-    d_t = d_theta * surface.theta_map.dtheta_dt_at(theta)
     cross = _cross_c(d_t, d_phi)
     sigma = density.value(theta, phi)
     if kernel.kind == HARMONIC_DOUBLE:
-        return sigma * _dot_c(cross, pos - np.asarray(x))
+        return sigma * _dot_c(cross, diff)
     area = _sqrt_c(_dot_c(cross, cross))
     if kernel.kind == HARMONIC_SINGLE:
         return sigma * area
-    diff = pos - np.asarray(x)
     dist = _sqrt_c(_dot_c(diff, diff))
     return np.exp(-kernel.omega * dist) * sigma * area
 
 
 def integrand_f(surface: Surface, kernel: KernelSpec, density: DensitySpec, t, phi, x):
     """Smooth numerator f at (t, phi); at most one argument complex."""
-    return integrand_f_sph(surface, kernel, density, surface.theta_map.theta(t), phi, x)
+    pos, d_t, d_phi = surface.eval_t(t, phi)
+    theta = surface.theta_map.theta(t)
+    return integrand_f_at(kernel, density, theta, phi, pos - np.asarray(x), d_t, d_phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +148,6 @@ class _GridTables:
     positions: np.ndarray  # (N, 3)
     normals: np.ndarray  # (N, 3) outward unit normals
     base_weights: np.ndarray  # (N,) w_t * w_phi * area element
-    t_flat: np.ndarray  # (N,)
     phi_flat: np.ndarray  # (N,)
     scale: float
 
@@ -174,11 +172,10 @@ def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
             normals[idx] = cr / nrm
             idx += 1
     w = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
-    t_flat = np.repeat(ts, n_phi)
     phi_flat = np.tile(phis, n_t)
     scale = float(np.max(np.linalg.norm(positions, axis=1)))
     return _GridTables(
-        thetas, ts, phis, positions, normals, w * areas, t_flat, phi_flat, scale
+        thetas, ts, phis, positions, normals, w * areas, phi_flat, scale
     )
 
 

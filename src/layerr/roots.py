@@ -9,9 +9,13 @@ errors decay; this module finds that root.
 Closed forms exist for a circle in a plane, for the azimuthal root of any
 axisymmetric surface at fixed polar angle, and for the polar root of a
 sphere at fixed azimuth. Everything else goes through a one-dimensional
-complex Newton iteration on the analytic parametrization. A
-bivariate-linear root model provides the cheap sweep used when
-integrating the error-estimate kernels.
+complex Newton iteration on the analytic parametrization.
+
+One RootModel type gives a cheap stand-in for a root swept along a grid
+direction: the quadratic root of R^2 against a line through the grid
+point, anchored to an accurate root there. Two slice functions move that
+line with the secondary coordinate: linear_root_model translates it along
+the surface tangent, azimuthal_sweep_model rotates it about the z-axis.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ METHOD_ANALYTIC_CIRCLE = "analytic_circle"
 METHOD_ANALYTIC_AXISYM_PHI = "analytic_axisym_phi"
 METHOD_ANALYTIC_SPHERE_THETA = "analytic_sphere_theta"
 METHOD_NEWTON = "newton"
-METHOD_LINEAR_MODEL = "linear_model"
 
 VAR_THETA = "theta"
 VAR_PHI = "phi"
@@ -64,7 +67,8 @@ def _canonical(w: complex) -> complex:
 
 def _log_beta(lam: float) -> float:
     """ln(lambda + sqrt(lambda^2 - 1)), the imaginary part of analytic roots."""
-    return math.log(lam + math.sqrt(lam * lam - 1.0))
+    # lambda = 1 for a target on the slice, and may round below 1 there
+    return math.log(lam + math.sqrt(max(lam * lam - 1.0, 0.0)))
 
 
 LineEvaluator = Callable[[complex], Tuple[np.ndarray, np.ndarray]]
@@ -196,101 +200,59 @@ def newton_root(
     with np.errstate(over="ignore", invalid="ignore"):
         for w0 in guesses:
             hit = _newton_once(line, x, w0, scale2)
-            if hit is None:
-                continue
-            w, residual = hit
-            if not nearest:
-                return RootResult(_canonical(w), variable, fixed_coordinate, METHOD_NEWTON, residual)
-            if best is None or abs(w.imag) < abs(best[0].imag):
-                best = (w, residual)
-    if best is not None:
-        w, residual = best
-        return RootResult(_canonical(w), variable, fixed_coordinate, METHOD_NEWTON, residual)
-    raise NonConvergence(
-        f"Newton failed to find a {variable} root near {initial!r} for x={x.tolist()}"
-    )
+            if hit is not None and (best is None or abs(hit[0].imag) < abs(best[0].imag)):
+                best = hit
+                if not nearest:
+                    break
+    if best is None:
+        raise NonConvergence(
+            f"Newton failed to find a {variable} root near {initial!r} for x={x.tolist()}"
+        )
+    w, residual = best
+    return RootResult(_canonical(w), variable, fixed_coordinate, METHOD_NEWTON, residual)
 
 
-def _quadratic_root(u_star: float, r, g, gg: float, anchor: bool) -> complex:
-    """Root u (Im >= 0) of the quadratic |r + (u - u_star) g|^2 = 0.
+class RootModel:
+    """Anchored quadratic root model of R^2 along one grid direction.
 
-    gg is the squared norm of the direction that scales the root. A real
-    double root at the anchor raises DegenerateModel; elsewhere it is
-    returned with a zero imaginary part.
-    """
-    a = float(np.dot(r, r))
-    b = 2.0 * float(np.dot(r, g))
-    disc = 4.0 * a * gg - b * b
-    if disc <= 0.0:
-        if anchor:
-            raise DegenerateModel("no complex root of the model distance at the anchor")
-        disc = 0.0
-    return complex(u_star - b / (2.0 * gg), math.sqrt(disc) / (2.0 * gg))
-
-
-@dataclass(frozen=True)
-class LinearRootModel:
-    """Root of R^2 against the linearized surface, swept along one direction.
-
-    The primary variable u carries the complex root; the model gives its
-    approximate trajectory as the secondary variable v moves away from the
-    grid point. An accurate root u0_star anchors the model so that it is
-    exact at v = v_star.
+    Near the grid point the surface slice at secondary coordinate v is
+    replaced by the line r(v) + (u - u_star) g(v) in the primary variable u,
+    and the model root solves |r(v) + (u - u_star) g(v)|^2 = 0. slice_at(v)
+    returns (r, g): the linearized slice translates the anchor along its
+    tangent in v, the rotated slice turns it about the z-axis. An offset
+    fixed at construction makes the model exact at v = v_star, where it
+    returns the accurate root u0_star.
     """
 
-    u_star: float
-    v_star: float
-    r: np.ndarray
-    g_u: np.ndarray
-    g_v: np.ndarray
-    u0_star: complex
-    offset: complex
+    def __init__(self, u_star: float, v_star: float, slice_at, u0_star: complex):
+        self.u_star = u_star
+        self.v_star = v_star
+        self.slice_at = slice_at
+        _, g = slice_at(v_star)
+        # both slices keep |g| fixed, so the anchor's norm scales every root
+        self.gg = float(np.dot(g, g))
+        self.u0_star = _canonical(complex(u0_star))
+        self.offset = self.u0_star - self.linear_root(v_star)
 
     def linear_root(self, v: float) -> complex:
-        """Root of the linearized R^2 at secondary coordinate v (Im >= 0)."""
-        rt = self.r + self.g_v * (v - self.v_star)
-        gg = float(np.dot(self.g_u, self.g_u))
-        return _quadratic_root(self.u_star, rt, self.g_u, gg, v == self.v_star)
+        """Root (Im >= 0) of the model R^2 at secondary coordinate v.
+
+        A real double root at the anchor raises DegenerateModel; elsewhere
+        it is returned with a zero imaginary part.
+        """
+        r, g = self.slice_at(v)
+        a = float(np.dot(r, r))
+        b = 2.0 * float(np.dot(r, g))
+        disc = 4.0 * a * self.gg - b * b
+        if disc <= 0.0:
+            if v == self.v_star:
+                raise DegenerateModel("no complex root of the model distance at the anchor")
+            disc = 0.0
+        return complex(self.u_star - b / (2.0 * self.gg), math.sqrt(disc) / (2.0 * self.gg))
 
     def model_root(self, v: float) -> complex:
-        """Combined model: accurate at v_star, linear-model variation in v."""
+        """Combined model: accurate at v_star, model variation in v."""
         return self.offset + self.linear_root(v)
-
-
-@dataclass(frozen=True)
-class AzimuthalSweepModel:
-    """Polar root swept in the azimuth with the slice advanced by rotation.
-
-    Like the linearized model, but instead of following the tangent line
-    in the azimuthal direction it rotates the anchor point and the polar
-    tangent about the z-axis. The chord growth this produces matches the
-    way surfaces of spherical topology wrap around the axis, so the root
-    trajectory stays faithful out to large azimuthal offsets where the
-    tangent-line model decays far too slowly. Offsets are clamped at half
-    a turn; beyond that the sweep would re-enter the antipodal region.
-    """
-
-    t_star: float
-    phi_star: float
-    y_star: np.ndarray
-    g_t: np.ndarray
-    x: np.ndarray
-    u0_star: complex
-    offset: complex
-
-    def rotated_root(self, phi: float) -> complex:
-        dphi = phi - self.phi_star
-        dphi = max(-math.pi, min(math.pi, dphi))
-        c, s = math.cos(dphi), math.sin(dphi)
-        y = self.y_star
-        g = self.g_t
-        ry = np.array([c * y[0] - s * y[1], s * y[0] + c * y[1], y[2]]) - self.x
-        rg = np.array([c * g[0] - s * g[1], s * g[0] + c * g[1], g[2]])
-        # the rotation preserves |g|, so the unrotated norm scales the root
-        return _quadratic_root(self.t_star, ry, rg, float(np.dot(g, g)), dphi == 0.0)
-
-    def model_root(self, phi: float) -> complex:
-        return self.offset + self.rotated_root(phi)
 
 
 def azimuthal_sweep_model(
@@ -299,16 +261,27 @@ def azimuthal_sweep_model(
     phi_star: float,
     x: np.ndarray,
     t0_star: complex,
-) -> AzimuthalSweepModel:
-    """Build the rotated sweep model for the polar root at a grid point."""
+) -> RootModel:
+    """Polar root at a grid point, swept in the azimuth by rotating the slice.
+
+    The anchor point and its polar tangent turn about the z-axis instead of
+    following the tangent line in phi. The chord growth this produces
+    matches the way surfaces of spherical topology wrap around the axis, so
+    the root trajectory stays faithful out to large azimuthal offsets where
+    the linearized model decays far too slowly. Offsets are clamped at half
+    a turn; beyond that the sweep would re-enter the antipodal region.
+    """
     x = np.asarray(x, dtype=float)
     pos, g_t, _ = surface.eval_t(t_star, phi_star)
-    pos, g_t = np.real(pos), np.real(g_t)
-    model = AzimuthalSweepModel(
-        t_star, phi_star, pos, g_t, x, _canonical(complex(t0_star)), 0.0
-    )
-    offset = model.u0_star - model.rotated_root(phi_star)
-    return AzimuthalSweepModel(t_star, phi_star, pos, g_t, x, model.u0_star, offset)
+    y, g = np.real(pos), np.real(g_t)
+
+    def rotated(phi):
+        dphi = max(-math.pi, min(math.pi, phi - phi_star))
+        c, s = math.cos(dphi), math.sin(dphi)
+        r = np.array([c * y[0] - s * y[1], s * y[0] + c * y[1], y[2]]) - x
+        return r, np.array([c * g[0] - s * g[1], s * g[0] + c * g[1], g[2]])
+
+    return RootModel(t_star, phi_star, rotated, t0_star)
 
 
 def linear_root_model(
@@ -318,8 +291,8 @@ def linear_root_model(
     x: np.ndarray,
     primary: str,
     u0_star: complex,
-) -> LinearRootModel:
-    """Build the linearized root model at a grid point.
+) -> RootModel:
+    """Root at a grid point against the linearized surface.
 
     primary is "t" for the polar-direction root swept in phi, or "phi"
     for the azimuthal root swept in t. u0_star is an accurate root in the
@@ -327,14 +300,12 @@ def linear_root_model(
     """
     x = np.asarray(x, dtype=float)
     pos, g_t, g_phi = surface.eval_t(t_star, phi_star)
-    pos, g_t, g_phi = np.real(pos), np.real(g_t), np.real(g_phi)
-    r = pos - x
+    r = np.real(pos) - x
+    g_t, g_phi = np.real(g_t), np.real(g_phi)
     if primary == VAR_T:
         u_star, v_star, g_u, g_v = t_star, phi_star, g_t, g_phi
     elif primary == VAR_PHI:
         u_star, v_star, g_u, g_v = phi_star, t_star, g_phi, g_t
     else:
         raise ValueError(f"primary must be 't' or 'phi', got {primary!r}")
-    model = LinearRootModel(u_star, v_star, r, g_u, g_v, _canonical(complex(u0_star)), 0.0)
-    offset = model.u0_star - model.linear_root(v_star)
-    return LinearRootModel(u_star, v_star, r, g_u, g_v, model.u0_star, offset)
+    return RootModel(u_star, v_star, lambda v: (r + g_v * (v - v_star), g_u), u0_star)

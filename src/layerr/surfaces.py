@@ -52,25 +52,17 @@ class ThetaMap:
             return -cmath.cos(theta)
         return -math.cos(theta)
 
-    def dtheta_dt(self, t):
-        """Jacobian d theta / d t at t (principal branch for complex t)."""
-        if self.kind == LINEAR:
-            return math.pi / 2.0
-        if _is_complex(t) or not -1.0 < t < 1.0:
-            return 1.0 / cmath.sqrt(1.0 - complex(t) ** 2)
-        return 1.0 / math.sqrt(1.0 - t * t)
-
     def dtheta_dt_at(self, theta):
-        """Same Jacobian expressed in theta; branch-safe for complex theta.
+        """Jacobian d theta / d t expressed in theta; branch-safe for complex theta.
 
         For the cosine map d theta / d t = 1 / sin(theta), which agrees with
-        the principal-branch value whenever Re(theta) lies in [0, pi].
+        the principal-branch value whenever Re(theta) lies in [0, pi]; it is
+        infinite at the poles.
         """
         if self.kind == LINEAR:
             return math.pi / 2.0
-        if _is_complex(theta):
-            return 1.0 / cmath.sin(theta)
-        return 1.0 / math.sin(theta)
+        s = cmath.sin(theta) if _is_complex(theta) else math.sin(theta)
+        return 1.0 / s if s else math.inf
 
 
 LINEAR_MAP = ThetaMap(LINEAR)

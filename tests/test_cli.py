@@ -217,3 +217,42 @@ def test_bad_theta_map_exits_one(tmp_path, capsys):
     body = CONFIG_TEMPLATE.replace("theta_map = cosine", "theta_map = chebyshev")
     assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
     assert "theta map" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pole_target_recorded_not_fatal(tmp_path):
+    # at the pole the polar root lies on the pole itself, where the cosine
+    # map's Jacobian is infinite: that row fails, the run goes on
+    body = CONFIG_TEMPLATE.replace("n_t = 12\nn_phi = 24", "n_t = 20\nn_phi = 40").replace(
+        "points = 1.5, 0, 0; 0, 0, 1.3", "points = 0, 0, 1; 1.5, 0, 0"
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_OK
+    rows = read_rows(tmp_path / "out.csv")
+    assert rows[0]["error"] != "" and rows[0]["E_EST"] == ""
+    assert rows[1]["error"] == "" and math.isfinite(float(rows[1]["E_EST"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_on_axis_blob_target_gets_finite_row(tmp_path):
+    # the azimuthal anchor falls back to a tangent root far off the real
+    # axis, where the blob's evaluation overflows: the trapezoidal part is
+    # skipped instead of turning the row into NaN
+    body = (
+        CONFIG_TEMPLATE.replace("shape = sphere", "shape = blob")
+        .replace("n_t = 12\nn_phi = 24", "n_t = 25\nn_phi = 25")
+        .replace("points = 1.5, 0, 0; 0, 0, 1.3", "points = 0, 0, -2.785283509481811; 1.5, 0, 0")
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_OK
+    rows = read_rows(tmp_path / "out.csv")
+    assert [r["error"] for r in rows] == ["", ""]
+    for r in rows:
+        assert all(math.isfinite(float(r[c])) for c in ("E_Q", "E_EST", "E_TZ", "E_GL"))
+    assert rows[0]["tz_skipped"] == "true" and float(rows[0]["E_TZ"]) == 0.0
+
+
+@pytest.mark.parametrize("key", ["n_t", "n_phi"])
+def test_missing_grid_key_exits_one(tmp_path, capsys, key):
+    body = CONFIG_TEMPLATE.replace(f"{key} = ", f"# {key} = ")
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from layerr.errors import EvaluationError, InfiniteGeometryFactor, NoRootExists
 from layerr.estimates import (
     ConeParams,
     _build_frame,
-    _dr2_dphi,
-    _dr2_dt,
     _in_cone,
-    _log_fg2,
+    _log_fg,
+    _root_terms,
     e_fac_tz_analytic,
     est_gl,
     est_tz,
@@ -21,7 +21,7 @@ from layerr.estimates import (
 from layerr.potentials import harmonic_single, measured_error, unit_density
 from layerr.quadrature import grid
 from layerr.roots import axisym_phi_root, sphere_theta_root
-from layerr.surfaces import Sphere, Spheroid
+from layerr.surfaces import Sphere, Spheroid, paper_blob
 
 
 SPHERE = Sphere(1.0)
@@ -116,25 +116,40 @@ def test_geometry_factor_2_matches_circle_closed_form():
     x = np.array([rho * math.cos(nu), rho * math.sin(nu), 0.0])
     root = axisym_phi_root(SPHERE, math.pi / 2, x)
     eta = root.value.imag
-    g2 = 1.0 / _dr2_dphi(SPHERE, math.pi / 2, root.value, x)
+    frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), x)
+    g2 = 1.0 / _root_terms(frame, math.pi / 2, root.value)[2]
     assert abs(g2) == pytest.approx(1.0 / (rho * (math.exp(eta) - math.exp(-eta))), rel=1e-12)
 
 
 def test_geometry_factor_2_infinite_on_axis():
     x = np.array([0.0, 0.0, 1.7])
     theta = SPHERE.theta_map.theta(0.3)
-    assert _dr2_dphi(SPHERE, theta, 1.1, x) == 0.0
     frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), x)
+    assert _root_terms(frame, theta, 1.1)[2] == 0.0
     with pytest.raises(InfiniteGeometryFactor):
-        _log_fg2(frame, theta, 1.1)
+        _log_fg(frame, theta, 1.1, polar=False)
 
 
 def test_geometry_factor_1_axis_magnitude():
     # polar factor on the axis has magnitude 1 / (2 a |z|)
     x = np.array([0.0, 0.0, 2.0])
     theta0 = sphere_theta_root(1.0, 0.0, x).value
-    g1 = 1.0 / _dr2_dt(SPHERE, theta0, 0.0, x)
+    frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), x)
+    g1 = 1.0 / _root_terms(frame, theta0, 0.0)[1]
     assert abs(g1) == pytest.approx(1.0 / 4.0, rel=1e-12)
+
+
+def test_root_terms_pole_and_overflow_vanish():
+    # a polar root at the pole (infinite cosine-map Jacobian) and a root far
+    # off the real axis (overflowing blob evaluation) both come back as
+    # vanishing derivatives, without warnings
+    frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), np.array([0.0, 0.0, 1.0]))
+    assert _root_terms(frame, 0j, 0.0)[1:] == (0j, 0j)
+    blob_x = np.array([0.0, 0.0, -2.785283509481811])
+    frame = _build_frame(paper_blob(), KER, DEN, grid(25, 25), blob_x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _root_terms(frame, frame.theta_star, 18.9j)[1:] == (0j, 0j)
 
 
 # ------------------------------------------------------------- cone region

@@ -96,6 +96,16 @@ def test_sphere_theta_root_degenerate():
         sphere_theta_root(1.0, 0.0, np.array([0.0, 2.0, 0.0]))
 
 
+def test_closed_forms_give_real_root_for_target_on_slice():
+    # lambda is 1 on the slice and rounds below 1 for these targets
+    a, theta = 0.9391390515063975, 2.682695713167154
+    r = sphere_theta_root(a, 0.0, np.real(Sphere(a).position(theta, 0.0)))
+    assert abs(r.value.imag) < 1e-15 and r.value.real == pytest.approx(theta, rel=1e-12)
+    a, alpha = 1.8590624786635572, 5.803941785105386
+    r = circle_root(a, np.array([a * math.cos(alpha), a * math.sin(alpha), 0.0]))
+    assert abs(r.value.imag) < 1e-15 and r.residual < 1e-12
+
+
 # ------------------------------------------------------------------- Newton
 
 
