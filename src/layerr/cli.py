@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,21 +95,12 @@ def _lookup(table: dict, name: str, message: str):
     return table[key]
 
 
-def _build_surface(shape: str, a: float, b: float, theta_map: str) -> Surface:
-    try:
-        tmap = theta_map_by_name(theta_map)
-    except ValueError as exc:
-        raise ConfigError(f"[surface] {exc}")
-    make = _lookup(_SURFACES, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob")
-    return make(a, b, tmap)
-
-
-def _build_kernel(kind: str, omega: float) -> KernelSpec:
-    return _lookup(_KERNELS, kind, "[kernel] unknown kind {!r}")(omega)
-
-
-def _build_density(kind: str) -> DensitySpec:
-    return _lookup(_DENSITIES, kind, "[density] unknown kind {!r}")()
+def _positive(value, name: str) -> float:
+    """float(value) if it is finite and positive, else ConfigError."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _unit_direction(theta: float, phi: float) -> np.ndarray:
@@ -118,64 +110,51 @@ def _unit_direction(theta: float, phi: float) -> np.ndarray:
     )
 
 
+@dataclass(eq=False)
 class ExperimentConfig:
     """A fully validated experiment description."""
 
-    def __init__(
-        self,
-        surface: Surface,
-        kernel: KernelSpec,
-        density: DensitySpec,
-        n_t: int,
-        n_phi: int,
-        targets: np.ndarray,
-        cone: ConeParams,
-        out_path: str,
-    ):
-        if n_t < 4 or n_phi < 4:
+    surface: Surface
+    kernel: KernelSpec
+    density: DensitySpec
+    n_t: int
+    n_phi: int
+    targets: np.ndarray
+    out_path: str = "layerr_out.csv"
+    cone: ConeParams = ConeParams()
+
+    def __post_init__(self):
+        if self.n_t < 4 or self.n_phi < 4:
             raise ConfigError("[grid] n_t and n_phi must be at least 4")
-        self.surface = surface
-        self.kernel = kernel
-        self.density = density
-        self.n_t = n_t
-        self.n_phi = n_phi
-        self.targets = targets
-        self.cone = cone
-        self.out_path = out_path
 
 
-def _floats(text: str, field: str):
+def _floats(text, field: str):
     try:
-        return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+        return [float(v) for v in str(text).replace(";", ",").split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"could not parse {field!r} as a comma-separated float list")
 
 
-def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec) -> np.ndarray:
+def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.ndarray:
+    """Targets from a [targets] section; values are strings or numbers."""
     gen = sec.get("generator", "plane").lower()
     if gen == "plane":
         axis = sec.get("axis", "y").lower()
         if axis not in ("x", "y", "z"):
             raise ConfigError(f"[targets] axis must be x, y or z, got {axis!r}")
-        offset = sec.getfloat("offset", 0.0)
-        extent = sec.getfloat("extent", 2.0)
-        res = sec.getint("resolution", 20)
+        offset = float(sec.get("offset", 0.0))
+        extent = float(sec.get("extent", 2.0))
+        res = int(sec.get("resolution", 20))
         if res < 2:
             raise ConfigError("[targets] resolution must be >= 2")
         us = np.linspace(-extent, extent, res)
-        pts = []
-        for u in us:
-            for v in us:
-                if axis == "x":
-                    pts.append((offset, u, v))
-                elif axis == "y":
-                    pts.append((u, offset, v))
-                else:
-                    pts.append((u, v, offset))
-        return np.array(pts)
+        # the first in-plane coordinate varies slowest
+        cols = [m.ravel() for m in np.meshgrid(us, us, indexing="ij")]
+        cols.insert("xyz".index(axis), np.full(res * res, offset))
+        return np.column_stack(cols)
     if gen == "radial-sweep":
         distances = _floats(sec.get("distances", "0.1"), "[targets] distances")
-        angles = sec.getint("angles", 24)
+        angles = int(sec.get("angles", 24))
         pts = []
         for d in distances:
             for i in range(angles):
@@ -186,14 +165,13 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec) -> np.ndarray
                 pts.append(base * (1.0 + d / r))
         return np.array(pts)
     if gen == "random":
-        count = sec.getint("count", 100)
+        count = int(sec.get("count", 100))
         shell = _floats(sec.get("shell", "1.02,2.0"), "[targets] shell")
         if len(shell) != 2 or shell[0] <= 0 or shell[1] <= shell[0]:
             raise ConfigError("[targets] shell must be two increasing positive factors")
         if "seed" not in sec:
             raise ConfigError("[targets] random generator requires a seed")
-        seed = sec.getint("seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(int(sec["seed"]))
         g = grid(n_t, n_phi)
         scale = surface_scale(surface, g)
         pts = []
@@ -208,8 +186,8 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec) -> np.ndarray
                 pts.append(x)
         return np.array(pts)
     if gen == "shell":
-        radius = sec.getfloat("radius", 1.46)
-        res = sec.getint("resolution", 16)
+        radius = float(sec.get("radius", 1.46))
+        res = int(sec.get("resolution", 16))
         pts = []
         for i in range(res):
             theta = math.acos(1.0 - 2.0 * (i + 0.5) / res)
@@ -218,9 +196,8 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec) -> np.ndarray
                 pts.append(radius * _unit_direction(theta, phi))
         return np.array(pts)
     if gen == "explicit":
-        raw = sec.get("points", "")
         pts = []
-        for i, chunk in enumerate(raw.split(";")):
+        for i, chunk in enumerate(sec.get("points", "").split(";")):
             if not chunk.strip():
                 continue
             vals = _floats(chunk, f"[targets] points entry {i + 1}")
@@ -233,60 +210,61 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec) -> np.ndarray
     raise ConfigError(f"[targets] unknown generator {gen!r}")
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment config file (INI-style sections)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
+def _build_config(sections: dict) -> ExperimentConfig:
+    """Validate a {section: {key: value}} mapping, the config-file schema.
+
+    Files give string values and presets give numbers where a file gives
+    a number; both parse the same way.
+    """
+    if "cone" in sections:
+        raise ConfigError("[cone] is not configurable: the cone constants are fixed")
     try:
-        surf_sec = parser["surface"]
-        surface = _build_surface(
-            surf_sec.get("shape", "sphere"),
-            surf_sec.getfloat("a", 1.0),
-            surf_sec.getfloat("b", 1.0),
-            surf_sec.get("theta_map", "cosine"),
+        surf = sections["surface"]
+        try:
+            tmap = theta_map_by_name(surf.get("theta_map", "cosine"))
+        except ValueError as exc:
+            raise ConfigError(f"[surface] {exc}")
+        shape = surf.get("shape", "sphere")
+        make = _lookup(
+            _SURFACES, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob"
         )
-        kern_sec = parser["kernel"] if parser.has_section("kernel") else {}
-        kernel = _build_kernel(
-            kern_sec.get("kind", "harmonic_single") if kern_sec else "harmonic_single",
-            float(kern_sec.get("omega", 1.0)) if kern_sec else 1.0,
-        )
-        dens_sec = parser["density"] if parser.has_section("density") else {}
-        density = _build_density(dens_sec.get("kind", "unit") if dens_sec else "unit")
-        grid_sec = parser["grid"]
+        a, b = (_positive(surf.get(key, 1.0), f"[surface] {key}") for key in ("a", "b"))
+        surface = make(a, b, tmap)
+        kern = sections.get("kernel", {})
+        make = _lookup(_KERNELS, kern.get("kind", "harmonic_single"), "[kernel] unknown kind {!r}")
+        kernel = make(_positive(kern.get("omega", 1.0), "[kernel] omega"))
+        dens = sections.get("density", {}).get("kind", "unit")
+        density = _lookup(_DENSITIES, dens, "[density] unknown kind {!r}")()
+        grid_sec = sections["grid"]
         for key in ("n_t", "n_phi"):
             if key not in grid_sec:
                 raise ConfigError(f"[grid] missing {key}")
-        n_t = grid_sec.getint("n_t")
-        n_phi = grid_sec.getint("n_phi")
-        targets = _generate_targets(surface, n_t, n_phi, parser["targets"])
-        cone = ConeParams(A=1.0, K_c=10.0)
-        if parser.has_section("cone"):
-            cone = ConeParams(
-                A=parser["cone"].getfloat("A", 1.0),
-                K_c=parser["cone"].getfloat("K_c", 10.0),
-            )
-        out_path = "layerr_out.csv"
-        if parser.has_section("output"):
-            out_path = parser["output"].get("path", out_path)
-    except ConfigError:
-        raise
+        n_t, n_phi = int(grid_sec["n_t"]), int(grid_sec["n_phi"])
+        targets = _generate_targets(surface, n_t, n_phi, sections["targets"])
+        out_path = sections.get("output", {}).get("path", "layerr_out.csv")
     except KeyError as exc:
         raise ConfigError(f"missing config section {exc}")
     except ValueError as exc:
         raise ConfigError(f"invalid config value: {exc}")
-    return ExperimentConfig(surface, kernel, density, n_t, n_phi, targets, cone, out_path)
+    return ExperimentConfig(surface, kernel, density, n_t, n_phi, targets, out_path)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse and validate an experiment config file (INI-style sections)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r} is malformed: {exc}")
+    if not read:
+        raise ConfigError(f"config file {path!r} not found or unreadable")
+    return _build_config({name: dict(parser[name]) for name in parser.sections()})
 
 
 def _point_row(cfg: ExperimentConfig, g, x, timing: bool):
     start = time.perf_counter()
-    row = {
-        "x": _fmt(x[0]),
-        "y": _fmt(x[1]),
-        "z": _fmt(x[2]),
-        "error": "",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(x=_fmt(x[0]), y=_fmt(x[1]), z=_fmt(x[2]))
     try:
         eq = measured_error(cfg.surface, cfg.kernel, cfg.density, g, x)
         bd = full_estimate(cfg.surface, cfg.kernel, cfg.density, g, x, cfg.cone)
@@ -301,17 +279,7 @@ def _point_row(cfg: ExperimentConfig, g, x, timing: bool):
             phi_star=_fmt(bd.phi_star),
         )
     except LayerrError as exc:
-        row.update(
-            distance_to_grid="",
-            E_Q="",
-            E_EST="",
-            E_TZ="",
-            E_GL="",
-            tz_skipped="",
-            t_star="",
-            phi_star="",
-            error=str(exc),
-        )
+        row["error"] = str(exc)
     elapsed = (time.perf_counter() - start) * 1e6 if timing else 0.0
     row["runtime_us"] = _fmt(elapsed)
     return row
@@ -330,52 +298,49 @@ def run_experiment(cfg: ExperimentConfig, out_path=None, timing: bool = False) -
     return out
 
 
+# Presets in the config-file schema; unset keys take the file defaults.
+_PLANE = {"generator": "plane", "axis": "y", "offset": 0.0, "extent": 2.0, "resolution": 40}
 _PRESETS = {
     # error field on the symmetry plane of a unit sphere, linear polar map
-    "sphere-linear": dict(
-        surface=("sphere", 1.0, 1.0, "linear"),
-        kernel=("harmonic_single", 1.0),
-        density="unit",
-        n_t=30,
-        n_phi=60,
-        targets=dict(generator="plane", axis="y", offset="0.0", extent="2.0", resolution="40"),
-    ),
+    "sphere-linear": {
+        "surface": {"shape": "sphere", "a": 1.0, "theta_map": "linear"},
+        "kernel": {"kind": "harmonic_single"},
+        "density": {"kind": "unit"},
+        "grid": {"n_t": 30, "n_phi": 60},
+        "targets": _PLANE,
+    },
     # same field with the cosine polar map
-    "sphere-cosine": dict(
-        surface=("sphere", 1.0, 1.0, "cosine"),
-        kernel=("harmonic_single", 1.0),
-        density="unit",
-        n_t=30,
-        n_phi=60,
-        targets=dict(generator="plane", axis="y", offset="0.0", extent="2.0", resolution="40"),
-    ),
+    "sphere-cosine": {
+        "surface": {"shape": "sphere", "a": 1.0, "theta_map": "cosine"},
+        "kernel": {"kind": "harmonic_single"},
+        "density": {"kind": "unit"},
+        "grid": {"n_t": 30, "n_phi": 60},
+        "targets": _PLANE,
+    },
     # single layer on a wall grazing a 3:1 prolate spheroid
-    "spheroid-wall": dict(
-        surface=("spheroid", 1.0, 3.0, "cosine"),
-        kernel=("harmonic_single", 1.0),
-        density="paper",
-        n_t=40,
-        n_phi=80,
-        targets=dict(generator="plane", axis="y", offset="1.02", extent="3.5", resolution="40"),
-    ),
+    "spheroid-wall": {
+        "surface": {"shape": "spheroid", "a": 1.0, "b": 3.0, "theta_map": "cosine"},
+        "kernel": {"kind": "harmonic_single"},
+        "density": {"kind": "paper"},
+        "grid": {"n_t": 40, "n_phi": 80},
+        "targets": {**_PLANE, "offset": 1.02, "extent": 3.5},
+    },
     # double layer at random points around the same spheroid
-    "spheroid-random": dict(
-        surface=("spheroid", 1.0, 3.0, "cosine"),
-        kernel=("harmonic_double", 1.0),
-        density="paper",
-        n_t=60,
-        n_phi=120,
-        targets=dict(generator="random", count="300", shell="1.02,2.0", seed="7"),
-    ),
+    "spheroid-random": {
+        "surface": {"shape": "spheroid", "a": 1.0, "b": 3.0, "theta_map": "cosine"},
+        "kernel": {"kind": "harmonic_double"},
+        "density": {"kind": "paper"},
+        "grid": {"n_t": 60, "n_phi": 120},
+        "targets": {"generator": "random", "count": 300, "shell": "1.02, 2.0", "seed": 7},
+    },
     # screened single layer on the shell enclosing the reference blob
-    "blob-shell": dict(
-        surface=("blob", 1.0, 1.0, "cosine"),
-        kernel=("mod_helmholtz_single", 3.0),
-        density="paper",
-        n_t=40,
-        n_phi=80,
-        targets=dict(generator="shell", radius="1.46", resolution="24"),
-    ),
+    "blob-shell": {
+        "surface": {"shape": "blob", "theta_map": "cosine"},
+        "kernel": {"kind": "mod_helmholtz_single", "omega": 3.0},
+        "density": {"kind": "paper"},
+        "grid": {"n_t": 40, "n_phi": 80},
+        "targets": {"generator": "shell", "radius": 1.46, "resolution": 24},
+    },
 }
 
 
@@ -385,34 +350,19 @@ def preset_config(name: str) -> ExperimentConfig:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
         )
-    spec = _PRESETS[name]
-    surface = _build_surface(*spec["surface"])
-    kernel = _build_kernel(*spec["kernel"])
-    density = _build_density(spec["density"])
-    parser = configparser.ConfigParser()
-    parser["targets"] = spec["targets"]
-    targets = _generate_targets(surface, spec["n_t"], spec["n_phi"], parser["targets"])
-    return ExperimentConfig(
-        surface,
-        kernel,
-        density,
-        spec["n_t"],
-        spec["n_phi"],
-        targets,
-        ConeParams(),
-        f"{name}.csv",
-    )
+    return _build_config({**_PRESETS[name], "output": {"path": f"{name}.csv"}})
 
 
-def sphere_sweep(a: float, p: float, n_list, distances, out_path: str) -> str:
+def sphere_sweep(a: float, n_list, distances, out_path: str) -> str:
     """Measured-error range vs the simplified bound; cosine map enforced.
 
     For each polar count n_t and signed distance d, targets cover the full
     polar range at radius a + d over a thin azimuthal sector; columns are
-    n, d, E_Q_min, E_Q_max, E_simplified with n = 2 n_t in the bound.
+    n, d, E_Q_min, E_Q_max, E_simplified with n = 2 n_t in the bound. The
+    measured kernel is the harmonic single layer, so the bound uses its
+    power p = 1/2.
     """
-    if a <= 0.0 or p <= 0.0:
-        raise ConfigError("--a and --p must be positive")
+    _positive(a, "--a")
     if any(n_t < 1 for n_t in n_list):
         raise ConfigError(f"--n values must be positive integers, got {list(n_list)}")
     kernel = harmonic_single()
@@ -424,8 +374,8 @@ def sphere_sweep(a: float, p: float, n_list, distances, out_path: str) -> str:
         n = 2 * n_t
         for d in distances:
             zeta = a + d
-            if zeta <= 0 or zeta == a:
-                raise ConfigError(f"distance {d} places targets on or through the center")
+            if not math.isfinite(zeta) or zeta <= 0 or zeta == a:
+                raise ConfigError(f"distance {d} is not finite or hits the sphere or center")
             lo, hi = math.inf, 0.0
             for i in range(40):
                 theta = (i + 0.5) * math.pi / 40
@@ -433,7 +383,7 @@ def sphere_sweep(a: float, p: float, n_list, distances, out_path: str) -> str:
                     x = zeta * _unit_direction(theta, phi)
                     eq = measured_error(surface, kernel, density, g, x)
                     lo, hi = min(lo, eq), max(hi, eq)
-            rows.append((n_t, d, lo, hi, sphere_simplified(zeta, a, p, n)))
+            rows.append((n_t, d, lo, hi, sphere_simplified(zeta, a, kernel.p, n)))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "d", "E_Q_min", "E_Q_max", "E_simplified"])
@@ -453,8 +403,8 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
     runs (1e-8 * scale^2). Each draw() returns the fixed coordinate, the
     target, the closed-form root (or None) and the real part of the guess.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ConfigError("--a and --b must be positive")
+    _positive(a, "--a")
+    _positive(b, "--b")
     rng = np.random.default_rng(seed)
     name = surface_name.lower()
     if name == "sphere":
@@ -538,19 +488,19 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a config file")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--timing", action="store_true", help="record wall-clock per point")
+    for command, source, text in (
+        ("run", "config", "run an experiment from a config file"),
+        ("preset", "name", "run a built-in experiment preset"),
+    ):
+        p_exp = sub.add_parser(command, help=text)
+        p_exp.add_argument("source", metavar=source)
+        p_exp.add_argument("--out", default=None)
+        p_exp.add_argument("--timing", action="store_true", help="record wall-clock per point")
 
-    p_preset = sub.add_parser("preset", help="run a built-in experiment preset")
-    p_preset.add_argument("name")
-    p_preset.add_argument("--out", default=None)
-    p_preset.add_argument("--timing", action="store_true")
-
-    p_sweep = sub.add_parser("sphere-sweep", help="measured error vs simplified sphere bound")
+    p_sweep = sub.add_parser(
+        "sphere-sweep", help="measured single-layer error vs simplified sphere bound"
+    )
     p_sweep.add_argument("--a", type=float, default=1.0)
-    p_sweep.add_argument("--p", type=float, default=0.5)
     p_sweep.add_argument("--n", required=True, help="comma-separated polar point counts")
     p_sweep.add_argument("--distances", required=True, help="comma-separated signed distances")
     p_sweep.add_argument("--out", default="sphere_sweep.csv")
@@ -568,14 +518,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = load_config(args.config)
+        if args.command in ("run", "preset"):
+            cfg = (load_config if args.command == "run" else preset_config)(args.source)
             out = run_experiment(cfg, args.out, args.timing)
-            print(f"wrote {out} ({len(cfg.targets)} targets)")
-            return EXIT_OK
-        if args.command == "preset":
-            cfg = preset_config(args.name)
-            out = run_experiment(cfg, args.out or cfg.out_path, args.timing)
             print(f"wrote {out} ({len(cfg.targets)} targets)")
             return EXIT_OK
         if args.command == "sphere-sweep":
@@ -584,7 +529,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError("could not parse '--n' as a comma-separated integer list")
             distances = _floats(args.distances, "--distances")
-            out = sphere_sweep(args.a, args.p, n_list, distances, args.out)
+            out = sphere_sweep(args.a, n_list, distances, args.out)
             print(f"wrote {out}")
             return EXIT_OK
         if args.command == "roots-check":

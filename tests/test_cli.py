@@ -1,11 +1,14 @@
+import configparser
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from layerr.cli import (
+    _PRESETS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -107,6 +110,12 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_malformed_config_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n_t = 12\n" + CONFIG_TEMPLATE)
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bad_generator_exits_one(tmp_path, capsys):
     body = CONFIG_TEMPLATE.replace("generator = explicit", "generator = warp")
     cfg = write_config(tmp_path, body)
@@ -203,9 +212,13 @@ def test_nonfinite_targets_get_error_rows(tmp_path, kind):
     [
         ["sphere-sweep", "--n", "x", "--distances", "0.1"],
         ["sphere-sweep", "--n", "0", "--distances", "0.1"],
-        ["sphere-sweep", "--n", "4", "--distances", "0.1", "--p", "0"],
+        ["sphere-sweep", "--n", "4", "--distances", "0.1", "--a", "0"],
         ["nodes", "--rule", "gl", "--n", "0"],
         ["roots-check", "--surface", "sphere", "--a", "-1"],
+        ["roots-check", "--surface", "sphere", "--a", "nan", "--samples", "3"],
+        ["roots-check", "--surface", "spheroid", "--b", "inf", "--samples", "3"],
+        ["sphere-sweep", "--n", "4", "--distances", "0.1", "--a", "nan"],
+        ["sphere-sweep", "--n", "4", "--distances", "nan"],
     ],
 )
 def test_bad_command_line_values_exit_one(argv, capsys):
@@ -256,3 +269,77 @@ def test_missing_grid_key_exits_one(tmp_path, capsys, key):
     assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+SIZES_BODY = CONFIG_TEMPLATE.replace(
+    "points = 1.5, 0, 0; 0, 0, 1.3", "points = 1.5,0,0; 0.3,0.2,1.3"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("a = 1.0", "a = 0"),
+        ("a = 1.0", "a = -1"),
+        ("a = 1.0", "a = nan"),
+        ("a = 1.0", "a = inf"),
+        ("kind = harmonic_single", "kind = mod_helmholtz_single\nomega = nan"),
+        ("kind = harmonic_single", "kind = mod_helmholtz_single\nomega = inf"),
+    ],
+    ids=["a=0", "a=-1", "a=nan", "a=inf", "omega=nan", "omega=inf"],
+)
+def test_nonpositive_or_nonfinite_sizes_exit_one(tmp_path, capsys, old, new):
+    body = SIZES_BODY.replace(old, new)
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cone_section_rejected(tmp_path, capsys):
+    body = CONFIG_TEMPLATE + "\n[cone]\nA = 2.0\nK_c = 5.0\n"
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "cone constants are fixed" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_preset_round_trips_through_a_config_file(tmp_path, name):
+    parser = configparser.ConfigParser()
+    parser.read_dict(_PRESETS[name])
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    got, want = load_config(str(path)), preset_config(name)
+    assert type(got.surface) is type(want.surface)
+    assert got.surface.theta_map == want.surface.theta_map
+    for attr in ("a", "b"):
+        assert getattr(got.surface, attr, None) == getattr(want.surface, attr, None)
+    assert (got.kernel, got.density) == (want.kernel, want.density)
+    assert (got.n_t, got.n_phi, got.cone) == (want.n_t, want.n_phi, want.cone)
+    assert np.array_equal(got.targets, want.targets)
+
+
+def test_radial_sweep_targets(tmp_path):
+    body = CONFIG_TEMPLATE.replace(
+        "generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3",
+        "generator = radial-sweep\ndistances = 0.1, -0.05\nangles = 6",
+    )
+    targets = load_config(write_config(tmp_path, body)).targets
+    assert targets.shape == (12, 3)
+    radii = np.linalg.norm(targets, axis=1)
+    np.testing.assert_allclose(radii, [1.1] * 6 + [0.95] * 6, rtol=0, atol=1e-12)
+    # polar angles sweep from the north pole down within each distance
+    assert np.all(np.diff(targets[:6, 2] / radii[:6]) < 0)
+    assert np.all(np.diff(targets[6:, 2] / radii[6:]) < 0)
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    cfg = load_config(str(path))
+    assert cfg.kernel.kind == "harmonic_double" and cfg.density.kind == "paper"
+    assert (cfg.surface.a, cfg.surface.b, cfg.n_t, cfg.n_phi) == (1.0, 3.0, 40, 80)
+    assert len(cfg.targets) == 300 and cfg.out_path == "out.csv"
