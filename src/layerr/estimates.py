@@ -17,6 +17,12 @@ where Newton fails. One surface evaluation per root gives f and the
 geometry factors. All magnitude combinations happen in log space so that
 estimates remain meaningful down to the underflow threshold.
 
+A block of targets is estimated as arrays with one lane per target: each
+anchor solve, and each sweep node in both directions, is one masked array
+operation over all lanes. A lane that has no root, or whose term vanishes,
+carries NaN or -inf from there on, so the block runs under np.errstate and
+the masks decide each lane's outcome.
+
 Near the symmetry axis of an axisymmetric surface the azimuthal root does
 not exist; a cone criterion detects that region, where the trapezoidal
 part is negligible and the Gauss-Legendre part is nearly independent of
@@ -24,24 +30,16 @@ the azimuth and is integrated in closed form around the full circle.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateModel,
-    EvaluationError,
-    InfiniteGeometryFactor,
-    NoRootExists,
-    NonConvergence,
-)
+from .errors import EvaluationError, InfiniteGeometryFactor, LayerrError, NoRootExists
 from .potentials import (
     DensitySpec,
     KernelSpec,
-    EvalPoint,
     _dot_c,
     integrand_f_at,
     locate,
@@ -92,16 +90,13 @@ class EstimateBreakdown:
     grid_distance: float
 
 
-def _logsumexp(vals) -> float:
-    m = max(vals)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+def _logsumexp(vals):
+    """log sum exp over the first axis, -inf where every term is -inf.
 
-
-def _log_abs(z) -> float:
-    a = abs(z)
-    return math.log(a) if a > 0.0 else -math.inf
+    The terms are added in order, so that a lane's sum does not depend on
+    how many lanes there are."""
+    m = np.max(vals, axis=0)
+    return np.where(m == -np.inf, -np.inf, m + np.log(sum(np.exp(v - m) for v in vals)))
 
 
 def log_est_tz(im_abs: float, n: int, p: float) -> float:
@@ -117,24 +112,28 @@ def est_tz(phi0: complex, n: int, p: float) -> float:
     return math.exp(log_est_tz(abs(phi0.imag), n, p))
 
 
-def _joukowski(t0: complex) -> Tuple[float, float]:
-    """|sqrt(t0^2 - 1)| and |t0 + sqrt(t0^2 - 1)| on the branch
-    sqrt(t0 + 1) * sqrt(t0 - 1) with principal square roots."""
-    s = cmath.sqrt(t0 + 1.0) * cmath.sqrt(t0 - 1.0)
-    return abs(s), abs(t0 + s)
+def _log_est_gl(t0, n: int, p: float):
+    """log of the Gauss-Legendre error kernel at the polar roots t0, and the
+    mask of roots on [-1, 1], where it is undefined.
+
+    Uses |sqrt(t0^2 - 1)| and |t0 + sqrt(t0^2 - 1)| on the branch
+    sqrt(t0 + 1) * sqrt(t0 - 1) with principal square roots.
+    """
+    t0 = np.asarray(t0, dtype=complex)
+    s = np.sqrt(t0 + 1.0) * np.sqrt(t0 - 1.0)
+    abs_s, abs_w = np.abs(s), np.abs(t0 + s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_val = (
+            _LOG_4PI
+            - math.lgamma(p)
+            + (p - 1.0) * (math.log(2.0 * n + 1.0) - np.log(abs_s))
+            - (2.0 * n + 1.0) * np.log(abs_w)
+        )
+    return log_val, (abs_s == 0.0) | (abs_w <= 1.0)
 
 
-def log_est_gl(t0: complex, n: int, p: float) -> float:
-    """log of the Gauss-Legendre error kernel at the polar root t0."""
-    abs_s, abs_w = _joukowski(complex(t0))
-    if abs_s == 0.0 or abs_w <= 1.0:
-        raise EvaluationError(f"Gauss-Legendre kernel undefined for t0={t0} on [-1, 1]")
-    return (
-        _LOG_4PI
-        - math.lgamma(p)
-        + (p - 1.0) * (math.log(2.0 * n + 1.0) - math.log(abs_s))
-        - (2.0 * n + 1.0) * math.log(abs_w)
-    )
+def _gl_undefined(t0) -> EvaluationError:
+    return EvaluationError(f"Gauss-Legendre kernel undefined for t0={complex(t0)} on [-1, 1]")
 
 
 def est_gl(t0: complex, n: int, p: float) -> float:
@@ -142,7 +141,10 @@ def est_gl(t0: complex, n: int, p: float) -> float:
 
     est = 4 pi / Gamma(p) * |(2n+1)/sqrt(t0^2-1)|^(p-1) * |t0+sqrt(t0^2-1)|^-(2n+1).
     """
-    return math.exp(log_est_gl(t0, n, p))
+    log_val, undefined = _log_est_gl(t0, n, p)
+    if undefined:
+        raise _gl_undefined(t0)
+    return math.exp(log_val)
 
 
 def e_fac_tz_analytic(surface, x, theta: float, p: float, n_phi: int) -> float:
@@ -202,113 +204,139 @@ def sphere_simplified(zeta: float, a: float, p: float, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """Shared per-point context for the two estimate contributions."""
+    """Shared context of a block of targets, with one lane per located target.
+
+    outcomes has one entry per target: its lane, or the LayerrError that
+    locate raised for it. The arrays below it hold one entry per lane.
+    """
 
     surface: Surface
     kernel: KernelSpec
     density: DensitySpec
     grid: QuadratureGrid
-    x: np.ndarray
-    ep: EvalPoint
-    theta_star: float
-    kappa: float
     scale: float
+    outcomes: list
+    x: np.ndarray  # (lanes, 3)
+    t_star: np.ndarray  # nearest grid node
+    phi_star: np.ndarray
+    grid_distance: np.ndarray
+    theta_star: np.ndarray
+    kappa: np.ndarray
 
 
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
-    ep = locate(surface, g, x)
-    theta_star = surface.theta_map.theta(ep.t_star)
-    kappa = surface.grid_anisotropy(ep.t_star, ep.phi_star)
-    scale = surface_scale(surface, g)
-    return _Frame(surface, kernel, density, g, ep.x, ep, theta_star, kappa, scale)
+    """Frame of the targets x, of shape (3,) or (M, 3), located on the grid."""
+    outcomes, points = [], []
+    for xi in np.reshape(np.asarray(x, dtype=float), (-1, 3)):
+        try:
+            points.append(locate(surface, g, xi))
+            outcomes.append(len(points) - 1)
+        except LayerrError as exc:
+            outcomes.append(exc)
+    x = np.array([ep.x for ep in points]).reshape(-1, 3)
+    t_star, phi_star, dist = (np.array([getattr(ep, k) for ep in points], dtype=float)
+                              for k in ("t_star", "phi_star", "grid_distance"))
+    return _Frame(surface, kernel, density, g, surface_scale(surface, g), outcomes, x, t_star,
+                  phi_star, dist, surface.theta_map.theta(t_star),
+                  surface.grid_anisotropy(t_star, phi_star))
 
 
-def _theta_root(frame: _Frame, phi, initial: complex, nearest: bool = False) -> complex:
-    """Polar root at phi: closed form on a sphere, else Newton on theta_line."""
+def _targets(frame: _Frame, shape) -> np.ndarray:
+    """The lanes' targets, broadcast to (*shape, 3) for roots of that shape."""
+    return np.broadcast_to(frame.x, tuple(shape) + (3,))
+
+
+def _theta_root(frame: _Frame, phi, initial, nearest: bool = False):
+    """Polar roots at phi, NaN where there is none: closed form on a sphere,
+    else Newton on theta_line from initial."""
     surf = frame.surface
+    x = _targets(frame, np.shape(initial))
     if isinstance(surf, Sphere):
-        return sphere_theta_root(surf.radius, phi, frame.x).value
+        return sphere_theta_root(surf.radius, phi, x).value
     line = theta_line(surf, phi)
-    return newton_root(line, VAR_THETA, phi, frame.x, initial, frame.scale, nearest=nearest).value
+    return newton_root(line, VAR_THETA, phi, x, initial, frame.scale, nearest=nearest).value
 
 
-def _phi_root(frame: _Frame, theta, initial: complex, nearest: bool = False) -> complex:
-    """Azimuthal root at theta: closed form on an axisymmetric surface, else Newton on phi_line."""
+def _phi_root(frame: _Frame, theta, initial, nearest: bool = False):
+    """Azimuthal roots at theta, NaN where there is none: closed form on an
+    axisymmetric surface, else Newton on phi_line from initial."""
     surf = frame.surface
+    x = _targets(frame, np.shape(initial))
     if surf.axisymmetric:
-        return axisym_phi_root(surf, theta, frame.x).value
+        return axisym_phi_root(surf, theta, x).value
     line = phi_line(surf, theta)
-    return newton_root(line, VAR_PHI, theta, frame.x, initial, frame.scale, nearest=nearest).value
+    return newton_root(line, VAR_PHI, theta, x, initial, frame.scale, nearest=nearest).value
 
 
 def _tangent_root(frame: _Frame, primary: str):
     """Root against the tangent plane at the nearest node, the stand-in for an
-    anchor solve that did not converge; None if the target lies in that plane."""
-    try:
-        model = linear_root_model(
-            frame.surface, frame.ep.t_star, frame.ep.phi_star, frame.x, primary, 0.0
-        )
-    except DegenerateModel:
-        return None
+    anchor solve that did not converge; NaN where the target lies in that plane."""
+    model = linear_root_model(
+        frame.surface, frame.t_star, frame.phi_star, frame.x, primary, np.zeros(frame.t_star.shape)
+    )
     return model.linear_root(model.v_star)
 
 
 def _root_terms(frame: _Frame, theta, phi):
     """f, d R^2/dt and d R^2/dphi at (theta, phi) from one surface evaluation.
 
-    The derivatives are the inverse geometry factors G1 (polar root) and G2
-    (azimuthal root). The evaluation can overflow far off the real axis,
-    and the cosine map's Jacobian is infinite at a pole; a non-finite f or
-    derivative is returned as vanishing derivatives, so the root is handled
-    like one at which R^2 has a double zero.
+    theta and phi broadcast against the lanes. The derivatives are the
+    inverse geometry factors G1 (polar root) and G2 (azimuthal root). The
+    evaluation can overflow far off the real axis, and the cosine map's
+    Jacobian is infinite at a pole; where f or a derivative is not finite
+    both derivatives are returned as zero, so the root is handled like one
+    at which R^2 has a double zero.
     """
     surf = frame.surface
+    theta, phi = np.broadcast_arrays(theta, phi, frame.t_star)[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         pos, d_theta, d_phi = surf.eval_sph(theta, phi)
         d_t = d_theta * surf.theta_map.dtheta_dt_at(theta)
-        diff = pos - frame.x
+        diff = pos - np.moveaxis(_targets(frame, theta.shape), -1, 0)
         f_val = integrand_f_at(frame.kernel, frame.density, theta, phi, diff, d_t, d_phi)
-        dr2_dt = complex(2.0 * _dot_c(diff, d_t))
-        dr2_dphi = complex(2.0 * _dot_c(diff, d_phi))
-    if not all(cmath.isfinite(v) for v in (f_val, dr2_dt, dr2_dphi)):
-        return f_val, 0j, 0j
-    return f_val, dr2_dt, dr2_dphi
+        dr2_dt = 2.0 * _dot_c(diff, d_t) + 0j
+        dr2_dphi = 2.0 * _dot_c(diff, d_phi) + 0j
+    finite = np.isfinite(f_val) & np.isfinite(dr2_dt) & np.isfinite(dr2_dphi)
+    return f_val, np.where(finite, dr2_dt, 0j), np.where(finite, dr2_dphi, 0j)
 
 
-def _log_fg(frame: _Frame, theta, phi, polar: bool) -> float:
-    """log |f G^p| at a polar (G = G1) or azimuthal (G = G2) root."""
+def _log_fg(frame: _Frame, theta, phi, polar: bool):
+    """log |f G^p| at polar (G = G1) or azimuthal (G = G2) roots; +inf where
+    d R^2 vanishes there and the geometry factor is infinite."""
     f_val, dr2_dt, dr2_dphi = _root_terms(frame, theta, phi)
     den = dr2_dt if polar else dr2_dphi
-    if den == 0.0:
-        raise InfiniteGeometryFactor(f"d R^2 / d {'t' if polar else 'phi'} vanishes at the root")
-    return _log_abs(f_val) - frame.kernel.p * _log_abs(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_fg = np.log(np.abs(f_val)) - frame.kernel.p * np.log(np.abs(den))
+    return np.where(den == 0.0, np.inf, log_fg)
 
 
-def _in_cone(frame: _Frame, cone: ConeParams) -> bool:
-    """Cone test reusing the frame's nearest-grid distance."""
-    rho = math.hypot(frame.x[0], frame.x[1])
-    return rho / cone.A < (cone.K_c * math.pi / frame.grid.n_t) * frame.ep.grid_distance
+def _in_cone(frame: _Frame, cone: ConeParams):
+    """Cone test per lane, reusing the nearest-grid distance."""
+    rho = np.hypot(frame.x[:, 0], frame.x[:, 1])
+    return rho / cone.A < (cone.K_c * math.pi / frame.grid.n_t) * frame.grid_distance
 
 
-def _log_sweep_integral(log_kernel_at, width: float, tail_n: int) -> float:
+def _log_sweep_integral(log_kernel_at, width, tail_n: int):
     """log of width times the Gauss-Laguerre sum of the kernel over both half
     lines, with log(w_i) + x_i + log kernel(x_i) per node.
 
-    The kernel is evaluated in ascending node order per direction so that
-    implementations can warm-start root chains from the previous node.
+    log_kernel_at(offsets) takes the offsets of one node in both directions,
+    shape (2, 1), and returns the log kernel there, shape (2, lanes). It is
+    called in ascending node order, so that it can warm-start root chains
+    from the previous node of the same direction.
     """
     rule = gauss_laguerre(tail_n)
-    terms = []
-    for sign in (1.0, -1.0):
-        for xi, wi in zip(rule.nodes, rule.weights):
-            lk = log_kernel_at(sign * xi)
-            terms.append(lk + xi + math.log(wi))
-    return math.log(width) + _logsumexp(terms)
+    signs = np.array([[1.0], [-1.0]])
+    terms = [
+        log_kernel_at(signs * xi) + xi + math.log(wi) for xi, wi in zip(rule.nodes, rule.weights)
+    ]
+    # the positive direction first, each in node order
+    return np.log(width) + _logsumexp(np.swapaxes(np.array(terms), 0, 1).reshape(2 * tail_n, -1))
 
 
-def _log_tz_sweep(frame: _Frame, phi0: complex, log_fg_anchor: float, tail_n: int) -> float:
+def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
     """log of the integral of |f G2^p| est along the polar sweep of the
-    azimuthal root.
+    azimuthal roots phi0 (NaN on lanes that do not sweep).
 
     Each in-range sweep node takes its root from _phi_root, warm-started
     from the previous node in the same direction, and re-evaluates the
@@ -319,148 +347,148 @@ def _log_tz_sweep(frame: _Frame, phi0: complex, log_fg_anchor: float, tail_n: in
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     width = 1.0 / (g.n_phi * frame.kappa)
-    model = linear_root_model(surf, frame.ep.t_star, frame.ep.phi_star, frame.x, VAR_PHI, phi0)
-    chain = {1.0: phi0, -1.0: phi0}
-
-    def from_model(t_s):
-        return log_fg_anchor + log_est_tz(abs(model.model_root(t_s).imag), g.n_phi, p)
+    chain = np.array([phi0, phi0])
 
     def log_kernel(offset):
-        t_s = frame.ep.t_star + offset * width
-        if not -1.0 < t_s < 1.0:
-            return from_model(t_s)
-        theta_s = surf.theta_map.theta(t_s)
-        direction = 1.0 if offset >= 0 else -1.0
-        try:
-            root = _phi_root(frame, theta_s, chain[direction])
-        except NoRootExists:
-            return -math.inf
-        except NonConvergence:
-            return from_model(t_s)
-        chain[direction] = root
-        try:
-            log_fg = _log_fg(frame, theta_s, root, polar=False)
-        except InfiniteGeometryFactor:
-            return -math.inf
-        return log_fg + log_est_tz(abs(root.imag), g.n_phi, p)
+        nonlocal chain
+        t_s = frame.t_star + offset * width
+        inside = (-1.0 < t_s) & (t_s < 1.0)
+        from_model = log_fg_anchor + log_est_tz(np.abs(model.model_root(t_s).imag), g.n_phi, p)
+        theta_s = surf.theta_map.theta(np.where(inside, t_s, 0.0))
+        root = _phi_root(frame, theta_s, np.where(inside, chain, np.nan))
+        found = inside & ~np.isnan(root)
+        chain = np.where(found, root, chain)
+        log_fg = _log_fg(frame, theta_s, root, polar=False)
+        val = np.where(log_fg == np.inf, -np.inf, log_fg + log_est_tz(np.abs(root.imag), g.n_phi, p))
+        # a closed form without a root contributes nothing; a failed Newton
+        # solve falls back to the model
+        missed = from_model if not surf.axisymmetric else -np.inf
+        return np.where(found, val, np.where(inside, missed, from_model))
 
     return _log_sweep_integral(log_kernel, width, tail_n)
 
 
 def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
-    """Trapezoidal contribution: (value, skipped, phi0 or None)."""
-    g = frame.grid
+    """Trapezoidal contribution per lane: (value, skipped, phi0 or NaN)."""
+    surf, g = frame.surface, frame.grid
     p = frame.kernel.p
-    if frame.surface.axisymmetric and _in_cone(frame, cone):
-        return 0.0, True, None
-    try:
-        initial = complex(frame.ep.phi_star, 0.1)
-        phi0 = _phi_root(frame, frame.theta_star, initial, nearest=True)
-    except NoRootExists:
-        return 0.0, True, None
-    except NonConvergence:
-        phi0 = _tangent_root(frame, VAR_PHI)
-        if phi0 is None:
-            return 0.0, True, None
+    live = ~_in_cone(frame, cone) if surf.axisymmetric else np.ones(frame.t_star.shape, bool)
+    initial = np.where(live, frame.phi_star + 0.1j, np.nan)
+    phi0 = _phi_root(frame, frame.theta_star, initial, nearest=True)
+    if not surf.axisymmetric:
+        phi0 = np.where(np.isnan(phi0), _tangent_root(frame, VAR_PHI), phi0)
+    phi0 = np.where(live, phi0, np.nan)
     # geometry factor at the root; huge values signal a near-axis target
     f_val, _, den = _root_terms(frame, frame.theta_star, phi0)
-    if abs(den) < _G2_SKIP_EPS * frame.scale:
-        return 0.0, True, phi0
-    log_fg_anchor = _log_abs(f_val) - p * _log_abs(den)
-    log_flat = log_fg_anchor + log_est_tz(abs(phi0.imag), g.n_phi, p)
-    try:
-        # the sweep can never contribute more measure than the whole
-        # t-interval at its anchor value
-        log_val = min(_log_tz_sweep(frame, phi0, log_fg_anchor, tail_n), math.log(2.0) + log_flat)
-    except DegenerateModel:
-        # target in the tangent plane at the node: integrate a flat kernel
-        # over the whole t-interval (length 2) as a coarse stand-in
-        log_val = math.log(2.0) + log_flat
-    return math.exp(log_val), False, phi0
+    sweeps = ~np.isnan(phi0) & (np.abs(den) >= _G2_SKIP_EPS * frame.scale)
+    log_fg_anchor = np.log(np.abs(f_val)) - p * np.log(np.abs(den))
+    # the sweep can never contribute more measure than the whole t-interval
+    # at its anchor value
+    log_full = _LOG_2 + log_fg_anchor + log_est_tz(np.abs(phi0.imag), g.n_phi, p)
+    model = linear_root_model(surf, frame.t_star, frame.phi_star, frame.x, VAR_PHI, phi0)
+    # a target in the tangent plane at the node has a degenerate model: it
+    # integrates the flat kernel over the whole t-interval as a coarse stand-in
+    sweep_phi0 = np.where(sweeps & ~model.degenerate, phi0, np.nan)
+    log_sweep = _log_tz_sweep(frame, sweep_phi0, log_fg_anchor, model, tail_n)
+    log_val = np.where(model.degenerate, log_full, np.minimum(log_sweep, log_full))
+    return np.where(sweeps, np.exp(log_val), 0.0), ~sweeps, phi0
 
 
 def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
-    """Gauss-Legendre contribution: (value, t0 or None)."""
+    """Gauss-Legendre contribution per lane: (value, t0 or NaN, errors), with
+    errors[lane] the lane's LayerrError or None."""
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
-    try:
-        initial = complex(frame.theta_star, 0.1)
-        theta0 = _theta_root(frame, frame.ep.phi_star, initial, nearest=True)
-        t0 = complex(surf.theta_map.t(theta0))
-    except NoRootExists:
-        return 0.0, None
-    except NonConvergence:
-        t0 = _tangent_root(frame, VAR_T)
-        if t0 is None:
-            return 0.0, None
-        theta0 = surf.theta_map.theta(t0)
-    if t0.imag < 0:
-        t0 = t0.conjugate()
-    log_fg = _log_fg(frame, theta0, frame.ep.phi_star, polar=True)
-    log_flat = log_fg + log_est_gl(t0, g.n_t, p)
-    if surf.axisymmetric and _in_cone(frame, cone):
-        # near the axis the polar root barely depends on the azimuth:
-        # integrate the flat kernel around the full circle
-        return math.exp(_LOG_2PI + log_flat), t0
-    try:
-        log_val = _log_gl_sweep(frame, t0, theta0, log_fg, tail_n)
-    except DegenerateModel:
-        # coarse fallback: flat kernel over one azimuthal grid cell
-        log_val = math.log(2.0 * math.pi / g.n_phi) + log_flat
+    theta0 = _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True)
+    t0 = surf.theta_map.t(theta0)
+    if not isinstance(surf, Sphere):
+        tangent = _tangent_root(frame, VAR_T)
+        theta0 = np.where(np.isnan(t0), surf.theta_map.theta(tangent), theta0)
+        t0 = np.where(np.isnan(t0), tangent, t0)
+    t0 = np.where(t0.imag < 0, np.conj(t0), t0)
+    found = ~np.isnan(t0)
+    log_fg = _log_fg(frame, theta0, frame.phi_star, polar=True)
+    log_kernel, undefined = _log_est_gl(t0, g.n_t, p)
+    errors = np.full(t0.shape, None, dtype=object)
+    infinite = found & (log_fg == np.inf)
+    for j in np.flatnonzero(infinite):
+        errors[j] = InfiniteGeometryFactor("d R^2 / d t vanishes at the root")
+    for j in np.flatnonzero(found & ~infinite & undefined):
+        errors[j] = _gl_undefined(t0[j])
+    log_flat = log_fg + log_kernel
+    # near the axis the polar root barely depends on the azimuth: integrate
+    # the flat kernel around the full circle
+    circle = surf.axisymmetric & _in_cone(frame, cone)
+    sweeps = found & ~circle & ~infinite & ~undefined
+    model = None
+    degenerate = np.zeros(t0.shape, bool)
+    if not isinstance(surf, Sphere):
+        model = azimuthal_sweep_model(surf, frame.t_star, frame.phi_star, frame.x, t0)
+        degenerate = model.degenerate
+    chain = np.where(sweeps & ~degenerate, theta0, np.nan)
+    log_val = _log_gl_sweep(frame, chain, log_fg, model, tail_n, errors)
+    # coarse fallback for a degenerate model: flat kernel over one azimuthal cell
+    log_val = np.where(degenerate, math.log(2.0 * math.pi / g.n_phi) + log_flat, log_val)
     if isinstance(surf, Sphere) and surf.theta_map.kind == COSINE:
         # Full-circle convention: the closed forms for a cosine-mapped
         # sphere account the polar-root kernel profile around the whole
         # azimuthal circle with both of its symmetric peaks; double the
         # swept value so sphere results stay comparable with them.
-        log_val += _LOG_2
+        log_val = log_val + _LOG_2
     # azimuthal measure can never exceed the full circle at the anchor value
-    log_val = min(log_val, _LOG_2PI + log_flat)
-    return math.exp(log_val), t0
+    log_val = np.where(circle, _LOG_2PI + log_flat, np.minimum(log_val, _LOG_2PI + log_flat))
+    return np.where(found, np.exp(log_val), 0.0), t0, errors
 
 
-def _log_gl_sweep(frame: _Frame, t0: complex, theta0: complex, log_fg_anchor: float, tail_n: int):
+def _log_gl_sweep(frame: _Frame, theta0, log_fg_anchor, model, tail_n: int, errors):
     """log of the integral of |f G1^p| est along the azimuthal sweep of the
-    polar root.
+    polar roots theta0 (NaN on lanes that do not sweep).
 
     Each sweep node takes its root from _theta_root, warm-started from the
     previous node in the same direction, and re-evaluates the smooth and
     geometry factors there. The rotated-slice model with the anchor
     weight, whose chord growth stays faithful at large azimuthal offsets,
     backs up any node where Newton fails; spheres, whose roots come in
-    closed form, need none.
+    closed form, need none. A node whose root lies on [-1, 1] makes its
+    lane's error, the first such node in the positive direction, else in
+    the negative one.
     """
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     width = frame.kappa / (2.0 * g.n_t)
-    model = None
-    if not isinstance(surf, Sphere):
-        model = azimuthal_sweep_model(surf, frame.ep.t_star, frame.ep.phi_star, frame.x, t0)
-    chain = {1.0: theta0, -1.0: theta0}
+    sweeps = ~np.isnan(theta0)
+    chain = np.array([theta0, theta0])
+    first_undefined = np.full(chain.shape, np.nan, dtype=complex)
 
     def log_kernel(offset):
+        nonlocal chain
         dphi = offset * width
-        if abs(dphi) > math.pi / 2.0:
-            # each direction owns a quarter turn: beyond it the sweep
-            # enters the basin of the antipodal twin, which is covered
-            # by the full-circle convention instead
-            return -math.inf
-        phi_s = frame.ep.phi_star + dphi
-        direction = 1.0 if offset >= 0 else -1.0
-        try:
-            root = _theta_root(frame, phi_s, chain[direction])
-        except NoRootExists:
-            return -math.inf
-        except NonConvergence:
-            return log_fg_anchor + log_est_gl(model.model_root(phi_s), g.n_t, p)
-        chain[direction] = root
-        t_s = complex(surf.theta_map.t(root))
-        try:
-            log_fg = _log_fg(frame, root, phi_s, polar=True)
-        except InfiniteGeometryFactor:
-            return -math.inf
-        return log_fg + log_est_gl(t_s, g.n_t, p)
+        # each direction owns a quarter turn: beyond it the sweep enters the
+        # basin of the antipodal twin, which is covered by the full-circle
+        # convention instead
+        live = sweeps & (np.abs(dphi) <= math.pi / 2.0)
+        phi_s = frame.phi_star + dphi
+        root = _theta_root(frame, phi_s, np.where(live, chain, np.nan))
+        found = live & ~np.isnan(root)
+        chain = np.where(found, root, chain)
+        log_fg = _log_fg(frame, root, phi_s, polar=True)
+        t_s = surf.theta_map.t(root)
+        fallback = live & ~found & (model is not None)
+        if model is not None:
+            t_s = np.where(fallback, model.model_root(phi_s), t_s)
+            log_fg = np.where(fallback, log_fg_anchor, log_fg)
+        log_k, undefined = _log_est_gl(t_s, g.n_t, p)
+        used = (found & (log_fg != np.inf)) | fallback
+        first = used & undefined & np.isnan(first_undefined)
+        first_undefined[first] = t_s[first]
+        return np.where(used, log_fg + log_k, -np.inf)
 
-    return _log_sweep_integral(log_kernel, width, tail_n)
+    log_val = _log_sweep_integral(log_kernel, width, tail_n)
+    plus, minus = first_undefined
+    bad = np.where(np.isnan(plus), minus, plus)
+    for j in np.flatnonzero(~np.isnan(bad)):
+        errors[j] = _gl_undefined(bad[j])
+    return log_val
 
 
 def full_estimate(
@@ -471,19 +499,30 @@ def full_estimate(
     x,
     cone: ConeParams = ConeParams(),
     tail_n: int = _DEFAULT_TAIL_NODES,
-) -> EstimateBreakdown:
-    """Total quadrature-error estimate at x with its breakdown."""
+) -> Union[EstimateBreakdown, List[Union[EstimateBreakdown, LayerrError]]]:
+    """Total quadrature-error estimate with its breakdown, at one target or a block.
+
+    x of shape (3,) returns its EstimateBreakdown or raises its LayerrError.
+    x of shape (M, 3) returns M outcomes, each an EstimateBreakdown or the
+    LayerrError of that target; the block's anchor solves and sweep nodes
+    run as array operations over all its targets at once.
+    """
     frame = _build_frame(surface, kernel, density, g, x)
-    e_tz, skipped, phi0 = _tz_internal(frame, cone, tail_n)
-    e_gl, t0 = _gl_internal(frame, cone, tail_n)
-    return EstimateBreakdown(
-        e_tz,
-        e_gl,
-        e_tz + e_gl,
-        skipped,
-        phi0,
-        t0,
-        frame.ep.t_star,
-        frame.ep.phi_star,
-        frame.ep.grid_distance,
-    )
+    with np.errstate(all="ignore"):
+        e_tz, skipped, phi0 = _tz_internal(frame, cone, tail_n)
+        e_gl, t0, errors = _gl_internal(frame, cone, tail_n)
+    outcomes = []
+    for j in frame.outcomes:
+        if isinstance(j, LayerrError) or errors[j] is not None:
+            outcomes.append(j if isinstance(j, LayerrError) else errors[j])
+            continue
+        phi0_j, t0_j = (None if np.isnan(v) else complex(v) for v in (phi0[j], t0[j]))
+        outcomes.append(EstimateBreakdown(
+            float(e_tz[j]), float(e_gl[j]), float(e_tz[j] + e_gl[j]), bool(skipped[j]), phi0_j,
+            t0_j, float(frame.t_star[j]), float(frame.phi_star[j]), float(frame.grid_distance[j]),
+        ))
+    if np.ndim(x) > 1:
+        return outcomes
+    if isinstance(outcomes[0], LayerrError):
+        raise outcomes[0]
+    return outcomes[0]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .quadrature import QuadratureGrid, grid
+from .rounding import cmul
 from .surfaces import Surface
 
 HARMONIC_SINGLE = "harmonic_single"
@@ -91,28 +92,29 @@ def paper_density() -> DensitySpec:
 
 def _dot_c(u, v):
     """Bilinear (unconjugated) dot product, valid for complex vectors."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return cmul(u[0], v[0]) + cmul(u[1], v[1]) + cmul(u[2], v[2])
 
 
 def _cross_c(u, v):
     return np.array(
         [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
+            cmul(u[1], v[2]) - cmul(u[2], v[1]),
+            cmul(u[2], v[0]) - cmul(u[0], v[2]),
+            cmul(u[0], v[1]) - cmul(u[1], v[0]),
         ]
     )
 
 
 def _sqrt_c(z):
-    """Principal square root that stays real for positive real input."""
-    if np.iscomplexobj(z) or (np.isscalar(z) and isinstance(z, complex)):
-        return np.sqrt(complex(z))
-    return math.sqrt(z) if z >= 0 else np.sqrt(complex(z))
+    """Principal square root that stays real for non-negative real input."""
+    if np.iscomplexobj(z) or np.any(np.less(z, 0.0)):
+        return np.sqrt(np.asarray(z, dtype=complex))
+    return np.sqrt(z)
 
 
 def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d_t, d_phi):
-    """f at an evaluated point: diff = gamma - x and the (t, phi) partials.
+    """f at evaluated points: diff = gamma - x and the (t, phi) partials,
+    coordinate first; theta and phi may be arrays.
 
     f = k(x, gamma) * sigma * |d gamma/dt x d gamma/dphi| with the norm
     continued as the principal square root of the complex sum of squares.
@@ -241,11 +243,11 @@ def locate(surface: Surface, g: QuadratureGrid, x) -> EvalPoint:
     return EvalPoint(x, k, l, t_star, phi_star, dist)
 
 
-def _kernel_values(kernel: KernelSpec, tab: _GridTables, x, dist):
+def _kernel_values(kernel: KernelSpec, tab: _GridTables, diff, dist):
     if kernel.kind == HARMONIC_SINGLE:
         return 1.0
     if kernel.kind == HARMONIC_DOUBLE:
-        return np.einsum("ij,ij->i", tab.normals, tab.positions - x)
+        return np.einsum("ij,ij->i", tab.normals, diff)
     return np.exp(-kernel.omega * dist)
 
 
@@ -265,8 +267,10 @@ def potential_quadrature(
     dist = np.sqrt(r2)
     if np.min(dist) < 1e-14 * tab.scale:
         raise EvaluationError("a quadrature node coincides with the target point")
-    kv = _kernel_values(kernel, tab, x, dist)
-    return float(np.sum(tab.base_weights * sigma * kv / r2**kernel.p))
+    kv = _kernel_values(kernel, tab, diff, dist)
+    # R^(2p) for the half-integer powers p = 1/2 and 3/2, without a pow
+    r_2p = dist if kernel.p == 0.5 else r2 * dist
+    return float(np.sum(tab.base_weights * sigma * kv / r_2p))
 
 
 def reference_potential(

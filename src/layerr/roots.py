@@ -11,6 +11,10 @@ axisymmetric surface at fixed polar angle, and for the polar root of a
 sphere at fixed azimuth. Everything else goes through a one-dimensional
 complex Newton iteration on the analytic parametrization.
 
+The closed forms, Newton and the root models take one target or a block of
+them: x of shape (3,) or (*lanes, 3), with one root per lane. On lanes a
+missing or unconverged root is NaN; a single target raises instead.
+
 One RootModel type gives a cheap stand-in for a root swept along a grid
 direction: the quadratic root of R^2 against a line through the grid
 point, anchored to an accurate root there. Two slice functions move that
@@ -19,7 +23,6 @@ the surface tangent, azimuthal_sweep_model rotates it about the z-axis.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -27,6 +30,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateModel, NoRootExists, NonConvergence
+from .rounding import cdiv, dot3, entrywise
 from .surfaces import Surface
 
 METHOD_ANALYTIC_CIRCLE = "analytic_circle"
@@ -50,7 +54,8 @@ class RootResult:
 
     lam is the lambda parameter of the analytic formulas (always > 1 off
     the surface) and is absent for Newton roots. residual is |R^2| at the
-    returned root on the evaluator that produced it.
+    returned root on the evaluator that produced it. On lanes, value,
+    residual and lam are arrays.
     """
 
     value: complex
@@ -61,34 +66,50 @@ class RootResult:
     lam: Optional[float] = None
 
 
-def _canonical(w: complex) -> complex:
-    return w.conjugate() if w.imag < 0 else w
+def _canonical(w):
+    return np.where(np.imag(w) < 0, np.conj(w), w)
 
 
-def _log_beta(lam: float) -> float:
+def _log_beta(lam):
     """ln(lambda + sqrt(lambda^2 - 1)), the imaginary part of analytic roots."""
     # lambda = 1 for a target on the slice, and may round below 1 there
-    return math.log(lam + math.sqrt(max(lam * lam - 1.0, 0.0)))
+    beta = lam + np.sqrt(np.maximum(lam * lam - 1.0, 0.0))
+    return entrywise(math.log, np.where(beta > 0.0, beta, np.nan))
 
 
-LineEvaluator = Callable[[complex], Tuple[np.ndarray, np.ndarray]]
+def _coords(x):
+    """Targets (..., 3) as their three coordinate arrays."""
+    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
 
 
-def theta_line(surface: Surface, phi_fixed: float) -> LineEvaluator:
-    """Evaluator w -> (gamma, d gamma/d theta) along phi = phi_fixed."""
+def _closed_form(root, variable, fixed, method, residual, lam, no_root: str) -> RootResult:
+    """The closed form's RootResult; a single target without a root raises."""
+    if np.ndim(root) > 0:
+        return RootResult(root, variable, fixed, method, residual, lam)
+    if np.isnan(root):
+        raise NoRootExists(no_root)
+    return RootResult(complex(root), variable, fixed, method, float(residual), float(lam))
+
+
+LineEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def theta_line(surface: Surface, phi_fixed) -> LineEvaluator:
+    """Evaluator w -> (gamma, d gamma/d theta) along phi = phi_fixed; the
+    trailing axes of the array w are phi_fixed's lanes."""
 
     def line(w):
-        pos, d_theta, _ = surface.eval_sph(w, phi_fixed)
+        pos, d_theta, _ = surface.eval_sph(w, np.broadcast_to(phi_fixed, np.shape(w)))
         return pos, d_theta
 
     return line
 
 
-def phi_line(surface: Surface, theta_fixed: float) -> LineEvaluator:
+def phi_line(surface: Surface, theta_fixed) -> LineEvaluator:
     """Evaluator w -> (gamma, d gamma/d phi) along theta = theta_fixed."""
 
     def line(w):
-        pos, _, d_phi = surface.eval_sph(theta_fixed, w)
+        pos, _, d_phi = surface.eval_sph(np.broadcast_to(theta_fixed, np.shape(w)), w)
         return pos, d_phi
 
     return line
@@ -96,120 +117,136 @@ def phi_line(surface: Surface, theta_fixed: float) -> LineEvaluator:
 
 def circle_root(a: float, x: np.ndarray) -> RootResult:
     """Azimuthal root of R^2 for the circle of radius a in the z = 0 plane."""
-    x = np.asarray(x, dtype=float)
-    rho2 = x[0] * x[0] + x[1] * x[1]
-    if rho2 == 0.0:
-        raise NoRootExists("R^2 is independent of the angle on the z-axis")
-    lam = (a * a + float(np.dot(x, x))) / (2.0 * a * math.sqrt(rho2))
-    root = _canonical(complex(math.atan2(x[1], x[0]), _log_beta(lam)))
-    # residual check against the defining sum of squares
-    g = np.array([a * cmath.cos(root), a * cmath.sin(root), 0.0])
-    residual = abs(complex(np.sum((g - x) * (g - x))))
-    return RootResult(root, VAR_PHI, 0.0, METHOD_ANALYTIC_CIRCLE, residual, lam)
+    x0, x1, x2 = _coords(x)
+    rho2 = x0 * x0 + x1 * x1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (a * a + rho2 + x2 * x2) / (2.0 * a * np.sqrt(rho2))
+        root = np.where(rho2 == 0.0, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam))
+        root = _canonical(root)
+        residual = np.abs((a * np.cos(root) - x0) ** 2 + (a * np.sin(root) - x1) ** 2 + x2 * x2)
+    message = "R^2 is independent of the angle on the z-axis"
+    return _closed_form(root, VAR_PHI, 0.0, METHOD_ANALYTIC_CIRCLE, residual, lam, message)
 
 
-def axisym_phi_root(surface, theta_bar: float, x: np.ndarray) -> RootResult:
+def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
     """Azimuthal root of R^2 for an axisymmetric surface at fixed theta.
 
     The theta-slice is a circle of radius a(theta) sin(theta) at height
     b(theta) cos(theta), so the circle formula applies with those values.
     """
-    x = np.asarray(x, dtype=float)
-    rho2 = x[0] * x[0] + x[1] * x[1]
-    st = math.sin(theta_bar)
-    if rho2 == 0.0 or st == 0.0 or theta_bar <= 0.0 or theta_bar >= math.pi:
-        raise NoRootExists("R^2 is independent of phi here")
-    a_t = float(surface.profile_a(theta_bar)) * st
-    b_t = float(surface.profile_b(theta_bar)) * math.cos(theta_bar)
-    lam = (a_t * a_t + rho2 + (b_t - x[2]) ** 2) / (2.0 * a_t * math.sqrt(rho2))
-    root = _canonical(complex(math.atan2(x[1], x[0]), _log_beta(lam)))
-    pos, _, _ = surface.eval_sph(theta_bar, root)
-    residual = abs(complex(np.sum((pos - x) * (pos - x))))
-    return RootResult(root, VAR_PHI, theta_bar, METHOD_ANALYTIC_AXISYM_PHI, residual, lam)
+    x0, x1, x2 = _coords(x)
+    rho2 = x0 * x0 + x1 * x1
+    st = np.sin(theta_bar)
+    none = (rho2 == 0.0) | (st == 0.0) | (theta_bar <= 0.0) | (theta_bar >= math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_t = surface.profile_a(theta_bar) * st
+        b_t = surface.profile_b(theta_bar) * np.cos(theta_bar)
+        lam = (a_t * a_t + rho2 + (b_t - x2) ** 2) / (2.0 * a_t * np.sqrt(rho2))
+        root = _canonical(np.where(none, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam)))
+        pos, _, _ = surface.eval_sph(np.broadcast_to(theta_bar, root.shape), root)
+        residual = np.abs((pos[0] - x0) ** 2 + (pos[1] - x1) ** 2 + (pos[2] - x2) ** 2)
+    message = "R^2 is independent of phi here"
+    return _closed_form(root, VAR_PHI, theta_bar, METHOD_ANALYTIC_AXISYM_PHI, residual, lam, message)
 
 
-def sphere_theta_root(a: float, phi_bar: float, x: np.ndarray) -> RootResult:
+def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
     """Polar root of R^2 for the sphere of radius a at fixed azimuth."""
-    x = np.asarray(x, dtype=float)
-    u = x[0] * math.cos(phi_bar) + x[1] * math.sin(phi_bar)
-    rho_t = math.hypot(u, x[2])
-    if rho_t == 0.0:
-        raise NoRootExists("R^2 is independent of theta here")
-    lam = (a * a + float(np.dot(x, x))) / (2.0 * a * rho_t)
-    root = _canonical(complex(math.atan2(u, x[2]), _log_beta(lam)))
-    st, ct = cmath.sin(root), cmath.cos(root)
-    g = np.array([a * st * math.cos(phi_bar), a * st * math.sin(phi_bar), a * ct])
-    residual = abs(complex(np.sum((g - x) * (g - x))))
-    return RootResult(root, VAR_THETA, phi_bar, METHOD_ANALYTIC_SPHERE_THETA, residual, lam)
+    x0, x1, x2 = _coords(x)
+    cp, sp = np.cos(phi_bar), np.sin(phi_bar)
+    u = x0 * cp + x1 * sp
+    rho_t = entrywise(math.hypot, u, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (a * a + dot3(x, x)) / (2.0 * a * rho_t)
+        root = np.where(rho_t == 0.0, np.nan, entrywise(math.atan2, u, x2) + 1j * _log_beta(lam))
+        root = _canonical(root)
+        st, ct = np.sin(root), np.cos(root)
+        residual = np.abs((a * st * cp - x0) ** 2 + (a * st * sp - x1) ** 2 + (a * ct - x2) ** 2)
+    message = "R^2 is independent of theta here"
+    return _closed_form(root, VAR_THETA, phi_bar, METHOD_ANALYTIC_SPHERE_THETA, residual, lam, message)
 
 
-def _newton_once(line, x, w0: complex, scale2: float):
-    """Newton iterations from one starting point; None on failure.
+def _newton(line, w, x, scale2: float, active):
+    """Masked Newton iterations from the starts w; returns the iterates and
+    |R^2| at them, NaN where an entry did not converge.
 
     The convergence threshold scales with the magnitude of the summed
     squares: far off the real axis the individual terms grow like
-    exp(2 Im w), so the achievable cancellation floor grows with them.
+    exp(2 Im w), so the achievable cancellation floor grows with them. An
+    entry fails on a non-finite value, a vanishing derivative, an iterate
+    beyond 1e6, or after _NEWTON_MAX_ITER evaluations.
     """
-    w = w0
+    residual = np.full(w.shape, np.nan)
     for _ in range(_NEWTON_MAX_ITER):
+        if not active.any():
+            break
         pos, dpos = line(w)
         diff = pos - x
-        r2 = complex(np.sum(diff * diff))
-        if not (np.isfinite(r2.real) and np.isfinite(r2.imag)):
-            return None
-        magnitude = float(np.sum(np.abs(diff) ** 2))
-        if abs(r2) < 1e-13 * (scale2 + magnitude):
-            return w, abs(r2)
-        dr2 = complex(2.0 * np.sum(diff * dpos))
-        if dr2 == 0.0 or not (np.isfinite(dr2.real) and np.isfinite(dr2.imag)):
-            return None
-        w = w - r2 / dr2
-        if not (np.isfinite(w.real) and np.isfinite(w.imag)) or abs(w) > 1e6:
-            return None
-    return None
+        r2 = np.sum(diff * diff, axis=0)
+        magnitude = np.sum(np.abs(diff) ** 2, axis=0)
+        done = active & (np.abs(r2) < 1e-13 * (scale2 + magnitude))
+        residual[done] = np.abs(r2[done])
+        dr2 = 2.0 * np.sum(diff * dpos, axis=0)
+        w_next = w - cdiv(r2, dr2)
+        active &= ~done & np.isfinite(r2) & np.isfinite(dr2) & (dr2 != 0.0)
+        active &= np.isfinite(w_next) & (np.abs(w_next) <= 1e6)
+        w = np.where(active, w_next, w)
+    return w, residual
 
 
 def newton_root(
     line: LineEvaluator,
     variable: str,
-    fixed_coordinate: float,
+    fixed_coordinate,
     x: np.ndarray,
-    initial: complex,
+    initial,
     scale: float = 1.0,
     nearest: bool = False,
 ) -> RootResult:
     """Complex Newton iteration on R^2 along the given line.
+
+    initial is one start, or an array of starts with one target per lane (x
+    of shape initial.shape + (3,)) that iterate together; a lane without a
+    root gets NaN. line gets the iterates as an array (start, *lanes).
 
     Converges when |R^2| drops to 1e-13 of the problem size (the square of
     scale plus the magnitude of the summed squares at the iterate). If the
     supplied initial guess fails, retries with an escalating ladder of
     imaginary parts above the real part of the initial guess. With
     nearest=True all starting points are tried and the converged root
-    closest to the real axis is returned; the error-decay theory wants the
-    root pair nearest the interval, and a single start can land on a
-    farther branch.
+    closest to the real axis is returned (the first in ladder order on a
+    tie); the error-decay theory wants the root pair nearest the interval,
+    and a single start can land on a farther branch. A single initial guess
+    that finds no root raises NonConvergence.
     """
-    x = np.asarray(x, dtype=float)
+    w0 = np.asarray(initial, dtype=complex)
+    xs = _coords(x)[:, None]
+    ladder = w0.real + 1j * np.reshape(_RETRY_IMAG, (-1,) + (1,) * w0.ndim)
     scale2 = scale * scale
-    guesses = [complex(initial)]
-    for im in _RETRY_IMAG:
-        g = complex(initial.real, im)
-        if g != guesses[0]:
-            guesses.append(g)
-    best = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w0 in guesses:
-            hit = _newton_once(line, x, w0, scale2)
-            if hit is not None and (best is None or abs(hit[0].imag) < abs(best[0].imag)):
-                best = hit
-                if not nearest:
-                    break
-    if best is None:
+    with np.errstate(all="ignore"):
+        if nearest:
+            starts = np.concatenate([w0[None], ladder])
+            w, residual = _newton(line, starts, xs, scale2, np.ones(starts.shape, bool))
+        else:
+            w, residual = _newton(line, w0[None], xs, scale2, np.ones((1,) + w0.shape, bool))
+            retry = np.isnan(residual[0])
+            if retry.any():
+                active = np.broadcast_to(retry, ladder.shape).copy()
+                w_l, residual_l = _newton(line, ladder, xs, scale2, active)
+                w, residual = np.concatenate([w, w_l]), np.concatenate([residual, residual_l])
+    found = ~np.isnan(residual)
+    # per lane: the smallest |Im| (nearest) or the first converged start
+    pick = np.argmin(np.where(found, np.abs(w.imag), np.inf), 0) if nearest else np.argmax(found, 0)
+    value = np.take_along_axis(w, pick[None], 0)[0]
+    residual = np.take_along_axis(residual, pick[None], 0)[0]
+    value = np.where(found.any(0), _canonical(value), np.nan)
+    if w0.ndim > 0:
+        return RootResult(value, variable, fixed_coordinate, METHOD_NEWTON, residual)
+    if np.isnan(value):
         raise NonConvergence(
-            f"Newton failed to find a {variable} root near {initial!r} for x={x.tolist()}"
+            f"Newton failed to find a {variable} root near {initial!r} "
+            f"for x={np.asarray(x, dtype=float).tolist()}"
         )
-    w, residual = best
-    return RootResult(_canonical(w), variable, fixed_coordinate, METHOD_NEWTON, residual)
+    return RootResult(complex(value), variable, fixed_coordinate, METHOD_NEWTON, float(residual))
 
 
 class RootModel:
@@ -218,50 +255,57 @@ class RootModel:
     Near the grid point the surface slice at secondary coordinate v is
     replaced by the line r(v) + (u - u_star) g(v) in the primary variable u,
     and the model root solves |r(v) + (u - u_star) g(v)|^2 = 0. slice_at(v)
-    returns (r, g): the linearized slice translates the anchor along its
-    tangent in v, the rotated slice turns it about the z-axis. An offset
-    fixed at construction makes the model exact at v = v_star, where it
-    returns the accurate root u0_star.
+    returns (r, g) with the coordinate last: the linearized slice translates
+    the anchor along its tangent in v, the rotated slice turns it about the
+    z-axis. An offset fixed at construction makes the model exact at
+    v = v_star, where it returns the accurate root u0_star. On lanes,
+    degenerate marks those with a real double root at the anchor, whose
+    roots are NaN; a single-lane model raises DegenerateModel there.
     """
 
-    def __init__(self, u_star: float, v_star: float, slice_at, u0_star: complex):
+    def __init__(self, u_star, v_star, slice_at, u0_star):
         self.u_star = u_star
         self.v_star = v_star
         self.slice_at = slice_at
         _, g = slice_at(v_star)
         # both slices keep |g| fixed, so the anchor's norm scales every root
-        self.gg = float(np.dot(g, g))
-        self.u0_star = _canonical(complex(u0_star))
-        self.offset = self.u0_star - self.linear_root(v_star)
+        self.gg = dot3(g, g)
+        self.u0_star = _canonical(np.asarray(u0_star, dtype=complex))
+        anchor = self.linear_root(v_star)
+        self.degenerate = np.isnan(anchor)
+        if np.ndim(self.degenerate) == 0 and self.degenerate:
+            raise DegenerateModel("no complex root of the model distance at the anchor")
+        self.offset = self.u0_star - anchor
 
-    def linear_root(self, v: float) -> complex:
-        """Root (Im >= 0) of the model R^2 at secondary coordinate v.
-
-        A real double root at the anchor raises DegenerateModel; elsewhere
-        it is returned with a zero imaginary part.
-        """
+    def linear_root(self, v):
+        """Root (Im >= 0) of the model R^2 at secondary coordinate v; a real
+        double root is NaN at the anchor and real elsewhere."""
         r, g = self.slice_at(v)
-        a = float(np.dot(r, r))
-        b = 2.0 * float(np.dot(r, g))
+        a = dot3(r, r)
+        b = 2.0 * dot3(r, g)
         disc = 4.0 * a * self.gg - b * b
-        if disc <= 0.0:
-            if v == self.v_star:
-                raise DegenerateModel("no complex root of the model distance at the anchor")
-            disc = 0.0
-        return complex(self.u_star - b / (2.0 * self.gg), math.sqrt(disc) / (2.0 * self.gg))
+        im = np.sqrt(np.maximum(disc, 0.0)) / (2.0 * self.gg)
+        im = np.where((disc <= 0.0) & (v == self.v_star), np.nan, im)
+        return self.u_star - b / (2.0 * self.gg) + 1j * im
 
-    def model_root(self, v: float) -> complex:
+    def model_root(self, v):
         """Combined model: accurate at v_star, model variation in v."""
         return self.offset + self.linear_root(v)
 
 
-def azimuthal_sweep_model(
-    surface: Surface,
-    t_star: float,
-    phi_star: float,
-    x: np.ndarray,
-    t0_star: complex,
-) -> RootModel:
+def _last(v):
+    """Surface vectors (3, ...) with the coordinate moved last, real part."""
+    return np.moveaxis(np.real(v), 0, -1)
+
+
+def _turn(v, dphi):
+    """Vectors v (..., 3) turned by dphi about the z-axis."""
+    c, s = np.cos(dphi), np.sin(dphi)
+    parts = (c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1], v[..., 2])
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def azimuthal_sweep_model(surface: Surface, t_star, phi_star, x, t0_star) -> RootModel:
     """Polar root at a grid point, swept in the azimuth by rotating the slice.
 
     The anchor point and its polar tangent turn about the z-axis instead of
@@ -271,41 +315,30 @@ def azimuthal_sweep_model(
     the linearized model decays far too slowly. Offsets are clamped at half
     a turn; beyond that the sweep would re-enter the antipodal region.
     """
-    x = np.asarray(x, dtype=float)
     pos, g_t, _ = surface.eval_t(t_star, phi_star)
-    y, g = np.real(pos), np.real(g_t)
+    y, g = _last(pos), _last(g_t)
 
     def rotated(phi):
-        dphi = max(-math.pi, min(math.pi, phi - phi_star))
-        c, s = math.cos(dphi), math.sin(dphi)
-        r = np.array([c * y[0] - s * y[1], s * y[0] + c * y[1], y[2]]) - x
-        return r, np.array([c * g[0] - s * g[1], s * g[0] + c * g[1], g[2]])
+        dphi = np.clip(phi - phi_star, -math.pi, math.pi)
+        return _turn(y, dphi) - x, _turn(g, dphi)
 
     return RootModel(t_star, phi_star, rotated, t0_star)
 
 
-def linear_root_model(
-    surface: Surface,
-    t_star: float,
-    phi_star: float,
-    x: np.ndarray,
-    primary: str,
-    u0_star: complex,
-) -> RootModel:
+def linear_root_model(surface: Surface, t_star, phi_star, x, primary: str, u0_star) -> RootModel:
     """Root at a grid point against the linearized surface.
 
     primary is "t" for the polar-direction root swept in phi, or "phi"
     for the azimuthal root swept in t. u0_star is an accurate root in the
     primary variable at the grid point (from a closed form or Newton).
     """
-    x = np.asarray(x, dtype=float)
     pos, g_t, g_phi = surface.eval_t(t_star, phi_star)
-    r = np.real(pos) - x
-    g_t, g_phi = np.real(g_t), np.real(g_phi)
+    r = _last(pos) - np.asarray(x, dtype=float)
+    g_t, g_phi = _last(g_t), _last(g_phi)
     if primary == VAR_T:
         u_star, v_star, g_u, g_v = t_star, phi_star, g_t, g_phi
     elif primary == VAR_PHI:
         u_star, v_star, g_u, g_v = phi_star, t_star, g_phi, g_t
     else:
         raise ValueError(f"primary must be 't' or 'phi', got {primary!r}")
-    return RootModel(u_star, v_star, lambda v: (r + g_v * (v - v_star), g_u), u0_star)
+    return RootModel(u_star, v_star, lambda v: (r + g_v * np.expand_dims(v - v_star, -1), g_u), u0_star)

@@ -8,7 +8,8 @@ quadrature nodes so that a sphere has a constant area element.
 
 All evaluators accept one complex argument (theta or phi, never both) and
 continue the parametrization analytically; for real arguments the results
-are real.
+are real. theta and phi may also be arrays of one shape, evaluated entry by
+entry, with the coordinate on the first axis of each returned vector.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rounding import cmul, dot3, entrywise, power
 
 LINEAR = "linear"
 COSINE = "cosine"
@@ -32,10 +35,15 @@ class ThetaMap:
 
     kind: str
 
+    # The methods take an array entry by entry through their scalar branch,
+    # so that a batch rounds as its single targets do.
+
     def theta(self, t):
         """Map t to theta; complex t is continued on the principal branch."""
         if self.kind == LINEAR:
             return (t + 1.0) * (math.pi / 2.0)
+        if isinstance(t, np.ndarray):
+            return entrywise(self.theta, t)
         if _is_complex(t):
             return math.pi - cmath.acos(t)
         if -1.0 <= t <= 1.0:
@@ -44,6 +52,8 @@ class ThetaMap:
 
     def t(self, theta):
         """Inverse map theta -> t."""
+        if isinstance(theta, np.ndarray):
+            return entrywise(self.t, theta)
         if not _is_complex(theta) and not 0.0 <= theta <= math.pi:
             raise ValueError(f"real theta must lie in [0, pi], got {theta}")
         if self.kind == LINEAR:
@@ -61,6 +71,8 @@ class ThetaMap:
         """
         if self.kind == LINEAR:
             return math.pi / 2.0
+        if isinstance(theta, np.ndarray):
+            return entrywise(self.dtheta_dt_at, theta)
         s = cmath.sin(theta) if _is_complex(theta) else math.sin(theta)
         return 1.0 / s if s else math.inf
 
@@ -103,13 +115,15 @@ class Surface:
         _, d_t, d_phi = self.eval_t(t, phi)
         return float(np.linalg.norm(np.cross(np.real(d_t), np.real(d_phi))))
 
-    def grid_anisotropy(self, t: float, phi: float) -> float:
-        """Ratio |d gamma/d t| / |d gamma/d phi| at a non-pole point."""
+    def grid_anisotropy(self, t, phi):
+        """Ratio |d gamma/d t| / |d gamma/d phi| at non-pole points (t, phi),
+        which may be arrays of one shape."""
         _, d_t, d_phi = self.eval_t(t, phi)
-        denom = float(np.linalg.norm(np.real(d_phi)))
-        if denom == 0.0:
+        d_t, d_phi = (np.moveaxis(np.real(v), 0, -1) for v in (d_t, d_phi))
+        denom = np.sqrt(dot3(d_phi, d_phi))
+        if np.any(denom == 0.0):
             raise ValueError("grid anisotropy undefined at a parametrization pole")
-        return float(np.linalg.norm(np.real(d_t))) / denom
+        return np.sqrt(dot3(d_t, d_t)) / denom
 
 
 class Axisymmetric(Surface):
@@ -212,18 +226,19 @@ def paper_blob(theta_map: ThetaMap = COSINE_MAP) -> AnalyticBlob:
     """
 
     def g(theta, phi):
-        return _Y32_AMPL * np.cos(2.0 * phi) * np.sin(theta) ** 2 * np.cos(theta)
+        return cmul(_Y32_AMPL * np.cos(2.0 * phi) * power(np.sin(theta), 2), np.cos(theta))
 
     def rho(theta, phi):
         return 0.8 + 0.2 * np.exp(-3.0 * g(theta, phi))
 
     def rho_th(theta, phi):
         st, ct = np.sin(theta), np.cos(theta)
-        dg = _Y32_AMPL * np.cos(2.0 * phi) * (2.0 * st * ct * ct - st**3)
-        return 0.2 * np.exp(-3.0 * g(theta, phi)) * (-3.0 * dg)
+        dg = cmul(_Y32_AMPL * np.cos(2.0 * phi), cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
+        return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
 
     def rho_ph(theta, phi):
-        dg = _Y32_AMPL * (-2.0 * np.sin(2.0 * phi)) * np.sin(theta) ** 2 * np.cos(theta)
-        return 0.2 * np.exp(-3.0 * g(theta, phi)) * (-3.0 * dg)
+        dg = cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), power(np.sin(theta), 2))
+        dg = cmul(dg, np.cos(theta))
+        return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
 
     return AnalyticBlob(rho, rho_th, rho_ph, theta_map)

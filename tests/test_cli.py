@@ -343,3 +343,21 @@ def test_readme_config_block_loads(tmp_path):
     assert cfg.kernel.kind == "harmonic_double" and cfg.density.kind == "paper"
     assert (cfg.surface.a, cfg.surface.b, cfg.n_t, cfg.n_phi) == (1.0, 3.0, 40, 80)
     assert len(cfg.targets) == 300 and cfg.out_path == "out.csv"
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        "generator = shell\nresolution = 0",
+        "generator = shell\nresolution = -2",
+        "generator = random\ncount = 0\nseed = 1",
+        "generator = radial-sweep\nangles = 0",
+    ],
+    ids=["shell-0", "shell-negative", "random-0", "radial-sweep-0"],
+)
+def test_empty_generator_exits_one(tmp_path, capsys, targets):
+    # a generator that would yield no targets is a config error, not an empty run
+    body = CONFIG_TEMPLATE.replace("generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3", targets)
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from layerr.errors import EvaluationError, InfiniteGeometryFactor, NoRootExists
+from layerr.errors import EvaluationError, InfiniteGeometryFactor, LayerrError, NoRootExists
 from layerr.estimates import (
     ConeParams,
     _build_frame,
@@ -18,7 +18,14 @@ from layerr.estimates import (
     full_estimate,
     sphere_simplified,
 )
-from layerr.potentials import harmonic_single, measured_error, unit_density
+from layerr.potentials import (
+    harmonic_double,
+    harmonic_single,
+    measured_error,
+    mod_helmholtz_single,
+    paper_density,
+    unit_density,
+)
 from layerr.quadrature import grid
 from layerr.roots import axisym_phi_root, sphere_theta_root
 from layerr.surfaces import Sphere, Spheroid, paper_blob
@@ -126,8 +133,8 @@ def test_geometry_factor_2_infinite_on_axis():
     theta = SPHERE.theta_map.theta(0.3)
     frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), x)
     assert _root_terms(frame, theta, 1.1)[2] == 0.0
-    with pytest.raises(InfiniteGeometryFactor):
-        _log_fg(frame, theta, 1.1, polar=False)
+    # an infinite geometry factor: log |f G2^p| is +inf on that lane
+    assert _log_fg(frame, theta, 1.1, polar=False) == math.inf
 
 
 def test_geometry_factor_1_axis_magnitude():
@@ -390,3 +397,37 @@ def test_cone_parameters_respected():
     assert not bd_default.tz_skipped
     bd_wide = full_estimate(SPHERE, KER, DEN, g, x, ConeParams(A=1.0, K_c=1e6))
     assert bd_wide.tz_skipped and bd_wide.e_tz == 0.0
+
+
+# ------------------------------------------------------- batched estimates
+
+
+def test_block_matches_its_batches_of_one():
+    # one block per surface and grid mixes failing and ordinary targets; each
+    # target's outcome must not depend on the block it is estimated in
+    blocks = [
+        (SPHERE, grid(20, 40), [[0, 0, 1], [1.0, 1e-9, 0], [math.nan, 0, 0], [1.3, 0.2, -0.4],
+                                [0.2, 0.9, 0.1], [0.0, 0.0, 1.5]]),
+        (paper_blob(), grid(25, 25), [[0, 0, -2.785283509481811], [1.2, -0.3, 0.5],
+                                      [0.1, 0.2, 0.3], [math.nan, 1, 1]]),
+        (Spheroid(1.0, 3.0), grid(16, 32), [[1.2, 0.1, 2.0], [0.5, -0.6, -3.1], [0.0, 0.0, 0.0]]),
+    ]
+    errors = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for surface, g, xs in blocks:
+            for kernel in (harmonic_single(), harmonic_double(), mod_helmholtz_single(3.0)):
+                block = full_estimate(surface, kernel, paper_density(), g, np.array(xs))
+                assert len(block) == len(xs)
+                for x, got in zip(xs, block):
+                    try:
+                        want = full_estimate(surface, kernel, paper_density(), g, np.array(x))
+                    except LayerrError as exc:
+                        assert type(got) is type(exc) and str(got) == str(exc)
+                        errors += 1
+                        continue
+                    assert got.tz_skipped == want.tz_skipped
+                    assert got.e_tz == pytest.approx(want.e_tz, rel=1e-12, abs=0.0)
+                    assert got.e_gl == pytest.approx(want.e_gl, rel=1e-12, abs=0.0)
+    # the pole, on-surface and NaN targets fail with every kernel
+    assert errors >= 4 * 3

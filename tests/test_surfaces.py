@@ -223,7 +223,9 @@ def test_surrogate_polynomial_reproduction():
     r = p0 - x
     dd, rd = float(d @ d), float(r @ d)
     expected = complex(-rd / dd, math.sqrt(float(r @ r) * dd - rd * rd) / dd)
-    root = newton_root(lambda w: (p0 + w * d, d), VAR_THETA, 0.0, x, 0.1j)
+    # a line gets the iterates as an array and returns coordinate-first vectors
+    line = lambda w: (p0[:, None] + d[:, None] * w, d[:, None])
+    root = newton_root(line, VAR_THETA, 0.0, x, 0.1j)
     assert root.value == pytest.approx(expected, abs=1e-12)
 
 
@@ -240,7 +242,7 @@ def test_blob_surrogate_derivatives_from_richardson():
 def test_surrogate_rejects_bad_order():
     # a line along which R^2 is constant has no root: Newton gives up
     # with a typed error instead of returning a value
-    flat = lambda w: (np.array([1.0, 0.0, 0.0]) + 0.0 * w, np.zeros(3))
+    flat = lambda w: (np.array([[1.0], [0.0], [0.0]]) + 0.0 * w, np.zeros((3, 1)))
     with pytest.raises(NonConvergence):
         newton_root(flat, VAR_THETA, 0.0, np.array([0.0, 0.0, 2.0]), 0.1j)
 
