@@ -156,23 +156,25 @@ class _GridTables:
 
 @lru_cache(maxsize=64)
 def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
+    # One array evaluation per Gauss-Legendre row: theta and the map's
+    # Jacobian are scalars of the row, phi runs along it. The partials and
+    # their cross products are formed one row at a time, so no whole-table
+    # copy of them is held.
     ts = g.t_rule.nodes
     phis = g.phi_rule.nodes
     n_t, n_phi = g.n_t, g.n_phi
-    positions = np.empty((n_t * n_phi, 3))
-    normals = np.empty((n_t * n_phi, 3))
-    areas = np.empty(n_t * n_phi)
+    positions = np.empty((n_t, n_phi, 3))
+    normals = np.empty((n_t, n_phi, 3))
     thetas = np.array([surface.theta_map.theta(t) for t in ts])
-    idx = 0
-    for k in range(n_t):
-        for l in range(n_phi):
-            pos, d_t, d_phi = surface.eval_t(ts[k], phis[l])
-            cr = np.cross(np.real(d_t), np.real(d_phi))
-            nrm = np.linalg.norm(cr)
-            positions[idx] = np.real(pos)
-            areas[idx] = nrm
-            normals[idx] = cr / nrm
-            idx += 1
+    for k, theta in enumerate(thetas):
+        pos, d_theta, d_phi = surface.eval_sph(np.full(n_phi, theta), phis)
+        d_t = d_theta * surface.theta_map.dtheta_dt_at(theta)
+        positions[k] = np.real(pos).T
+        normals[k] = np.cross(np.real(d_t).T, np.real(d_phi).T)
+    positions = positions.reshape(-1, 3)
+    normals = normals.reshape(-1, 3)
+    areas = np.linalg.norm(normals, axis=1)
+    normals /= areas[:, None]
     w = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
     phi_flat = np.tile(phis, n_t)
     scale = float(np.max(np.linalg.norm(positions, axis=1)))

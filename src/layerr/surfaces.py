@@ -8,8 +8,10 @@ quadrature nodes so that a sphere has a constant area element.
 
 All evaluators accept one complex argument (theta or phi, never both) and
 continue the parametrization analytically; for real arguments the results
-are real. theta and phi may also be arrays of one shape, evaluated entry by
-entry, with the coordinate on the first axis of each returned vector.
+are real. theta and phi may also be arrays of one shape, with the coordinate
+on the first axis of each returned vector. eval_sph evaluates arrays with
+numpy ufuncs; for real arrays each entry equals the scalar call bitwise.
+The ThetaMap methods take arrays entry by entry through their scalar branch.
 """
 from __future__ import annotations
 

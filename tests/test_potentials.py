@@ -5,6 +5,7 @@ import pytest
 
 from layerr.errors import EvaluationError
 from layerr.potentials import (
+    _grid_tables,
     harmonic_double,
     harmonic_single,
     integrand_f,
@@ -18,7 +19,7 @@ from layerr.potentials import (
     unit_density,
 )
 from layerr.quadrature import grid
-from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid
+from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
 
 
 SPHERE = Sphere(1.0)
@@ -173,6 +174,38 @@ def test_nearest_grid_node_matches_exhaustive_scan():
             pos = np.real(SPHERE.position(SPHERE.theta_map.theta(tk), pl))
             best = min(best, float(np.linalg.norm(pos - x)))
     assert dist == pytest.approx(best, abs=1e-14)
+
+
+def _per_node_tables(surface, g):
+    """The grid tables built one node at a time, from eval_t and np.cross."""
+    positions, normals, weights = [], [], []
+    for k, t in enumerate(g.t_rule.nodes):
+        for l, phi in enumerate(g.phi_rule.nodes):
+            pos, d_t, d_phi = surface.eval_t(t, phi)
+            cr = np.cross(np.real(d_t), np.real(d_phi))
+            area = np.linalg.norm(cr)
+            positions.append(np.real(pos))
+            normals.append(cr / area)
+            weights.append(g.t_rule.weights[k] * g.phi_rule.weights[l] * area)
+    positions = np.array(positions)
+    scale = float(np.max(np.linalg.norm(positions, axis=1)))
+    return positions, np.array(normals), np.array(weights), scale
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()],
+    ids=["sphere-cosine", "sphere-linear", "spheroid", "blob"],
+)
+@pytest.mark.parametrize("n_t,n_phi", [(7, 12), (12, 24)])
+def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
+    g = grid(n_t, n_phi)
+    positions, normals, weights, scale = _per_node_tables(surface, g)
+    tab = _grid_tables(surface, g)
+    assert np.array_equal(tab.positions, positions)
+    assert tab.scale == scale
+    assert np.max(np.abs(tab.base_weights - weights) / np.abs(weights)) <= 1e-15
+    assert np.max(np.abs(tab.normals - normals)) <= 1e-15
 
 
 def test_locate_builds_eval_point():

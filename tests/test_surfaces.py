@@ -171,6 +171,26 @@ def test_conjugation_symmetry():
         assert np.conj(pos_plus) == pytest.approx(pos_minus, rel=1e-13, abs=1e-13), name
 
 
+def test_eval_sph_arrays_match_scalar_calls_bitwise():
+    # The grid tables evaluate one Gauss-Legendre row per call: theta fixed,
+    # phi along the row. Each entry must equal the scalar call at that node,
+    # so node positions (and with them the nearest node and E_EST) do not
+    # depend on how the table was built.
+    a = lambda th: 1.0 + 0.1 * np.sin(th)
+    da = lambda th: 0.1 * np.cos(th)
+    b = lambda th: 1.2 + 0.0 * th
+    db = lambda th: 0.0 * th
+    surfaces = surfaces_under_test() + [("axisymmetric", Axisymmetric(a, da, b, db))]
+    phis = 2 * math.pi * np.arange(24) / 24
+    for name, s in surfaces:
+        for theta in (0.03, 0.9, math.pi / 2, 2.7):
+            rows = s.eval_sph(np.full(phis.size, theta), phis)
+            for j, phi in enumerate(phis):
+                for row, scalar in zip(rows, s.eval_sph(theta, phi)):
+                    assert row.shape == (3, phis.size), name
+                    assert np.array_equal(row[:, j], scalar), (name, theta, phi)
+
+
 def test_area_element_positive_interior_vanishes_at_poles():
     for name, s in surfaces_under_test():
         for t in np.linspace(-0.95, 0.95, 9):
