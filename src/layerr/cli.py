@@ -130,9 +130,12 @@ class ExperimentConfig:
 
 def _floats(text, field: str):
     try:
-        return [float(v) for v in str(text).replace(";", ",").split(",") if v.strip()]
+        values = [float(v) for v in str(text).replace(";", ",").split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"could not parse {field!r} as a comma-separated float list")
+    if not values:
+        raise ConfigError(f"{field!r} lists no values")
+    return values
 
 
 def _count(sec: dict, key: str, default: int, least: int) -> int:
@@ -386,7 +389,7 @@ def sphere_sweep(a: float, n_list, distances, out_path: str) -> str:
     power p = 1/2.
     """
     _positive(a, "--a")
-    if any(n_t < 1 for n_t in n_list):
+    if not n_list or any(n_t < 1 for n_t in n_list):
         raise ConfigError(f"--n values must be positive integers, got {list(n_list)}")
     kernel = harmonic_single()
     density = unit_density()
@@ -428,6 +431,8 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
     """
     _positive(a, "--a")
     _positive(b, "--b")
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     name = surface_name.lower()
     if name == "sphere":

@@ -157,8 +157,8 @@ def e_fac_tz_analytic(surface, x, theta: float, p: float, n_phi: int) -> float:
     rho2 = x[0] * x[0] + x[1] * x[1]
     if rho2 == 0.0 or theta <= 0.0 or theta >= math.pi:
         raise NoRootExists("azimuthal error factor undefined on the axis")
-    a_t = float(surface.profile_a(theta)) * math.sin(theta)
-    b_t = float(surface.profile_b(theta)) * math.cos(theta)
+    a_t = surface.a * math.sin(theta)
+    b_t = surface.b * math.cos(theta)
     denom = a_t * a_t + rho2 + (b_t - x[2]) ** 2
     lam = denom / (2.0 * a_t * math.sqrt(rho2))
     sq = math.sqrt(lam * lam - 1.0)

@@ -131,16 +131,16 @@ def circle_root(a: float, x: np.ndarray) -> RootResult:
 def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
     """Azimuthal root of R^2 for an axisymmetric surface at fixed theta.
 
-    The theta-slice is a circle of radius a(theta) sin(theta) at height
-    b(theta) cos(theta), so the circle formula applies with those values.
+    The theta-slice is a circle of radius a sin(theta) at height
+    b cos(theta), so the circle formula applies with those values.
     """
     x0, x1, x2 = _coords(x)
     rho2 = x0 * x0 + x1 * x1
     st = np.sin(theta_bar)
     none = (rho2 == 0.0) | (st == 0.0) | (theta_bar <= 0.0) | (theta_bar >= math.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_t = surface.profile_a(theta_bar) * st
-        b_t = surface.profile_b(theta_bar) * np.cos(theta_bar)
+        a_t = surface.a * st
+        b_t = surface.b * np.cos(theta_bar)
         lam = (a_t * a_t + rho2 + (b_t - x2) ** 2) / (2.0 * a_t * np.sqrt(rho2))
         root = _canonical(np.where(none, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam)))
         pos, _, _ = surface.eval_sph(np.broadcast_to(theta_bar, root.shape), root)

@@ -1,6 +1,8 @@
-"""Analytic genus-0 surface parametrizations and their polar-angle maps.
+"""The three analytic genus-0 surfaces and their polar-angle maps.
 
-A surface is described in spherical-style coordinates (theta, phi) on
+The surfaces are the Sphere, the Spheroid (an ellipsoid of revolution) and
+the reference Blob, a harmonic-perturbed ball built by paper_blob. Each is
+described in spherical-style coordinates (theta, phi) on
 [0, pi] x [0, 2*pi) together with analytic first partial derivatives.
 A ThetaMap connects the Gauss-Legendre variable t in [-1, 1] to theta,
 either linearly or through theta = pi - arccos(t); the latter places the
@@ -128,55 +130,27 @@ class Surface:
         return np.sqrt(dot3(d_t, d_t)) / denom
 
 
-class Axisymmetric(Surface):
-    """Surface of revolution about the z-axis.
+class Spheroid(Surface):
+    """Ellipsoid of revolution about the z-axis with semi-axes a and b.
 
-    gamma(theta, phi) = (a(theta) sin(theta) cos(phi),
-                         a(theta) sin(theta) sin(phi),
-                         b(theta) cos(theta))
-    with positive smooth profiles a, b supplied with their derivatives.
+    gamma(theta, phi) = (a sin(theta) cos(phi), a sin(theta) sin(phi), b cos(theta))
     """
 
     axisymmetric = True
 
-    def __init__(self, a, da, b, db, theta_map: ThetaMap = COSINE_MAP):
-        self._a, self._da, self._b, self._db = a, da, b, db
-        self.theta_map = theta_map
-
-    def profile_a(self, theta):
-        return self._a(theta)
-
-    def profile_b(self, theta):
-        return self._b(theta)
-
-    def eval_sph(self, theta, phi):
-        a = self._a(theta)
-        da = self._da(theta)
-        b = self._b(theta)
-        db = self._db(theta)
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        pos = np.array([a * st * cp, a * st * sp, b * ct])
-        mer = da * st + a * ct  # meridian factor d/d theta (a sin theta)
-        d_theta = np.array([mer * cp, mer * sp, db * ct - b * st])
-        d_phi = np.array([-a * st * sp, a * st * cp, 0.0 * sp])
-        return pos, d_theta, d_phi
-
-
-class Spheroid(Axisymmetric):
-    """Axisymmetric surface with constant profiles (ellipsoid of revolution)."""
-
     def __init__(self, a: float, b: float, theta_map: ThetaMap = COSINE_MAP):
         self.a = float(a)
         self.b = float(b)
-        zero = lambda theta: 0.0 * theta
-        super().__init__(
-            lambda theta: self.a + 0.0 * theta,
-            zero,
-            lambda theta: self.b + 0.0 * theta,
-            zero,
-            theta_map,
-        )
+        self.theta_map = theta_map
+
+    def eval_sph(self, theta, phi):
+        a, b = self.a, self.b
+        st, ct = np.sin(theta), np.cos(theta)
+        sp, cp = np.sin(phi), np.cos(phi)
+        pos = np.array([a * st * cp, a * st * sp, b * ct])
+        d_theta = np.array([a * ct * cp, a * ct * sp, -b * st])
+        d_phi = np.array([-a * st * sp, a * st * cp, 0.0 * sp])
+        return pos, d_theta, d_phi
 
 
 class Sphere(Spheroid):
@@ -190,57 +164,38 @@ class Sphere(Spheroid):
         return self.a
 
 
-class AnalyticBlob(Surface):
-    """Star-shaped surface gamma = rho(theta, phi) * (unit radial direction).
+# Real part of the degree-3 order-2 spherical harmonic, used by the
+# reference non-axisymmetric shape.
+_Y32_AMPL = 0.25 * math.sqrt(105.0 / (2.0 * math.pi))
 
-    rho must be positive and smooth; its first partials are supplied
-    analytically.
+
+class Blob(Surface):
+    """The reference non-axisymmetric shape: a harmonic-perturbed ball.
+
+    gamma = rho(theta, phi) * (unit radial direction) with
+    rho = 0.8 + 0.2 * exp(-3 g), g = c * cos(2 phi) sin^2(theta) cos(theta)
+    and c the real spherical-harmonic amplitude above.
     """
 
-    def __init__(self, rho, drho_dtheta, drho_dphi, theta_map: ThetaMap = COSINE_MAP):
-        self._rho = rho
-        self._rho_th = drho_dtheta
-        self._rho_ph = drho_dphi
+    def __init__(self, theta_map: ThetaMap = COSINE_MAP):
         self.theta_map = theta_map
 
     def eval_sph(self, theta, phi):
-        r = self._rho(theta, phi)
-        r_th = self._rho_th(theta, phi)
-        r_ph = self._rho_ph(theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         sp, cp = np.sin(phi), np.cos(phi)
+        # rho = 0.8 + e; estimates depend on every bit, so keep the operand order
+        c_cos2 = _Y32_AMPL * np.cos(2.0 * phi)
+        st2 = power(st, 2)
+        e = 0.2 * np.exp(-3.0 * cmul(c_cos2 * st2, ct))
+        dg_th = cmul(c_cos2, cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
+        dg_ph = cmul(cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), st2), ct)
+        r, r_th, r_ph = 0.8 + e, cmul(e, -3.0 * dg_th), cmul(e, -3.0 * dg_ph)
         u = np.array([cp * st, sp * st, ct])
         du_th = np.array([cp * ct, sp * ct, -st])
         du_ph = np.array([-sp * st, cp * st, 0.0 * st])
         return r * u, r_th * u + r * du_th, r_ph * u + r * du_ph
 
 
-# Real part of the degree-3 order-2 spherical harmonic, used by the
-# reference non-axisymmetric shape.
-_Y32_AMPL = 0.25 * math.sqrt(105.0 / (2.0 * math.pi))
-
-
-def paper_blob(theta_map: ThetaMap = COSINE_MAP) -> AnalyticBlob:
-    """The reference non-axisymmetric shape: a harmonic-perturbed ball.
-
-    rho = 0.8 + 0.2 * exp(-3 * c * cos(2 phi) sin^2(theta) cos(theta))
-    with c the real spherical-harmonic amplitude above.
-    """
-
-    def g(theta, phi):
-        return cmul(_Y32_AMPL * np.cos(2.0 * phi) * power(np.sin(theta), 2), np.cos(theta))
-
-    def rho(theta, phi):
-        return 0.8 + 0.2 * np.exp(-3.0 * g(theta, phi))
-
-    def rho_th(theta, phi):
-        st, ct = np.sin(theta), np.cos(theta)
-        dg = cmul(_Y32_AMPL * np.cos(2.0 * phi), cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
-        return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
-
-    def rho_ph(theta, phi):
-        dg = cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), power(np.sin(theta), 2))
-        dg = cmul(dg, np.cos(theta))
-        return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
-
-    return AnalyticBlob(rho, rho_th, rho_ph, theta_map)
+def paper_blob(theta_map: ThetaMap = COSINE_MAP) -> Blob:
+    """The reference blob with the given polar map."""
+    return Blob(theta_map)

@@ -361,3 +361,35 @@ def test_empty_generator_exits_one(tmp_path, capsys, targets):
     assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
     assert "must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots-check", "--samples", "0"],
+        ["roots-check", "--samples", "-5"],
+        ["sphere-sweep", "--n", ",", "--distances", "0.1"],
+        ["sphere-sweep", "--n", "4", "--distances", ""],
+        ["sphere-sweep", "--n", "4", "--distances", ","],
+    ],
+    ids=["samples-0", "samples-negative", "n-empty", "distances-blank", "distances-comma"],
+)
+def test_empty_command_line_inputs_exit_one(tmp_path, capsys, argv):
+    # nothing to check or sweep is a config error, not a PASS or a header-only CSV
+    out = tmp_path / "sweep.csv"
+    if argv[0] == "sphere-sweep":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "PASS" not in captured.out
+    assert not out.exists()
+
+
+def test_empty_radial_sweep_distances_exit_one(tmp_path, capsys):
+    body = CONFIG_TEMPLATE.replace(
+        "generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3",
+        "generator = radial-sweep\ndistances = ,",
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "lists no values" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -6,10 +6,10 @@ import pytest
 
 from layerr.errors import NonConvergence
 from layerr.roots import VAR_THETA, newton_root, phi_line, theta_line
+from layerr.rounding import cmul, power
 from layerr.surfaces import (
     COSINE_MAP,
     LINEAR_MAP,
-    Axisymmetric,
     Sphere,
     Spheroid,
     paper_blob,
@@ -176,19 +176,104 @@ def test_eval_sph_arrays_match_scalar_calls_bitwise():
     # phi along the row. Each entry must equal the scalar call at that node,
     # so node positions (and with them the nearest node and E_EST) do not
     # depend on how the table was built.
-    a = lambda th: 1.0 + 0.1 * np.sin(th)
-    da = lambda th: 0.1 * np.cos(th)
-    b = lambda th: 1.2 + 0.0 * th
-    db = lambda th: 0.0 * th
-    surfaces = surfaces_under_test() + [("axisymmetric", Axisymmetric(a, da, b, db))]
     phis = 2 * math.pi * np.arange(24) / 24
-    for name, s in surfaces:
+    for name, s in surfaces_under_test():
         for theta in (0.03, 0.9, math.pi / 2, 2.7):
             rows = s.eval_sph(np.full(phis.size, theta), phis)
             for j, phi in enumerate(phis):
                 for row, scalar in zip(rows, s.eval_sph(theta, phi)):
                     assert row.shape == (3, phis.size), name
                     assert np.array_equal(row[:, j], scalar), (name, theta, phi)
+
+
+# Reference formulas: the generic evaluators the three surfaces replaced. A
+# surface of revolution took profile callables a(theta), b(theta) and their
+# derivatives; the blob was rho * (unit radial direction) with three radius
+# closures. The concrete evaluators must reproduce them bitwise, NaN entries
+# included, because the stored estimates depend on every last bit.
+
+
+def profile_eval_sph(a, da, b, db, theta, phi):
+    a, da, b, db = a(theta), da(theta), b(theta), db(theta)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    pos = np.array([a * st * cp, a * st * sp, b * ct])
+    mer = da * st + a * ct
+    d_theta = np.array([mer * cp, mer * sp, db * ct - b * st])
+    d_phi = np.array([-a * st * sp, a * st * cp, 0.0 * sp])
+    return pos, d_theta, d_phi
+
+
+def spheroid_reference(a, b):
+    zero = lambda theta: 0.0 * theta
+    return lambda theta, phi: profile_eval_sph(
+        lambda th: a + 0.0 * th, zero, lambda th: b + 0.0 * th, zero, theta, phi
+    )
+
+
+_Y32_AMPL = 0.25 * math.sqrt(105.0 / (2.0 * math.pi))
+
+
+def blob_reference(theta, phi):
+    def g(theta, phi):
+        return cmul(_Y32_AMPL * np.cos(2.0 * phi) * power(np.sin(theta), 2), np.cos(theta))
+
+    def rho(theta, phi):
+        return 0.8 + 0.2 * np.exp(-3.0 * g(theta, phi))
+
+    def rho_th(theta, phi):
+        st, ct = np.sin(theta), np.cos(theta)
+        dg = cmul(_Y32_AMPL * np.cos(2.0 * phi), cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
+        return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
+
+    def rho_ph(theta, phi):
+        dg = cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), power(np.sin(theta), 2))
+        dg = cmul(dg, np.cos(theta))
+        return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
+
+    r, r_th, r_ph = rho(theta, phi), rho_th(theta, phi), rho_ph(theta, phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    u = np.array([cp * st, sp * st, ct])
+    du_th = np.array([cp * ct, sp * ct, -st])
+    du_ph = np.array([-sp * st, cp * st, 0.0 * st])
+    return r * u, r_th * u + r * du_th, r_ph * u + r * du_ph
+
+
+def reference_arguments():
+    """(label, theta, phi): real scalars, real rows, and arrays with a complex
+    theta or phi whose imaginary parts run from 0.1 to 800 in both signs, the
+    range Newton's wandering iterates reach (past about 710, sin and cos
+    overflow and the entries are NaN)."""
+    rng = np.random.default_rng(5)
+    re_theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(-0.3, math.pi + 0.3, 57)])
+    re_phi = np.concatenate([[0.0, math.pi, 2 * math.pi], rng.uniform(-1.0, 7.0, 57)])
+    mags = np.geomspace(0.1, 800.0, 30)
+    im = np.concatenate([mags, -mags])
+    args = [("real scalar", float(t), float(p)) for t, p in zip(re_theta[::6], re_phi[::6])]
+    args.append(("real row", np.full(re_phi.size, 0.9), re_phi))
+    args.append(("real table", re_theta, re_phi))
+    args.append(("complex theta", re_theta + 1j * im, re_phi))
+    args.append(("complex phi", re_theta, re_phi + 1j * im))
+    return args
+
+
+@pytest.mark.parametrize(
+    "surface, reference",
+    [
+        (Sphere(1.3), spheroid_reference(1.3, 1.3)),
+        (Spheroid(1.0, 3.0), spheroid_reference(1.0, 3.0)),
+        (paper_blob(), blob_reference),
+    ],
+    ids=["sphere", "spheroid", "blob"],
+)
+def test_eval_sph_matches_generic_reference_bitwise(surface, reference):
+    for label, theta, phi in reference_arguments():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = surface.eval_sph(theta, phi), reference(theta, phi)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == w.dtype, (label, k)
+            assert np.array_equal(g, w, equal_nan=True), (label, k)
 
 
 def test_area_element_positive_interior_vanishes_at_poles():
@@ -265,18 +350,3 @@ def test_surrogate_rejects_bad_order():
     flat = lambda w: (np.array([[1.0], [0.0], [0.0]]) + 0.0 * w, np.zeros((3, 1)))
     with pytest.raises(NonConvergence):
         newton_root(flat, VAR_THETA, 0.0, np.array([0.0, 0.0, 2.0]), 0.1j)
-
-
-def test_axisymmetric_with_callable_profiles():
-    # gently modulated axisymmetric shape exercises the generic formulas
-    a = lambda th: 1.0 + 0.1 * np.sin(th)
-    da = lambda th: 0.1 * np.cos(th)
-    b = lambda th: 1.2 + 0.0 * th
-    db = lambda th: 0.0 * th
-    s = Axisymmetric(a, da, b, db)
-    h = 1e-6
-    theta, phi = 0.9, 0.3
-    _, dth, _ = s.eval_sph(theta, phi)
-    fd = (np.real(s.position(theta + h, phi)) - np.real(s.position(theta - h, phi))) / (2 * h)
-    assert np.real(dth) == pytest.approx(fd, rel=1e-8)
-    assert s.profile_a(theta) == pytest.approx(1.0 + 0.1 * math.sin(theta))
