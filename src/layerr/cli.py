@@ -270,16 +270,6 @@ def load_config(path: str) -> ExperimentConfig:
     return _build_config({name: dict(parser[name]) for name in parser.sections()})
 
 
-def _measure(cfg: ExperimentConfig, g, x):
-    """The measured error at x, or the LayerrError it raised, and the seconds taken."""
-    start = time.perf_counter()
-    try:
-        eq = measured_error(cfg.surface, cfg.kernel, cfg.density, g, x)
-    except LayerrError as exc:
-        eq = exc
-    return eq, time.perf_counter() - start
-
-
 def _point_row(x, eq, bd, seconds: float, timing: bool):
     """One CSV row from the measured error eq and the estimate outcome bd at x,
     each a value or a LayerrError; the first error fills the error column."""
@@ -304,18 +294,18 @@ def _point_row(x, eq, bd, seconds: float, timing: bool):
 
 
 def run_experiment(cfg: ExperimentConfig, out_path=None, timing: bool = False) -> str:
-    """Measure the error at every target, estimate all in one batch; write CSV.
-    With timing, a row's runtime is its measured-error time plus its equal
-    share of the batched estimate."""
+    """Measure the error and estimate it at all targets, each in one batch;
+    write CSV. With timing, every row's runtime is its equal share of the
+    batched measured error plus its equal share of the batched estimate."""
     g = grid(cfg.n_t, cfg.n_phi)
     out = out_path or cfg.out_path
-    measured = [_measure(cfg, g, x) for x in cfg.targets]
     start = time.perf_counter()
+    measured = measured_error(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets)
     estimates = full_estimate(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets, cfg.cone)
     share = (time.perf_counter() - start) / max(len(cfg.targets), 1)
     rows = [
-        _point_row(x, eq, bd, seconds + share, timing)
-        for x, (eq, seconds), bd in zip(cfg.targets, measured, estimates)
+        _point_row(x, eq, bd, share, timing)
+        for x, eq, bd in zip(cfg.targets, measured, estimates)
     ]
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -402,13 +392,16 @@ def sphere_sweep(a: float, n_list, distances, out_path: str) -> str:
             zeta = a + d
             if not math.isfinite(zeta) or zeta <= 0 or zeta == a:
                 raise ConfigError(f"distance {d} is not finite or hits the sphere or center")
-            lo, hi = math.inf, 0.0
-            for i in range(40):
-                theta = (i + 0.5) * math.pi / 40
-                for phi in (0.0, math.pi / (2 * n), math.pi / n):
-                    x = zeta * _unit_direction(theta, phi)
-                    eq = measured_error(surface, kernel, density, g, x)
-                    lo, hi = min(lo, eq), max(hi, eq)
+            block = [
+                zeta * _unit_direction((i + 0.5) * math.pi / 40, phi)
+                for i in range(40)
+                for phi in (0.0, math.pi / (2 * n), math.pi / n)
+            ]
+            eqs = measured_error(surface, kernel, density, g, np.array(block))
+            failure = next((eq for eq in eqs if isinstance(eq, LayerrError)), None)
+            if failure is not None:
+                raise failure
+            lo, hi = min(eqs), max(eqs)
             rows.append((n_t, d, lo, hi, sphere_simplified(zeta, a, kernel.p, n)))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -43,7 +43,9 @@ from .potentials import (
     _dot_c,
     integrand_f_at,
     locate,
+    one_or_block,
     surface_scale,
+    target_block,
 )
 from .quadrature import QuadratureGrid, gauss_laguerre
 from .roots import (
@@ -227,7 +229,7 @@ class _Frame:
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
     """Frame of the targets x, of shape (3,) or (M, 3), located on the grid."""
     outcomes, points = [], []
-    for xi in np.reshape(np.asarray(x, dtype=float), (-1, 3)):
+    for xi in target_block(x):
         try:
             points.append(locate(surface, g, xi))
             outcomes.append(len(points) - 1)
@@ -521,8 +523,4 @@ def full_estimate(
             float(e_tz[j]), float(e_gl[j]), float(e_tz[j] + e_gl[j]), bool(skipped[j]), phi0_j,
             t0_j, float(frame.t_star[j]), float(frame.phi_star[j]), float(frame.grid_distance[j]),
         ))
-    if np.ndim(x) > 1:
-        return outcomes
-    if isinstance(outcomes[0], LayerrError):
-        raise outcomes[0]
-    return outcomes[0]
+    return one_or_block(x, outcomes)

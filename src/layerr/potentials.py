@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, LayerrError
 from .quadrature import QuadratureGrid, grid
 from .rounding import cmul
 from .surfaces import Surface
@@ -142,15 +142,17 @@ def integrand_f(surface: Surface, kernel: KernelSpec, density: DensitySpec, t, p
 
 @dataclass(frozen=True, eq=False)
 class _GridTables:
-    """Per-(surface, grid) precomputed node data for fast potential sums."""
+    """Per-(surface, grid) precomputed node data for fast potential sums.
+
+    Node tables are coordinate first, node index k * n_phi + l last, so each
+    coordinate is one contiguous row."""
 
     thetas: np.ndarray  # (n_t,)
     ts: np.ndarray  # (n_t,)
     phis: np.ndarray  # (n_phi,)
-    positions: np.ndarray  # (N, 3)
-    normals: np.ndarray  # (N, 3) outward unit normals
+    positions: np.ndarray  # (3, N)
+    normals: np.ndarray  # (3, N) outward unit normals
     base_weights: np.ndarray  # (N,) w_t * w_phi * area element
-    phi_flat: np.ndarray  # (N,)
     scale: float
 
 
@@ -163,31 +165,29 @@ def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
     ts = g.t_rule.nodes
     phis = g.phi_rule.nodes
     n_t, n_phi = g.n_t, g.n_phi
-    positions = np.empty((n_t, n_phi, 3))
-    normals = np.empty((n_t, n_phi, 3))
+    positions = np.empty((3, n_t, n_phi))
+    normals = np.empty((3, n_t, n_phi))
     thetas = np.array([surface.theta_map.theta(t) for t in ts])
     for k, theta in enumerate(thetas):
         pos, d_theta, d_phi = surface.eval_sph(np.full(n_phi, theta), phis)
         d_t = d_theta * surface.theta_map.dtheta_dt_at(theta)
-        positions[k] = np.real(pos).T
-        normals[k] = np.cross(np.real(d_t).T, np.real(d_phi).T)
-    positions = positions.reshape(-1, 3)
-    normals = normals.reshape(-1, 3)
-    areas = np.linalg.norm(normals, axis=1)
-    normals /= areas[:, None]
+        positions[:, k] = np.real(pos)
+        normals[:, k] = np.cross(np.real(d_t), np.real(d_phi), axis=0)
+    positions = positions.reshape(3, -1)
+    normals = normals.reshape(3, -1)
+    areas = np.linalg.norm(normals, axis=0)
+    normals /= areas
     w = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
-    phi_flat = np.tile(phis, n_t)
-    scale = float(np.max(np.linalg.norm(positions, axis=1)))
-    return _GridTables(
-        thetas, ts, phis, positions, normals, w * areas, phi_flat, scale
-    )
+    scale = float(np.max(np.linalg.norm(positions, axis=0)))
+    return _GridTables(thetas, ts, phis, positions, normals, w * areas, scale)
 
 
 @lru_cache(maxsize=64)
-def _density_table(surface: Surface, g: QuadratureGrid, density: DensitySpec) -> np.ndarray:
+def _sum_weights(surface: Surface, g: QuadratureGrid, density: DensitySpec) -> np.ndarray:
+    """base_weights * sigma at the grid nodes: the weights of the potential sums."""
     tab = _grid_tables(surface, g)
-    theta_flat = np.repeat(tab.thetas, g.n_phi)
-    return np.asarray(density.value(theta_flat, tab.phi_flat), dtype=float)
+    sigma = density.value(np.repeat(tab.thetas, g.n_phi), np.tile(tab.phis, g.n_t))
+    return tab.base_weights * np.asarray(sigma, dtype=float)
 
 
 def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
@@ -201,7 +201,9 @@ def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
     Returns (k, l, t_star, phi_star, distance).
     """
     tab = _grid_tables(surface, g)
-    d2 = np.sum((tab.positions - np.asarray(x, dtype=float)) ** 2, axis=1)
+    x = np.asarray(x, dtype=float)
+    px, py, pz = tab.positions
+    d2 = (px - x[0]) ** 2 + (py - x[1]) ** 2 + (pz - x[2]) ** 2
     idx = int(np.argmin(d2))
     k, l = divmod(idx, g.n_phi)
     return k, l, float(tab.ts[k]), float(tab.phis[l]), float(math.sqrt(d2[idx]))
@@ -227,11 +229,38 @@ class EvalPoint:
         return float(math.hypot(self.x[0], self.x[1]))
 
 
+def target_block(x) -> np.ndarray:
+    """x as an (M, 3) float block of targets; one target of shape (3,) is a
+    block of one. Any other shape is an EvaluationError naming it."""
+    x = np.asarray(x, dtype=float)
+    if x.shape == (3,):
+        return x.reshape(1, 3)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise EvaluationError(
+            f"targets of shape {x.shape} are neither one point (3,) nor a block (M, 3)"
+        )
+    return x
+
+
+def one_or_block(x, outcomes):
+    """The outcomes of the targets x as returned to the caller: the list for a
+    block (M, 3); for one target (3,) its value, or its LayerrError raised."""
+    if np.ndim(x) > 1:
+        return outcomes
+    if isinstance(outcomes[0], LayerrError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _not_finite(x) -> EvaluationError:
+    return EvaluationError(f"target {x.tolist()} is not finite")
+
+
 def _finite_target(x) -> np.ndarray:
     """x as a float array; EvaluationError if a coordinate is NaN or infinite."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
-        raise EvaluationError(f"target {x.tolist()} is not finite")
+        raise _not_finite(x)
     return x
 
 
@@ -245,12 +274,46 @@ def locate(surface: Surface, g: QuadratureGrid, x) -> EvalPoint:
     return EvalPoint(x, k, l, t_star, phi_star, dist)
 
 
-def _kernel_values(kernel: KernelSpec, tab: _GridTables, diff, dist):
-    if kernel.kind == HARMONIC_SINGLE:
-        return 1.0
+# A sum walks (targets x nodes) tiles of at most this many entries, so that
+# its temporaries stay in cache.
+_TILE_TARGETS = 8
+_TILE_NODES = 4096
+
+
+def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs):
+    """Sums of the quadrature terms over the nodes of one (targets x nodes)
+    tile, and each target's nearest node distance there; the node tables are
+    coordinate first, the targets xs of shape (m, 3).
+
+    The arithmetic runs in place, so that a tile allocates few temporaries.
+    """
+    dx, dy, dz = (p - xs[:, c, None] for c, p in enumerate(positions))
+    r2 = dx * dx
+    dist = np.multiply(dy, dy)
+    r2 += dist
+    np.multiply(dz, dz, out=dist)
+    r2 += dist
+    np.sqrt(r2, out=dist)
+    nearest = np.min(dist, axis=1)
+    # f / R^(2p) for the half-integer powers p = 1/2 and 3/2, without a pow
     if kernel.kind == HARMONIC_DOUBLE:
-        return np.einsum("ij,ij->i", tab.normals, diff)
-    return np.exp(-kernel.omega * dist)
+        nx, ny, nz = normals
+        dx *= nx
+        dy *= ny
+        dz *= nz
+        dx += dy
+        dx += dz  # n_y . (y - x)
+        dx *= weights
+        r2 *= dist
+        terms = np.divide(dx, r2, out=dx)
+    elif kernel.kind == MOD_HELMHOLTZ_SINGLE:
+        terms = np.multiply(-kernel.omega, dist, out=r2)
+        np.exp(terms, out=terms)
+        terms *= weights
+        terms /= dist
+    else:
+        terms = np.divide(weights, dist, out=dist)
+    return np.sum(terms, axis=1), nearest
 
 
 def potential_quadrature(
@@ -259,20 +322,43 @@ def potential_quadrature(
     density: DensitySpec,
     g: QuadratureGrid,
     x,
-) -> float:
-    """Tensor quadrature of f / R^(2p) over the real grid nodes."""
-    x = _finite_target(x)
+):
+    """Tensor quadrature of f / R^(2p) over the real grid nodes, at one target
+    or a block.
+
+    x of shape (3,) returns the sum or raises its EvaluationError. x of shape
+    (M, 3) returns M outcomes, each a sum or the EvaluationError of that
+    target: not finite, or a node within 1e-14 * scale of it. A target's
+    terms are added tile by tile in node order, so its sum is the same in
+    any block.
+    """
+    block = target_block(x)
     tab = _grid_tables(surface, g)
-    sigma = _density_table(surface, g, density)
-    diff = tab.positions - x
-    r2 = np.einsum("ij,ij->i", diff, diff)
-    dist = np.sqrt(r2)
-    if np.min(dist) < 1e-14 * tab.scale:
-        raise EvaluationError("a quadrature node coincides with the target point")
-    kv = _kernel_values(kernel, tab, diff, dist)
-    # R^(2p) for the half-integer powers p = 1/2 and 3/2, without a pow
-    r_2p = dist if kernel.p == 0.5 else r2 * dist
-    return float(np.sum(tab.base_weights * sigma * kv / r_2p))
+    weights = _sum_weights(surface, g, density)
+    sums = np.zeros(len(block))
+    nearest = np.full(len(block), np.inf)
+    # a target on a node divides by zero there, and one that is not finite
+    # makes NaN terms; the sums of both are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(block), _TILE_TARGETS):
+            rows = slice(i, i + _TILE_TARGETS)
+            for j in range(0, len(weights), _TILE_NODES):
+                nodes = slice(j, j + _TILE_NODES)
+                s, d = _tile_sums(
+                    kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes],
+                    block[rows],
+                )
+                sums[rows] += s
+                nearest[rows] = np.minimum(nearest[rows], d)
+    outcomes = []
+    for xi, finite, s, d in zip(block, np.isfinite(block).all(axis=1), sums, nearest):
+        if not finite:
+            outcomes.append(_not_finite(xi))
+        elif d < 1e-14 * tab.scale:
+            outcomes.append(EvaluationError("a quadrature node coincides with the target point"))
+        else:
+            outcomes.append(float(s))
+    return one_or_block(x, outcomes)
 
 
 def reference_potential(
@@ -281,8 +367,8 @@ def reference_potential(
     density: DensitySpec,
     g: QuadratureGrid,
     x,
-) -> float:
-    """Same quadrature on the five-fold upsampled grid."""
+):
+    """Same quadrature on the five-fold upsampled grid, at one target or a block."""
     fine = grid(_UPSAMPLE * g.n_t, _UPSAMPLE * g.n_phi)
     return potential_quadrature(surface, kernel, density, fine, x)
 
@@ -293,9 +379,19 @@ def measured_error(
     density: DensitySpec,
     g: QuadratureGrid,
     x,
-) -> float:
-    """|base quadrature - upsampled reference|, the observed error."""
-    return abs(
-        potential_quadrature(surface, kernel, density, g, x)
-        - reference_potential(surface, kernel, density, g, x)
-    )
+):
+    """|base quadrature - upsampled reference|, the observed error, at one
+    target or a block.
+
+    x of shape (3,) returns the error or raises its EvaluationError; x of
+    shape (M, 3) returns M outcomes, each an error or the EvaluationError of
+    that target, the base sum's before the reference sum's.
+    """
+    block = target_block(x)
+    base = potential_quadrature(surface, kernel, density, g, block)
+    ref = reference_potential(surface, kernel, density, g, block)
+    outcomes = [
+        b if isinstance(b, LayerrError) else r if isinstance(r, LayerrError) else abs(b - r)
+        for b, r in zip(base, ref)
+    ]
+    return one_or_block(x, outcomes)

@@ -14,10 +14,15 @@ from layerr.cli import (
     EXIT_VALIDATION,
     load_config,
     main,
+    _unit_direction,
     preset_config,
     run_experiment,
+    sphere_sweep,
 )
 from layerr.estimates import sphere_simplified
+from layerr.potentials import harmonic_single, measured_error, unit_density
+from layerr.quadrature import grid
+from layerr.surfaces import Sphere
 
 CONFIG_TEMPLATE = """
 [surface]
@@ -161,6 +166,34 @@ def test_sphere_sweep_columns(tmp_path):
         assert float(row["E_simplified"]) == pytest.approx(
             sphere_simplified(zeta, 1.0, 0.5, 20), rel=1e-12
         )
+
+
+def test_sphere_sweep_range_equals_blocks_of_one(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    sphere_sweep(1.0, [6, 9], [0.15, -0.1], out)
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    density = unit_density()
+    for row in rows:
+        n_t, zeta = int(row["n"]), 1.0 + float(row["d"])
+        g, n = grid(n_t, 2 * n_t), 2 * n_t
+        eqs = [
+            measured_error(Sphere(1.0), harmonic_single(), density, g,
+                           zeta * _unit_direction((i + 0.5) * math.pi / 40, phi))
+            for i in range(40)
+            for phi in (0.0, math.pi / (2 * n), math.pi / n)
+        ]
+        assert float(row["E_Q_min"]) == min(eqs)
+        assert float(row["E_Q_max"]) == max(eqs)
+
+
+def test_timing_rows_share_the_batches_equally(tmp_path):
+    out = tmp_path / "timed.csv"
+    run_experiment(load_config(write_config(tmp_path)), str(out), timing=True)
+    with open(out) as fh:
+        runtimes = {float(r["runtime_us"]) for r in csv.DictReader(fh)}
+    assert len(runtimes) == 1 and runtimes.pop() > 0.0
 
 
 def test_presets_enumerate_reference_experiments():

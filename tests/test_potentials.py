@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from layerr.errors import EvaluationError
 from layerr.potentials import (
+    _TILE_NODES,
+    _TILE_TARGETS,
     _grid_tables,
     harmonic_double,
     harmonic_single,
@@ -18,6 +21,7 @@ from layerr.potentials import (
     reference_potential,
     unit_density,
 )
+from layerr.estimates import full_estimate
 from layerr.quadrature import grid
 from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
 
@@ -160,6 +164,109 @@ def test_singular_node_rejected():
         potential_quadrature(SPHERE, harmonic_single(), unit_density(), G_SPHERE, node)
 
 
+# ------------------------------------------------------ tiled block sums
+
+KERNELS = [harmonic_single(), harmonic_double(), mod_helmholtz_single(3.0)]
+KERNEL_IDS = ["single", "double", "helmholtz"]
+# 13 x 27 base nodes and a 65 x 135 reference grid: neither node count, nor
+# the 19 targets below, is a multiple of its tile size
+BLOB, G_BLOB = paper_blob(), grid(13, 27)
+
+
+def _blob_targets():
+    rng = np.random.default_rng(5)
+    dirs = rng.standard_normal((19, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return dirs * rng.uniform(0.5, 2.0, (19, 1))
+
+
+def test_tile_sizes_do_not_divide_the_test_blocks():
+    n_ref = 25 * G_BLOB.n_t * G_BLOB.n_phi
+    assert n_ref > 2 * _TILE_NODES and n_ref % _TILE_NODES
+    assert G_BLOB.n_t * G_BLOB.n_phi % _TILE_NODES
+    assert len(_blob_targets()) > 2 * _TILE_TARGETS and len(_blob_targets()) % _TILE_TARGETS
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_block_sums_equal_blocks_of_one_bitwise(kernel):
+    xs = _blob_targets()
+    d = paper_density()
+    fine = grid(65, 135)
+    for g in (G_BLOB, fine):
+        block = potential_quadrature(BLOB, kernel, d, g, xs)
+        assert block[3:14] == potential_quadrature(BLOB, kernel, d, g, xs[3:14])
+        assert block == [potential_quadrature(BLOB, kernel, d, g, x) for x in xs]
+    eqs = measured_error(BLOB, kernel, d, G_BLOB, xs)
+    assert eqs == [measured_error(BLOB, kernel, d, G_BLOB, x) for x in xs]
+
+
+def _node(surface, g, k, l):
+    return np.real(surface.position(surface.theta_map.theta(g.t_rule.nodes[k]),
+                                    g.phi_rule.nodes[l]))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_failing_targets_are_their_own_outcomes_in_a_block(kernel):
+    xs = _blob_targets()
+    bad_nan = np.array([0.3, math.nan, 0.1])
+    bad_node = _node(BLOB, G_BLOB, 4, 9)
+    block = np.vstack([xs[:9], bad_nan, xs[9:12], bad_node, xs[12:]])
+    d = paper_density()
+    for f in (potential_quadrature, measured_error):
+        got = f(BLOB, kernel, d, G_BLOB, block)
+        assert len(got) == len(block)
+        for i, (x, outcome) in enumerate(zip(block, got)):
+            if i in (9, 13):
+                with pytest.raises(EvaluationError) as exc:
+                    f(BLOB, kernel, d, G_BLOB, x)
+                assert type(outcome) is EvaluationError and str(outcome) == str(exc.value)
+            else:
+                assert outcome == f(BLOB, kernel, d, G_BLOB, x)
+        assert str(got[9]) == "target [0.3, nan, 0.1] is not finite"
+        assert str(got[13]) == "a quadrature node coincides with the target point"
+
+
+def _per_target_sum(surface, kernel, density, g, x):
+    """The quadrature sum at x from (N, 3) node tables, one target at a time,
+    and the sum of its terms' magnitudes."""
+    tab = _grid_tables(surface, g)
+    positions, normals = tab.positions.T, tab.normals.T
+    sigma = density.value(np.repeat(tab.thetas, g.n_phi), np.tile(tab.phis, g.n_t))
+    diff = positions - x
+    r2 = np.einsum("ij,ij->i", diff, diff)
+    dist = np.sqrt(r2)
+    if kernel.kind == "harmonic_double":
+        kv = np.einsum("ij,ij->i", normals, diff)
+    elif kernel.kind == "mod_helmholtz_single":
+        kv = np.exp(-kernel.omega * dist)
+    else:
+        kv = 1.0
+    terms = tab.base_weights * sigma * kv / (dist if kernel.p == 0.5 else r2 * dist)
+    return np.sum(terms), np.sum(np.abs(terms))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_tiled_sums_agree_with_per_target_oracle(kernel):
+    xs = _blob_targets()
+    d = paper_density()
+    for g in (G_BLOB, grid(65, 135)):
+        for x, got in zip(xs, potential_quadrature(BLOB, kernel, d, g, xs)):
+            want, magnitude = _per_target_sum(BLOB, kernel, d, g, x)
+            assert abs(got - want) <= 1e-13 * magnitude
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (4,), (2, 2), (2, 3, 1)])
+@pytest.mark.parametrize("f", [potential_quadrature, measured_error, full_estimate])
+def test_malformed_target_arrays_are_evaluation_errors(f, shape):
+    with pytest.raises(EvaluationError, match=re.escape(f"shape {shape}")):
+        f(SPHERE, harmonic_single(), unit_density(), G_SPHERE, np.ones(shape))
+
+
+@pytest.mark.parametrize("f", [potential_quadrature, measured_error, full_estimate])
+def test_empty_block_has_no_outcomes(f):
+    assert f(SPHERE, harmonic_single(), unit_density(), G_SPHERE, np.empty((0, 3))) == []
+
+
 # ------------------------------------------------------------- grid lookups
 
 
@@ -202,10 +309,11 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     g = grid(n_t, n_phi)
     positions, normals, weights, scale = _per_node_tables(surface, g)
     tab = _grid_tables(surface, g)
-    assert np.array_equal(tab.positions, positions)
+    # the tables are coordinate first: (3, N) against the per-node (N, 3)
+    assert np.array_equal(tab.positions, positions.T)
     assert tab.scale == scale
     assert np.max(np.abs(tab.base_weights - weights) / np.abs(weights)) <= 1e-15
-    assert np.max(np.abs(tab.normals - normals)) <= 1e-15
+    assert np.max(np.abs(tab.normals - normals.T)) <= 1e-15
 
 
 def test_locate_builds_eval_point():
