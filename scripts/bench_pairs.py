@@ -2,12 +2,14 @@
 
 Usage, from the repository root:
     python3 scripts/bench_pairs.py --out BENCH_8.json [--parent REV] [--change REV]
-        [--pairs 6] [--seconds 15] [--workloads sphere-cosine,...] [--note TEXT]
+        [--note TEXT]
 
 Both revisions (default: HEAD~1 and HEAD) are exported with ``git archive``
 into fresh directories, and the unmodified ``perfbench/run.py`` of each runs
-there, one workload at a time. A pair is one run of each revision on one
-workload; odd pairs run the change first, even pairs the parent first. Pair 1
+there, one workload at a time. The workloads and the run length are those
+BENCHMARK.json declares. A pair is one run of each revision on one workload;
+there are PAIRS pairs per workload, the fewest on which a gain can be claimed;
+odd pairs run the change first, even pairs the parent first. Pair 1
 runs every workload, then pair 2, and so on, so drift of the host's speed
 spreads over all workloads. Every run record that run.py writes is copied
 unmodified into ``records``; ``summary`` gives, per workload and end-to-end
@@ -31,6 +33,7 @@ sys.path.insert(0, str(ROOT))
 from perfbench.stats import summary  # noqa: E402
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def _git(*args) -> str:
@@ -93,26 +96,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", default="sphere-cosine,spheroid-random,blob-shell")
     parser.add_argument("--note", default="", help="what the change is, for the record")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    workloads = [w for w in args.workloads.split(",") if w]
     commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
     records = {w: {side: [] for side in SIDES} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(commits[side], Path(tmp) / side) for side in SIDES}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = ("change", "parent") if pair % 2 else ("parent", "change")
             for workload in workloads:
                 for side in order:
                     start = time.perf_counter()
-                    record = run_once(trees[side], workload, args.seconds)
+                    record = run_once(trees[side], workload, seconds)
                     records[workload][side].append(record)
                     wall = record["end_to_end"].get("wall_s", [float("nan")])[0]
                     print(f"pair {pair} {workload:16s} {side:6s} wall_s {wall:.3f} "
@@ -122,11 +121,11 @@ def main(argv=None) -> int:
     first = records[workloads[0]]["parent"][0]
     bench = {
         "what": (
-            f"Run records of `python3 perfbench/run.py --workload W --seconds {args.seconds:g}` "
+            f"Run records of `python3 perfbench/run.py --workload W --seconds {seconds:g}` "
             f"(seed {first['seed']}), copied unmodified, for the parent commit and for the "
             f"change, in run order. Both sides ran from trees exported with git archive, so "
             f"their records read git_sha 'unknown'. Pairs alternate: odd pairs ran the change "
-            f"first, even pairs the parent first; {args.pairs} pairs per workload, each pair "
+            f"first, even pairs the parent first; {PAIRS} pairs per workload, each pair "
             f"running every workload ({', '.join(workloads)}) before the next pair. Written "
             f"by scripts/bench_pairs.py."
         ),

@@ -27,3 +27,32 @@ def test_summary_counts_strict_wins_in_the_better_direction():
     assert out["points_per_s"]["change_better_in_pairs"] == "2 of 3"
     assert out["wall_s"]["parent"]["median"] == 3.0
     assert out["wall_s"]["change"]["median"] == 2.0
+
+
+def test_main_runs_the_declared_workloads_for_ten_alternating_pairs(tmp_path, monkeypatch):
+    import json
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run_once(tree, workload, seconds):
+        calls.append((tree.name, workload, seconds))
+        record = _record(1.0, 1.0)
+        record.update(seed=7, nproc=1, python="3", numpy="1")
+        for metric in spec["end_to_end"]:
+            record["end_to_end"].setdefault(metric["name"], [1.0, metric["unit"]])
+        return record
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--out", str(out)]) == 0
+
+    names = [w["name"] for w in spec["workloads"]]
+    assert {seconds for _, _, seconds in calls} == {spec["run_seconds"]}
+    assert len(calls) == 2 * bench_pairs.PAIRS * len(names) and bench_pairs.PAIRS >= 10
+    # pair 1 starts with the change, pair 2 with the parent
+    assert calls[0][:2] == ("change", names[0]) and calls[2 * len(names)][:2] == ("parent", names[0])
+    bench = json.loads(out.read_text())
+    assert list(bench["records"]) == names
+    assert bench["summary"][names[0]]["runs"] == {"parent": 10, "change": 10}
