@@ -68,6 +68,7 @@ CSV_COLUMNS = [
     "runtime_us",
     "error",
 ]
+SWEEP_COLUMNS = ["n", "d", "E_Q_min", "E_Q_max", "E_simplified"]
 
 
 def _fmt(v: float) -> str:
@@ -262,12 +263,26 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment config file (INI-style sections)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r} is malformed: {exc}")
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     return _build_config({name: dict(parser[name]) for name in parser.sections()})
+
+
+def _write_csv(path: str, columns, rows) -> str:
+    """rows, dicts keyed by columns, written to path as CSV with a header;
+    ConfigError naming path if it cannot be opened for writing."""
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror}")
+    with fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
 
 
 def _point_row(x, eq, bd, seconds: float, timing: bool):
@@ -307,11 +322,7 @@ def run_experiment(cfg: ExperimentConfig, out_path=None, timing: bool = False) -
         _point_row(x, eq, bd, share, timing)
         for x, eq, bd in zip(cfg.targets, measured, estimates)
     ]
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return out
+    return _write_csv(out, CSV_COLUMNS, rows)
 
 
 # Presets in the config-file schema; unset keys take the file defaults.
@@ -402,13 +413,9 @@ def sphere_sweep(a: float, n_list, distances, out_path: str) -> str:
             if failure is not None:
                 raise failure
             lo, hi = min(eqs), max(eqs)
-            rows.append((n_t, d, lo, hi, sphere_simplified(zeta, a, kernel.p, n)))
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "d", "E_Q_min", "E_Q_max", "E_simplified"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return out_path
+            row = (n_t, d, lo, hi, sphere_simplified(zeta, a, kernel.p, n))
+            rows.append(dict(zip(SWEEP_COLUMNS, map(_fmt, row))))
+    return _write_csv(out_path, SWEEP_COLUMNS, rows)
 
 
 def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: float = 3.0):

@@ -37,12 +37,13 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import EvaluationError, InfiniteGeometryFactor, LayerrError, NoRootExists
+from . import potentials
 from .potentials import (
     DensitySpec,
     KernelSpec,
     _dot_c,
+    _not_finite,
     integrand_f_at,
-    locate,
     one_or_block,
     surface_scale,
     target_block,
@@ -208,8 +209,8 @@ def sphere_simplified(zeta: float, a: float, p: float, n: int) -> float:
 class _Frame:
     """Shared context of a block of targets, with one lane per located target.
 
-    outcomes has one entry per target: its lane, or the LayerrError that
-    locate raised for it. The arrays below it hold one entry per lane.
+    outcomes has one entry per target: its lane, or the EvaluationError that
+    kept it from being located. The arrays below it hold one entry per lane.
     """
 
     surface: Surface
@@ -227,18 +228,25 @@ class _Frame:
 
 
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
-    """Frame of the targets x, of shape (3,) or (M, 3), located on the grid."""
-    outcomes, points = [], []
+    """Frame of the targets x, of shape (3,) or (M, 3), located on the grid; a
+    target that is not finite or is on a grid node gets an EvaluationError."""
+    scale = surface_scale(surface, g)
+    outcomes, lanes = [], []
     for xi in target_block(x):
-        try:
-            points.append(locate(surface, g, xi))
-            outcomes.append(len(points) - 1)
-        except LayerrError as exc:
-            outcomes.append(exc)
-    x = np.array([ep.x for ep in points]).reshape(-1, 3)
-    t_star, phi_star, dist = (np.array([getattr(ep, k) for ep in points], dtype=float)
-                              for k in ("t_star", "phi_star", "grid_distance"))
-    return _Frame(surface, kernel, density, g, surface_scale(surface, g), outcomes, x, t_star,
+        if not np.all(np.isfinite(xi)):
+            outcomes.append(_not_finite(xi))
+            continue
+        # looked up on the module, so that a wrapper put there sees each call
+        _, _, t_star, phi_star, dist = potentials.nearest_grid_node(surface, g, xi)
+        if dist <= 1e-12 * scale:
+            message = f"target {xi.tolist()} coincides with a surface grid node"
+            outcomes.append(EvaluationError(message))
+        else:
+            outcomes.append(len(lanes))
+            lanes.append((*xi, t_star, phi_star, dist))
+    lanes = np.array(lanes, dtype=float).reshape(-1, 6)
+    t_star, phi_star, dist = lanes[:, 3:].T.copy()
+    return _Frame(surface, kernel, density, g, scale, outcomes, lanes[:, :3].copy(), t_star,
                   phi_star, dist, surface.theta_map.theta(t_star),
                   surface.grid_anisotropy(t_star, phi_star))
 

@@ -209,26 +209,6 @@ def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
     return k, l, float(tab.ts[k]), float(tab.phis[l]), float(math.sqrt(d2[idx]))
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A target point with its derived grid-relative quantities."""
-
-    x: np.ndarray
-    k: int
-    l: int
-    t_star: float
-    phi_star: float
-    grid_distance: float
-
-    @property
-    def zeta(self) -> float:
-        return float(np.linalg.norm(self.x))
-
-    @property
-    def rho(self) -> float:
-        return float(math.hypot(self.x[0], self.x[1]))
-
-
 def target_block(x) -> np.ndarray:
     """x as an (M, 3) float block of targets; one target of shape (3,) is a
     block of one. Any other shape is an EvaluationError naming it."""
@@ -254,24 +234,6 @@ def one_or_block(x, outcomes):
 
 def _not_finite(x) -> EvaluationError:
     return EvaluationError(f"target {x.tolist()} is not finite")
-
-
-def _finite_target(x) -> np.ndarray:
-    """x as a float array; EvaluationError if a coordinate is NaN or infinite."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise _not_finite(x)
-    return x
-
-
-def locate(surface: Surface, g: QuadratureGrid, x) -> EvalPoint:
-    """Build an EvalPoint; rejects non-finite points and points on a grid node."""
-    x = _finite_target(x)
-    k, l, t_star, phi_star, dist = nearest_grid_node(surface, g, x)
-    scale = surface_scale(surface, g)
-    if dist <= 1e-12 * scale:
-        raise EvaluationError(f"target {x.tolist()} coincides with a surface grid node")
-    return EvalPoint(x, k, l, t_star, phi_star, dist)
 
 
 # A sum walks (targets x nodes) tiles of at most this many entries, so that

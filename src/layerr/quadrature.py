@@ -15,10 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-GAUSS_LEGENDRE = "gauss_legendre"
-TRAPEZOIDAL = "trapezoidal"
-GAUSS_LAGUERRE = "gauss_laguerre"
-
 _NEWTON_TOL = 1e-15
 
 
@@ -26,7 +22,6 @@ _NEWTON_TOL = 1e-15
 class Rule1D:
     """A one-dimensional quadrature rule: nodes and positive weights."""
 
-    kind: str
     n: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -70,7 +65,7 @@ def gauss_legendre(n: int) -> Rule1D:
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     order = np.argsort(x)
-    return Rule1D(GAUSS_LEGENDRE, n, _freeze(x[order]), _freeze(w[order]))
+    return Rule1D(n, _freeze(x[order]), _freeze(w[order]))
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +75,7 @@ def trapezoidal(n: int) -> Rule1D:
         raise ValueError(f"trapezoidal requires n >= 1, got {n}")
     nodes = 2.0 * np.pi * np.arange(n) / n
     weights = np.full(n, 2.0 * np.pi / n)
-    return Rule1D(TRAPEZOIDAL, n, _freeze(nodes), _freeze(weights))
+    return Rule1D(n, _freeze(nodes), _freeze(weights))
 
 
 def _laguerre_and_prev(n: int, x: float):
@@ -121,7 +116,7 @@ def gauss_laguerre(n: int) -> Rule1D:
         p, _ = _laguerre_and_prev(n + 1, xi)
         l_next[idx] = p
     ws = xs / ((n + 1) ** 2 * l_next**2)
-    return Rule1D(GAUSS_LAGUERRE, n, _freeze(xs), _freeze(ws))
+    return Rule1D(n, _freeze(xs), _freeze(ws))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,10 +6,10 @@ complex w as a plain sum of squares (no norm). Its complex-conjugate root
 pair closest to the real parameter interval controls how fast quadrature
 errors decay; this module finds that root.
 
-Closed forms exist for a circle in a plane, for the azimuthal root of any
-axisymmetric surface at fixed polar angle, and for the polar root of a
-sphere at fixed azimuth. Everything else goes through a one-dimensional
-complex Newton iteration on the analytic parametrization.
+Closed forms exist for the azimuthal root of any axisymmetric surface at
+fixed polar angle (a circle in a plane is the equator case) and for the
+polar root of a sphere at fixed azimuth. Everything else goes through a
+one-dimensional complex Newton iteration on the analytic parametrization.
 
 The closed forms, Newton and the root models take one target or a block of
 them: x of shape (3,) or (*lanes, 3), with one root per lane. On lanes a
@@ -31,12 +31,7 @@ import numpy as np
 
 from .errors import DegenerateModel, NoRootExists, NonConvergence
 from .rounding import cdiv, dot3, entrywise
-from .surfaces import Surface
-
-METHOD_ANALYTIC_CIRCLE = "analytic_circle"
-METHOD_ANALYTIC_AXISYM_PHI = "analytic_axisym_phi"
-METHOD_ANALYTIC_SPHERE_THETA = "analytic_sphere_theta"
-METHOD_NEWTON = "newton"
+from .surfaces import Spheroid, Surface
 
 VAR_THETA = "theta"
 VAR_PHI = "phi"
@@ -50,7 +45,7 @@ _RETRY_IMAG = (0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 @dataclass(frozen=True)
 class RootResult:
-    """A canonical (Im >= 0) complex root with provenance.
+    """A canonical (Im >= 0) complex root.
 
     lam is the lambda parameter of the analytic formulas (always > 1 off
     the surface) and is absent for Newton roots. residual is |R^2| at the
@@ -59,9 +54,6 @@ class RootResult:
     """
 
     value: complex
-    variable: str
-    fixed_coordinate: float
-    method: str
     residual: float
     lam: Optional[float] = None
 
@@ -82,13 +74,13 @@ def _coords(x):
     return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
 
 
-def _closed_form(root, variable, fixed, method, residual, lam, no_root: str) -> RootResult:
+def _closed_form(root, residual, lam, no_root: str) -> RootResult:
     """The closed form's RootResult; a single target without a root raises."""
     if np.ndim(root) > 0:
-        return RootResult(root, variable, fixed, method, residual, lam)
+        return RootResult(root, residual, lam)
     if np.isnan(root):
         raise NoRootExists(no_root)
-    return RootResult(complex(root), variable, fixed, method, float(residual), float(lam))
+    return RootResult(complex(root), float(residual), float(lam))
 
 
 LineEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -116,16 +108,9 @@ def phi_line(surface: Surface, theta_fixed) -> LineEvaluator:
 
 
 def circle_root(a: float, x: np.ndarray) -> RootResult:
-    """Azimuthal root of R^2 for the circle of radius a in the z = 0 plane."""
-    x0, x1, x2 = _coords(x)
-    rho2 = x0 * x0 + x1 * x1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (a * a + rho2 + x2 * x2) / (2.0 * a * np.sqrt(rho2))
-        root = np.where(rho2 == 0.0, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam))
-        root = _canonical(root)
-        residual = np.abs((a * np.cos(root) - x0) ** 2 + (a * np.sin(root) - x1) ** 2 + x2 * x2)
-    message = "R^2 is independent of the angle on the z-axis"
-    return _closed_form(root, VAR_PHI, 0.0, METHOD_ANALYTIC_CIRCLE, residual, lam, message)
+    """Azimuthal root of R^2 for the circle of radius a in the z = 0 plane,
+    the equator of a flat spheroid."""
+    return axisym_phi_root(Spheroid(a, 0.0), math.pi / 2, x)
 
 
 def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
@@ -146,7 +131,7 @@ def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
         pos, _, _ = surface.eval_sph(np.broadcast_to(theta_bar, root.shape), root)
         residual = np.abs((pos[0] - x0) ** 2 + (pos[1] - x1) ** 2 + (pos[2] - x2) ** 2)
     message = "R^2 is independent of phi here"
-    return _closed_form(root, VAR_PHI, theta_bar, METHOD_ANALYTIC_AXISYM_PHI, residual, lam, message)
+    return _closed_form(root, residual, lam, message)
 
 
 def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
@@ -162,7 +147,7 @@ def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
         st, ct = np.sin(root), np.cos(root)
         residual = np.abs((a * st * cp - x0) ** 2 + (a * st * sp - x1) ** 2 + (a * ct - x2) ** 2)
     message = "R^2 is independent of theta here"
-    return _closed_form(root, VAR_THETA, phi_bar, METHOD_ANALYTIC_SPHERE_THETA, residual, lam, message)
+    return _closed_form(root, residual, lam, message)
 
 
 def _newton(line, w, x, scale2: float, active):
@@ -240,13 +225,13 @@ def newton_root(
     residual = np.take_along_axis(residual, pick[None], 0)[0]
     value = np.where(found.any(0), _canonical(value), np.nan)
     if w0.ndim > 0:
-        return RootResult(value, variable, fixed_coordinate, METHOD_NEWTON, residual)
+        return RootResult(value, residual)
     if np.isnan(value):
         raise NonConvergence(
-            f"Newton failed to find a {variable} root near {initial!r} "
-            f"for x={np.asarray(x, dtype=float).tolist()}"
+            f"Newton failed to find a {variable} root near {initial!r} at fixed coordinate "
+            f"{np.asarray(fixed_coordinate).tolist()} for x={np.asarray(x, dtype=float).tolist()}"
         )
-    return RootResult(complex(value), variable, fixed_coordinate, METHOD_NEWTON, float(residual))
+    return RootResult(complex(value), float(residual))
 
 
 class RootModel:

@@ -54,6 +54,7 @@ def cdiv(a, b):
 
 def dot3(u, v):
     """Dot products of real 3-vectors along the last axis, rounded as np.dot."""
-    u, v = np.broadcast_arrays(u, v)
-    out = [np.dot(p, q) for p, q in zip(u.reshape(-1, 3), v.reshape(-1, 3))]
-    return np.array(out, dtype=float).reshape(u.shape[:-1])
+    # matmul of (1, 3) by (3, 1) runs np.dot's inner loop once per lane; it
+    # needs contiguous operands to do so, hence the copies
+    u, v = (np.ascontiguousarray(a, dtype=float) for a in np.broadcast_arrays(u, v))
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]

@@ -43,6 +43,7 @@ def test_main_runs_the_declared_workloads_for_ten_alternating_pairs(tmp_path, mo
             record["end_to_end"].setdefault(metric["name"], [1.0, metric["unit"]])
         return record
 
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: f"sha-of-{args[-1]}")
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "BENCH_x.json"
@@ -54,5 +55,6 @@ def test_main_runs_the_declared_workloads_for_ten_alternating_pairs(tmp_path, mo
     # pair 1 starts with the change, pair 2 with the parent
     assert calls[0][:2] == ("change", names[0]) and calls[2 * len(names)][:2] == ("parent", names[0])
     bench = json.loads(out.read_text())
+    assert bench["parent_commit"] == "sha-of-HEAD~1" and bench["change_commit"] == "sha-of-HEAD"
     assert list(bench["records"]) == names
     assert bench["summary"][names[0]]["runs"] == {"parent": 10, "change": 10}

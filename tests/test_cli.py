@@ -121,6 +121,28 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(CONFIG_TEMPLATE.format(out=tmp_path / "out.csv").encode() + b"# \xff\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preset", "sphere-cosine"],
+        ["sphere-sweep", "--n", "4", "--distances", "0.5"],
+    ],
+    ids=["preset", "sphere-sweep"],
+)
+def test_unwritable_output_exits_one(tmp_path, capsys, argv):
+    out = str(tmp_path / "missing_dir" / "x.csv")
+    assert main(argv + ["--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and out in err
+
+
 def test_bad_generator_exits_one(tmp_path, capsys):
     body = CONFIG_TEMPLATE.replace("generator = explicit", "generator = warp")
     cfg = write_config(tmp_path, body)

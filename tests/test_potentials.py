@@ -12,7 +12,6 @@ from layerr.potentials import (
     harmonic_double,
     harmonic_single,
     integrand_f,
-    locate,
     measured_error,
     mod_helmholtz_single,
     nearest_grid_node,
@@ -316,18 +315,20 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     assert np.max(np.abs(tab.normals - normals.T)) <= 1e-15
 
 
-def test_locate_builds_eval_point():
-    ep = locate(SPHERE, G_SPHERE, [1.3, 0.2, -0.4])
-    assert ep.zeta == pytest.approx(math.sqrt(1.3**2 + 0.2**2 + 0.4**2))
-    assert ep.rho == pytest.approx(math.sqrt(1.3**2 + 0.2**2))
-    assert ep.grid_distance > 0
-
-
-def test_locate_rejects_on_node_target():
+def test_estimate_rejects_targets_it_cannot_locate():
     node = np.real(SPHERE.position(SPHERE.theta_map.theta(G_SPHERE.t_rule.nodes[0]),
                                    G_SPHERE.phi_rule.nodes[0]))
-    with pytest.raises(EvaluationError):
-        locate(SPHERE, G_SPHERE, node)
+    bad = np.array([1.3, np.nan, -0.4])
+    out = full_estimate(SPHERE, harmonic_single(), unit_density(), G_SPHERE,
+                        np.array([[1.3, 0.2, -0.4], node, bad]))
+    assert out[0].grid_distance > 0
+    assert isinstance(out[1], EvaluationError)
+    assert str(out[1]) == f"target {node.tolist()} coincides with a surface grid node"
+    assert isinstance(out[2], EvaluationError)
+    assert str(out[2]) == f"target {bad.tolist()} is not finite"
+    # a single target raises the same error
+    with pytest.raises(EvaluationError, match="coincides with a surface grid node"):
+        full_estimate(SPHERE, harmonic_single(), unit_density(), G_SPHERE, node)
 
 
 def test_linear_map_shell_potential():

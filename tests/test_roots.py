@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from layerr.errors import DegenerateModel, NoRootExists
+from layerr.rounding import entrywise
 from layerr.roots import (
     VAR_PHI,
     VAR_THETA,
@@ -47,6 +48,48 @@ def test_circle_root_on_y_axis():
 def test_circle_root_z_axis_has_no_root():
     with pytest.raises(NoRootExists):
         circle_root(1.0, np.array([0.0, 0.0, 1.0]))
+
+
+def _planar_circle_root(a, x):
+    """The circle's own closed form: (root, residual, lam), NaN root on the z-axis."""
+    x0, x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    rho2 = x0 * x0 + x1 * x1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (a * a + rho2 + x2 * x2) / (2.0 * a * np.sqrt(rho2))
+        beta = lam + np.sqrt(np.maximum(lam * lam - 1.0, 0.0))
+        log_beta = entrywise(math.log, np.where(beta > 0.0, beta, np.nan))
+        root = np.where(rho2 == 0.0, np.nan, entrywise(math.atan2, x1, x0) + 1j * log_beta)
+        root = np.where(np.imag(root) < 0, np.conj(root), root)
+        residual = np.abs((a * np.cos(root) - x0) ** 2 + (a * np.sin(root) - x1) ** 2 + x2 * x2)
+    return root, residual, lam
+
+
+def _bitwise_equal(u, v):
+    u, v = np.asarray(u), np.asarray(v)
+    parts = (np.real, np.imag) if u.dtype.kind == "c" else (np.asarray,)
+    return u.shape == v.shape and all(
+        np.array_equal(part(u), part(v), equal_nan=True)
+        and np.array_equal(np.signbit(part(u)), np.signbit(part(v)))
+        for part in parts
+    )
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.7])
+def test_circle_root_is_bitwise_the_planar_closed_form(a):
+    # the circle is the equator of a flat spheroid; that closed form must
+    # round exactly as the circle's own, on lanes and for one target
+    rng = np.random.default_rng(11)
+    x = a * rng.uniform(-3.0, 3.0, (2000, 3))
+    x[::97, :2] = 0.0  # on the z-axis: no root
+    r = circle_root(a, x)
+    for got, want in zip((r.value, r.residual, r.lam), _planar_circle_root(a, x)):
+        assert _bitwise_equal(got, want)
+    for xi in x[1:40]:
+        r = circle_root(a, xi)
+        root, residual, lam = _planar_circle_root(a, xi)
+        assert (r.value, r.residual, r.lam) == (complex(root), float(residual), float(lam))
+    with pytest.raises(NoRootExists):
+        circle_root(a, x[0])
 
 
 def test_axisym_phi_root_reduces_to_circle():
