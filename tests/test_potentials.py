@@ -20,7 +20,7 @@ from layerr.potentials import (
     reference_potential,
     unit_density,
 )
-from layerr.estimates import full_estimate
+from layerr.estimates import _build_frame, full_estimate
 from layerr.quadrature import grid
 from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
 
@@ -315,6 +315,24 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     assert np.max(np.abs(tab.normals - normals.T)) <= 1e-15
 
 
+def test_locate_builds_eval_point():
+    x = np.array([1.3, 0.2, -0.4])
+    frame = _build_frame(SPHERE, harmonic_single(), unit_density(), G_SPHERE, x)
+    assert frame.outcomes == [0]
+    assert np.array_equal(frame.x, [x])
+    _, _, t_star, phi_star, dist = nearest_grid_node(SPHERE, G_SPHERE, x)
+    assert (frame.t_star[0], frame.phi_star[0]) == (t_star, phi_star)
+    assert frame.grid_distance[0] == dist > 0
+    assert frame.theta_star[0] == pytest.approx(SPHERE.theta_map.theta(t_star))
+
+
+def test_locate_rejects_on_node_target():
+    node = np.real(SPHERE.position(SPHERE.theta_map.theta(G_SPHERE.t_rule.nodes[0]),
+                                   G_SPHERE.phi_rule.nodes[0]))
+    with pytest.raises(EvaluationError, match="coincides with a surface grid node"):
+        full_estimate(SPHERE, harmonic_single(), unit_density(), G_SPHERE, node)
+
+
 def test_estimate_rejects_targets_it_cannot_locate():
     node = np.real(SPHERE.position(SPHERE.theta_map.theta(G_SPHERE.t_rule.nodes[0]),
                                    G_SPHERE.phi_rule.nodes[0]))
@@ -326,9 +344,6 @@ def test_estimate_rejects_targets_it_cannot_locate():
     assert str(out[1]) == f"target {node.tolist()} coincides with a surface grid node"
     assert isinstance(out[2], EvaluationError)
     assert str(out[2]) == f"target {bad.tolist()} is not finite"
-    # a single target raises the same error
-    with pytest.raises(EvaluationError, match="coincides with a surface grid node"):
-        full_estimate(SPHERE, harmonic_single(), unit_density(), G_SPHERE, node)
 
 
 def test_linear_map_shell_potential():
