@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -427,7 +428,8 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
     The blob, which has no closed form, checks the residual of the Newton
     polar root on its analytic parametrization, the solve the estimate
     runs (1e-8 * scale^2). Each draw() returns the fixed coordinate, the
-    target, the closed-form root (or None) and the real part of the guess.
+    target and the real part of the guess (NaN if the closed form gives it).
+    All samples are solved as one block; a sample without a root fails.
     """
     _positive(a, "--a")
     _positive(b, "--b")
@@ -438,6 +440,7 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
     if name == "sphere":
         surface, scale, line, variable, bound = Sphere(a), a, theta_line, VAR_THETA, 1e-10
         kind = "sphere polar roots (closed form vs Newton)"
+        closed_form = partial(sphere_theta_root, a)
 
         def draw():
             phi_bar = 2.0 * math.pi * rng.random()
@@ -446,47 +449,39 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
             )
             theta = math.acos(1.0 - 2.0 * rng.random())
             psi = 2.0 * math.pi * rng.random()
-            x = zeta * _unit_direction(theta, psi)
-            ana = sphere_theta_root(a, phi_bar, x)
-            return phi_bar, x, ana, ana.value.real
+            return phi_bar, zeta * _unit_direction(theta, psi), math.nan
 
     elif name == "spheroid":
         surface, scale, line, variable, bound = Spheroid(a, b), max(a, b), phi_line, VAR_PHI, 1e-10
         kind = "spheroid azimuthal roots (closed form vs Newton)"
+        closed_form = partial(axisym_phi_root, surface)
 
         def draw():
             theta_bar = 0.05 + (math.pi - 0.1) * rng.random()
             s = 1.05 + 0.95 * rng.random()
             theta = math.acos(1.0 - 2.0 * rng.random())
             psi = 2.0 * math.pi * rng.random()
-            x = s * np.real(surface.position(theta, psi))
-            ana = axisym_phi_root(surface, theta_bar, x)
-            return theta_bar, x, ana, ana.value.real
+            return theta_bar, s * np.real(surface.position(theta, psi)), math.nan
 
     elif name == "blob":
         surface, scale, line, variable, bound = paper_blob(), 1.2, theta_line, VAR_THETA, 1e-8
         kind = "blob polar roots by Newton on the parametrization (residual only)"
+        closed_form = None
 
         def draw():
             theta_star = 0.3 + (math.pi - 0.6) * rng.random()
             phi_star = 2.0 * math.pi * rng.random()
             s = 1.1 + 0.5 * rng.random()
-            x = s * np.real(surface.position(theta_star, phi_star))
-            return phi_star, x, None, theta_star
+            return phi_star, s * np.real(surface.position(theta_star, phi_star)), theta_star
 
     else:
         raise ConfigError(f"unknown surface {surface_name!r} for roots-check")
-    max_dev = 0.0
-    max_res = 0.0
-    for _ in range(samples):
-        fixed, x, ana, guess = draw()
-        newt = newton_root(
-            line(surface, fixed), variable, fixed, x, complex(guess, 0.1), scale, nearest=True
-        )
-        if ana is not None:
-            max_dev = max(max_dev, abs(ana.value - newt.value))
-            max_res = max(max_res, ana.residual)
-        max_res = max(max_res, newt.residual)
+    fixed, x, guess = (np.array(v) for v in zip(*(draw() for _ in range(samples))))
+    ana = closed_form(fixed, x) if closed_form else None
+    start = (guess if ana is None else ana.value.real) + 0.1j
+    newt = newton_root(line(surface, fixed), variable, fixed, x, start, scale, nearest=True)
+    max_dev = 0.0 if ana is None else np.max(np.abs(ana.value - newt.value))
+    max_res = np.max(newt.residual if ana is None else [newt.residual, ana.residual])
     ok = max_dev < 1e-10 and max_res < bound * scale * scale
     report = (
         f"roots-check: {kind}\n"
@@ -500,9 +495,10 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
 
 def _cmd_nodes(args) -> int:
     builders = {"gl": gauss_legendre, "tz": trapezoidal, "laguerre": gauss_laguerre}
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
-    rule = builders[args.rule](args.n)
+    try:
+        rule = builders[args.rule](args.n)
+    except ValueError as exc:
+        raise ConfigError(f"--n: {exc}")
     for node, weight in zip(rule.nodes, rule.weights):
         print(f"{_fmt(node)} {_fmt(weight)}")
     return EXIT_OK

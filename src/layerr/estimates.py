@@ -36,7 +36,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import EvaluationError, InfiniteGeometryFactor, LayerrError, NoRootExists
+from .errors import EvaluationError, InfiniteGeometryFactor, LayerrError
 from . import potentials
 from .potentials import (
     DensitySpec,
@@ -156,20 +156,10 @@ def e_fac_tz_analytic(surface, x, theta: float, p: float, n_phi: int) -> float:
     Combines the geometry factor magnitude and the exponential root decay
     into the closed form driven by lambda of the analytic azimuthal root.
     """
-    x = np.asarray(x, dtype=float)
-    rho2 = x[0] * x[0] + x[1] * x[1]
-    if rho2 == 0.0 or theta <= 0.0 or theta >= math.pi:
-        raise NoRootExists("azimuthal error factor undefined on the axis")
-    a_t = surface.a * math.sin(theta)
-    b_t = surface.b * math.cos(theta)
-    denom = a_t * a_t + rho2 + (b_t - x[2]) ** 2
-    lam = denom / (2.0 * a_t * math.sqrt(rho2))
-    sq = math.sqrt(lam * lam - 1.0)
-    log_val = (
-        -p * math.log(denom)
-        + p * (math.log(lam) - math.log(sq))
-        - n_phi * math.log(lam + sq)
-    )
+    root = axisym_phi_root(surface, theta, x)
+    # lambda cancels in (2 a sin(theta) rho lambda)^-p (lambda / sqrt(lambda^2 - 1))^p
+    radii = 2.0 * surface.a * math.sin(theta) * math.hypot(x[0], x[1])
+    log_val = -p * (math.log(radii) + 0.5 * math.log(root.lam**2 - 1.0)) - n_phi * root.value.imag
     return math.exp(log_val)
 
 
@@ -262,7 +252,7 @@ def _theta_root(frame: _Frame, phi, initial, nearest: bool = False):
     surf = frame.surface
     x = _targets(frame, np.shape(initial))
     if isinstance(surf, Sphere):
-        return sphere_theta_root(surf.radius, phi, x).value
+        return sphere_theta_root(surf.a, phi, x).value
     line = theta_line(surf, phi)
     return newton_root(line, VAR_THETA, phi, x, initial, frame.scale, nearest=nearest).value
 
@@ -405,8 +395,8 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
 
 
 def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
-    """Gauss-Legendre contribution per lane: (value, t0 or NaN, errors), with
-    errors[lane] the lane's LayerrError or None."""
+    """Gauss-Legendre contribution per lane: (value, t0 or NaN, infinite, bad_t),
+    with bad_t the anchor's or a sweep node's root on [-1, 1], else NaN."""
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     theta0 = _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True)
@@ -419,12 +409,7 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     found = ~np.isnan(t0)
     log_fg = _log_fg(frame, theta0, frame.phi_star, polar=True)
     log_kernel, undefined = _log_est_gl(t0, g.n_t, p)
-    errors = np.full(t0.shape, None, dtype=object)
     infinite = found & (log_fg == np.inf)
-    for j in np.flatnonzero(infinite):
-        errors[j] = InfiniteGeometryFactor("d R^2 / d t vanishes at the root")
-    for j in np.flatnonzero(found & ~infinite & undefined):
-        errors[j] = _gl_undefined(t0[j])
     log_flat = log_fg + log_kernel
     # near the axis the polar root barely depends on the azimuth: integrate
     # the flat kernel around the full circle
@@ -436,7 +421,8 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
         model = azimuthal_sweep_model(surf, frame.t_star, frame.phi_star, frame.x, t0)
         degenerate = model.degenerate
     chain = np.where(sweeps & ~degenerate, theta0, np.nan)
-    log_val = _log_gl_sweep(frame, chain, log_fg, model, tail_n, errors)
+    log_val, bad_t = _log_gl_sweep(frame, chain, log_fg, model, tail_n)
+    bad_t = np.where(found & ~infinite & undefined, t0, bad_t)
     # coarse fallback for a degenerate model: flat kernel over one azimuthal cell
     log_val = np.where(degenerate, math.log(2.0 * math.pi / g.n_phi) + log_flat, log_val)
     if isinstance(surf, Sphere) and surf.theta_map.kind == COSINE:
@@ -447,21 +433,20 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
         log_val = log_val + _LOG_2
     # azimuthal measure can never exceed the full circle at the anchor value
     log_val = np.where(circle, _LOG_2PI + log_flat, np.minimum(log_val, _LOG_2PI + log_flat))
-    return np.where(found, np.exp(log_val), 0.0), t0, errors
+    return np.where(found, np.exp(log_val), 0.0), t0, infinite, bad_t
 
 
-def _log_gl_sweep(frame: _Frame, theta0, log_fg_anchor, model, tail_n: int, errors):
+def _log_gl_sweep(frame: _Frame, theta0, log_fg_anchor, model, tail_n: int):
     """log of the integral of |f G1^p| est along the azimuthal sweep of the
-    polar roots theta0 (NaN on lanes that do not sweep).
+    polar roots theta0 (NaN on lanes that do not sweep), and bad_t.
 
     Each sweep node takes its root from _theta_root, warm-started from the
     previous node in the same direction, and re-evaluates the smooth and
     geometry factors there. The rotated-slice model with the anchor
     weight, whose chord growth stays faithful at large azimuthal offsets,
     backs up any node where Newton fails; spheres, whose roots come in
-    closed form, need none. A node whose root lies on [-1, 1] makes its
-    lane's error, the first such node in the positive direction, else in
-    the negative one.
+    closed form, need none. bad_t is a lane's first sweep root on [-1, 1]
+    in the positive direction, else in the negative one, else NaN.
     """
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
@@ -495,10 +480,7 @@ def _log_gl_sweep(frame: _Frame, theta0, log_fg_anchor, model, tail_n: int, erro
 
     log_val = _log_sweep_integral(log_kernel, width, tail_n)
     plus, minus = first_undefined
-    bad = np.where(np.isnan(plus), minus, plus)
-    for j in np.flatnonzero(~np.isnan(bad)):
-        errors[j] = _gl_undefined(bad[j])
-    return log_val
+    return log_val, np.where(np.isnan(plus), minus, plus)
 
 
 def full_estimate(
@@ -520,15 +502,20 @@ def full_estimate(
     frame = _build_frame(surface, kernel, density, g, x)
     with np.errstate(all="ignore"):
         e_tz, skipped, phi0 = _tz_internal(frame, cone, tail_n)
-        e_gl, t0, errors = _gl_internal(frame, cone, tail_n)
+        e_gl, t0, infinite, bad_t = _gl_internal(frame, cone, tail_n)
     outcomes = []
     for j in frame.outcomes:
-        if isinstance(j, LayerrError) or errors[j] is not None:
-            outcomes.append(j if isinstance(j, LayerrError) else errors[j])
-            continue
-        phi0_j, t0_j = (None if np.isnan(v) else complex(v) for v in (phi0[j], t0[j]))
-        outcomes.append(EstimateBreakdown(
-            float(e_tz[j]), float(e_gl[j]), float(e_tz[j] + e_gl[j]), bool(skipped[j]), phi0_j,
-            t0_j, float(frame.t_star[j]), float(frame.phi_star[j]), float(frame.grid_distance[j]),
-        ))
+        if isinstance(j, LayerrError):
+            outcomes.append(j)
+        elif infinite[j]:
+            outcomes.append(InfiniteGeometryFactor("d R^2 / d t vanishes at the root"))
+        elif not np.isnan(bad_t[j]):
+            outcomes.append(_gl_undefined(bad_t[j]))
+        else:
+            phi0_j, t0_j = (None if np.isnan(v) else complex(v) for v in (phi0[j], t0[j]))
+            outcomes.append(EstimateBreakdown(
+                float(e_tz[j]), float(e_gl[j]), float(e_tz[j] + e_gl[j]), bool(skipped[j]),
+                phi0_j, t0_j, float(frame.t_star[j]), float(frame.phi_star[j]),
+                float(frame.grid_distance[j]),
+            ))
     return one_or_block(x, outcomes)

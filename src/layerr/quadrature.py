@@ -78,19 +78,24 @@ def trapezoidal(n: int) -> Rule1D:
     return Rule1D(n, _freeze(nodes), _freeze(weights))
 
 
-def _laguerre_and_prev(n: int, x: float):
-    """Evaluate L_n and L_{n-1} at scalar x."""
+def _laguerre_and_prev(n: int, x):
+    """Evaluate L_n and L_{n-1} at x, a scalar or an array."""
     p_prev, p = 1.0, 1.0 - x
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1.0 - x) * p - (k - 1.0) * p_prev) / k
     return p, p_prev
 
 
+# the largest n with a finite, ascending rule whose non-negative weights have
+# sum and first moment 1 within 1e-10; beyond it L_n overflows and nodes are NaN
+_LAGUERRE_MAX_N = 362
+
+
 @lru_cache(maxsize=None)
 def gauss_laguerre(n: int) -> Rule1D:
     """n-point Gauss-Laguerre rule: sum w_i h(x_i) ~ int_0^inf h(x) e^-x dx."""
-    if n < 1:
-        raise ValueError(f"gauss_laguerre requires n >= 1, got {n}")
+    if not 1 <= n <= _LAGUERRE_MAX_N:
+        raise ValueError(f"gauss_laguerre requires 1 <= n <= {_LAGUERRE_MAX_N}, got {n}")
     roots = []
     x = 0.0
     for i in range(1, n + 1):
@@ -110,12 +115,9 @@ def gauss_laguerre(n: int) -> Rule1D:
                 break
         roots.append(x)
     xs = np.array(roots)
-    # w_i = x_i / ((n+1) L_{n+1}(x_i))^2
-    l_next = np.empty_like(xs)
-    for idx, xi in enumerate(xs):
-        p, _ = _laguerre_and_prev(n + 1, xi)
-        l_next[idx] = p
-    ws = xs / ((n + 1) ** 2 * l_next**2)
+    # w_i = x_i / ((n+1) L_{n+1}(x_i))^2; a weight below the double range is 0
+    with np.errstate(over="ignore"):
+        ws = xs / ((n + 1) ** 2 * _laguerre_and_prev(n + 1, xs)[0] ** 2)
     return Rule1D(n, _freeze(xs), _freeze(ws))
 
 

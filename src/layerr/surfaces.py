@@ -159,10 +159,6 @@ class Sphere(Spheroid):
     def __init__(self, a: float, theta_map: ThetaMap = COSINE_MAP):
         super().__init__(a, a, theta_map)
 
-    @property
-    def radius(self) -> float:
-        return self.a
-
 
 # Real part of the degree-3 order-2 spherical harmonic, used by the
 # reference non-axisymmetric shape.

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from layerr import cli
 from layerr.cli import (
     _PRESETS,
     EXIT_CONFIG,
@@ -16,13 +17,24 @@ from layerr.cli import (
     main,
     _unit_direction,
     preset_config,
+    roots_check,
     run_experiment,
     sphere_sweep,
 )
 from layerr.estimates import sphere_simplified
 from layerr.potentials import harmonic_single, measured_error, unit_density
 from layerr.quadrature import grid
-from layerr.surfaces import Sphere
+from layerr.roots import (
+    VAR_PHI,
+    VAR_THETA,
+    RootResult,
+    axisym_phi_root,
+    newton_root,
+    phi_line,
+    sphere_theta_root,
+    theta_line,
+)
+from layerr.surfaces import Sphere, Spheroid, paper_blob
 
 CONFIG_TEMPLATE = """
 [surface]
@@ -174,6 +186,104 @@ def test_roots_check_passes(capsys):
 
 def test_roots_check_bad_surface(capsys):
     assert main(["roots-check", "--surface", "torus"]) == EXIT_CONFIG
+
+
+def _roots_check_per_sample(name, samples, seed, a=1.0, b=3.0):
+    """roots_check as one closed-form and one Newton solve per sample."""
+    rng = np.random.default_rng(seed)
+    if name == "sphere":
+        surface, scale, line, variable, bound = Sphere(a), a, theta_line, VAR_THETA, 1e-10
+        kind = "sphere polar roots (closed form vs Newton)"
+
+        def draw():
+            phi_bar = 2.0 * math.pi * rng.random()
+            zeta = a * (1.05 + 1.95 * rng.random()) if rng.random() < 0.5 else a / (
+                1.05 + 1.95 * rng.random()
+            )
+            theta = math.acos(1.0 - 2.0 * rng.random())
+            psi = 2.0 * math.pi * rng.random()
+            x = zeta * _unit_direction(theta, psi)
+            ana = sphere_theta_root(a, phi_bar, x)
+            return phi_bar, x, ana, ana.value.real
+
+    elif name == "spheroid":
+        surface, scale, line, variable, bound = Spheroid(a, b), max(a, b), phi_line, VAR_PHI, 1e-10
+        kind = "spheroid azimuthal roots (closed form vs Newton)"
+
+        def draw():
+            theta_bar = 0.05 + (math.pi - 0.1) * rng.random()
+            s = 1.05 + 0.95 * rng.random()
+            theta = math.acos(1.0 - 2.0 * rng.random())
+            psi = 2.0 * math.pi * rng.random()
+            x = s * np.real(surface.position(theta, psi))
+            ana = axisym_phi_root(surface, theta_bar, x)
+            return theta_bar, x, ana, ana.value.real
+
+    else:
+        surface, scale, line, variable, bound = paper_blob(), 1.2, theta_line, VAR_THETA, 1e-8
+        kind = "blob polar roots by Newton on the parametrization (residual only)"
+
+        def draw():
+            theta_star = 0.3 + (math.pi - 0.6) * rng.random()
+            phi_star = 2.0 * math.pi * rng.random()
+            s = 1.1 + 0.5 * rng.random()
+            x = s * np.real(surface.position(theta_star, phi_star))
+            return phi_star, x, None, theta_star
+
+    max_dev = 0.0
+    max_res = 0.0
+    for _ in range(samples):
+        fixed, x, ana, guess = draw()
+        newt = newton_root(
+            line(surface, fixed), variable, fixed, x, complex(guess, 0.1), scale, nearest=True
+        )
+        if ana is not None:
+            max_dev = max(max_dev, abs(ana.value - newt.value))
+            max_res = max(max_res, ana.residual)
+        max_res = max(max_res, newt.residual)
+    ok = max_dev < 1e-10 and max_res < bound * scale * scale
+    report = (
+        f"roots-check: {kind}\n"
+        f"  samples       : {samples}\n"
+        f"  max deviation : {max_dev:.3e}\n"
+        f"  max residual  : {max_res:.3e}\n"
+        f"  result        : {'PASS' if ok else 'FAIL'}"
+    )
+    return report, ok
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["sphere", "spheroid", "blob"])
+def test_roots_check_block_matches_per_sample_solves(name, seed):
+    assert roots_check(name, 60, seed) == _roots_check_per_sample(name, 60, seed)
+
+
+@pytest.mark.parametrize("name", ["sphere", "blob"])
+def test_roots_check_lane_without_root_fails_the_check(name, monkeypatch):
+    # a sample whose Newton solve finds no root is a FAIL report, not a traceback
+    solve = cli.newton_root
+
+    def no_root_on_lane_3(*args, **kwargs):
+        root = solve(*args, **kwargs)
+        lost = np.arange(root.value.size) == 3
+        return RootResult(np.where(lost, np.nan, root.value), np.where(lost, np.nan, root.residual))
+
+    monkeypatch.setattr(cli, "newton_root", no_root_on_lane_3)
+    report, ok = roots_check(name, 10, 1)
+    assert not ok
+    assert report.endswith("result        : FAIL")
+
+
+@pytest.mark.parametrize("n, code", [(200, EXIT_OK), (362, EXIT_OK), (363, EXIT_CONFIG)])
+def test_nodes_laguerre_large_n(n, code, capsys):
+    assert main(["nodes", "--rule", "laguerre", "--n", str(n)]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert err == ""
+        assert "nan" not in out
+        assert len(out.splitlines()) == n
+    else:
+        assert "config error" in err and "363" in err
 
 
 def test_sphere_sweep_columns(tmp_path):

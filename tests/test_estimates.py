@@ -231,6 +231,31 @@ def test_e_fac_rejects_axis():
         e_fac_tz_analytic(SPHERE, np.array([0.0, 0.0, 1.5]), 1.0, 0.5, 20)
 
 
+def _e_fac_from_own_lambda(surface, x, theta, p, n_phi):
+    """The azimuthal error factor with lambda worked out from the slice circle."""
+    rho2 = x[0] * x[0] + x[1] * x[1]
+    a_t = surface.a * math.sin(theta)
+    b_t = surface.b * math.cos(theta)
+    denom = a_t * a_t + rho2 + (b_t - x[2]) ** 2
+    lam = denom / (2.0 * a_t * math.sqrt(rho2))
+    sq = math.sqrt(lam * lam - 1.0)
+    return math.exp(-p * math.log(denom) + p * (math.log(lam) - math.log(sq)) - n_phi * math.log(lam + sq))
+
+
+def test_e_fac_matches_lambda_worked_out_from_the_slice():
+    rng = np.random.default_rng(11)
+    for surface in (Sphere(1.0), Spheroid(1.0, 3.0), Spheroid(2.0, 0.5)):
+        for _ in range(400):
+            theta = 0.02 + (math.pi - 0.04) * rng.random()
+            alpha = math.pi * rng.random()
+            psi = 2.0 * math.pi * rng.random()
+            x = (0.5 + 1.5 * rng.random()) * np.real(surface.position(alpha, psi))
+            p = (0.5, 1.5)[rng.integers(2)]
+            got = e_fac_tz_analytic(surface, x, theta, p, 40)
+            want = _e_fac_from_own_lambda(surface, x, theta, p, 40)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # ------------------------------------------------------- simplified estimate
 
 
@@ -431,3 +456,33 @@ def test_block_matches_its_batches_of_one():
                     assert got.e_gl == pytest.approx(want.e_gl, rel=1e-12, abs=0.0)
     # the pole, on-surface and NaN targets fail with every kernel
     assert errors >= 4 * 3
+
+
+def test_block_error_classes_and_messages():
+    # each failing lane keeps its error class and message: frame errors first,
+    # then an infinite geometry factor, then a polar root on [-1, 1] at the
+    # anchor or, for the on-surface target at a sweep node's azimuth, at that node
+    g = grid(20, 40)
+    node = np.real(SPHERE.position(SPHERE.theta_map.theta(g.t_rule.nodes[4]), g.phi_rule.nodes[7]))
+    xs = np.array([
+        [0.0, 0.0, 1.0],
+        [1.0, 1e-9, 0.0],
+        [math.nan, 0.0, 0.0],
+        node,
+        [0.42769250072578185, 0.010850810589679743, 0.9038591620006261],
+        [1.2, 0.3, 0.1],
+        [0.2, -0.5, 0.6],
+    ])
+    expected = [
+        (InfiniteGeometryFactor, "d R^2 / d t vanishes at the root"),
+        (EvaluationError, "Gauss-Legendre kernel undefined for t0=(-6.123233995736766e-17+0j) on [-1, 1]"),
+        (EvaluationError, "target [nan, 0.0, 0.0] is not finite"),
+        (EvaluationError, f"target {node.tolist()} coincides with a surface grid node"),
+        (EvaluationError, "Gauss-Legendre kernel undefined for t0=(-0.903859162000626+0j) on [-1, 1]"),
+    ]
+    for kernel in (harmonic_single(), harmonic_double(), mod_helmholtz_single(2.0)):
+        block = full_estimate(SPHERE, kernel, unit_density(), g, xs)
+        for (cls, message), got in zip(expected, block):
+            assert type(got) is cls and str(got) == message
+        for got in block[len(expected):]:
+            assert math.isfinite(got.total) and got.total > 0.0

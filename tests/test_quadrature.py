@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from layerr import quadrature
 from layerr.quadrature import gauss_laguerre, gauss_legendre, grid, trapezoidal
 
 
@@ -93,6 +95,50 @@ def test_gauss_laguerre_nodes_increasing_positive():
     rule = gauss_laguerre(16)
     assert np.all(rule.nodes > 0)
     assert np.all(np.diff(rule.nodes) > 0)
+
+
+def _laguerre_rule_is_sound(rule):
+    x, w = rule.nodes, rule.weights
+    return bool(
+        np.all(np.isfinite(x))
+        and np.all(np.isfinite(w))
+        and np.all(np.diff(x) > 0)
+        and np.all(w >= 0)
+        and abs(np.sum(w) - 1.0) <= 1e-10
+        and abs(np.sum(w * x) - 1.0) <= 1e-10
+    )
+
+
+def test_gauss_laguerre_large_n_without_overflow_warning():
+    # weights below the double range are 0; the squares overflowed from n = 185
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_laguerre(200)
+    assert _laguerre_rule_is_sound(rule)
+    assert np.all(rule.weights[:100] > 0)
+
+
+def test_gauss_laguerre_weights_are_the_per_node_formula():
+    # the weights evaluate L_{n+1} at all nodes at once; each is bitwise the
+    # scalar recurrence at its node
+    for n in (1, 2, 8, 16, 64, 100):
+        rule = gauss_laguerre(n)
+        for x, w in zip(rule.nodes, rule.weights):
+            l_next, _ = quadrature._laguerre_and_prev(n + 1, float(x))
+            assert w == x / ((n + 1) ** 2 * l_next**2)
+
+
+def test_gauss_laguerre_limit_is_the_largest_sound_rule(monkeypatch):
+    limit = quadrature._LAGUERRE_MAX_N
+    assert limit == 362
+    assert _laguerre_rule_is_sound(gauss_laguerre(limit))
+    with pytest.raises(ValueError, match=f"requires 1 <= n <= {limit}, got {limit + 1}"):
+        gauss_laguerre(limit + 1)
+    # one more node and the rule, built past the guard, is no longer sound
+    monkeypatch.setattr(quadrature, "_LAGUERRE_MAX_N", limit + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not _laguerre_rule_is_sound(gauss_laguerre.__wrapped__(limit + 1))
 
 
 def test_rules_cached_per_count():
