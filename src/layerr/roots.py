@@ -9,7 +9,9 @@ errors decay; this module finds that root.
 Closed forms exist for the azimuthal root of any axisymmetric surface at
 fixed polar angle (a circle in a plane is the equator case) and for the
 polar root of a sphere at fixed azimuth. Everything else goes through a
-one-dimensional complex Newton iteration on the analytic parametrization.
+one-dimensional complex Newton iteration on the analytic parametrization,
+evaluated along a line: each iteration passes the (start, lane) entries that
+have stopped as NaN, and the line evaluates the surface only at the others.
 
 The closed forms, Newton and the root models take one target or a block of
 them: x of shape (3,) or (*lanes, 3), with one root per lane. On lanes a
@@ -83,7 +85,23 @@ def _closed_form(root, residual, lam, no_root: str) -> RootResult:
     return RootResult(complex(root), float(residual), float(lam))
 
 
+# A line maps the iterates w to (gamma, d gamma/dw), coordinate first. A NaN
+# entry of w has stopped iterating: the line returns NaN there without
+# evaluating the surface.
 LineEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def _eval_live(surface: Surface, theta, phi):
+    """surface.eval_sph at the broadcast (theta, phi), evaluated only where
+    neither is NaN and NaN elsewhere."""
+    theta, phi = np.broadcast_arrays(theta, phi)
+    live = ~(np.isnan(theta) | np.isnan(phi))
+    if live.all():
+        return surface.eval_sph(theta, phi)
+    parts = np.array(surface.eval_sph(theta[live], phi[live]))
+    out = np.full(parts.shape[:2] + live.shape, np.nan, dtype=parts.dtype)
+    out[:, :, live] = parts
+    return out
 
 
 def theta_line(surface: Surface, phi_fixed) -> LineEvaluator:
@@ -91,7 +109,7 @@ def theta_line(surface: Surface, phi_fixed) -> LineEvaluator:
     trailing axes of the array w are phi_fixed's lanes."""
 
     def line(w):
-        pos, d_theta, _ = surface.eval_sph(w, np.broadcast_to(phi_fixed, np.shape(w)))
+        pos, d_theta, _ = _eval_live(surface, w, phi_fixed)
         return pos, d_theta
 
     return line
@@ -101,7 +119,7 @@ def phi_line(surface: Surface, theta_fixed) -> LineEvaluator:
     """Evaluator w -> (gamma, d gamma/d phi) along theta = theta_fixed."""
 
     def line(w):
-        pos, _, d_phi = surface.eval_sph(np.broadcast_to(theta_fixed, np.shape(w)), w)
+        pos, _, d_phi = _eval_live(surface, theta_fixed, w)
         return pos, d_phi
 
     return line
@@ -152,7 +170,8 @@ def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
 
 def _newton(line, w, x, scale2: float, active):
     """Masked Newton iterations from the starts w; returns the iterates and
-    |R^2| at them, NaN where an entry did not converge.
+    |R^2| at them, NaN where an entry did not converge. line sees the
+    entries that are no longer active as NaN.
 
     The convergence threshold scales with the magnitude of the summed
     squares: far off the real axis the individual terms grow like
@@ -164,7 +183,7 @@ def _newton(line, w, x, scale2: float, active):
     for _ in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
-        pos, dpos = line(w)
+        pos, dpos = line(np.where(active, w, np.nan))
         diff = pos - x
         r2 = np.sum(diff * diff, axis=0)
         magnitude = np.sum(np.abs(diff) ** 2, axis=0)
@@ -191,7 +210,9 @@ def newton_root(
 
     initial is one start, or an array of starts with one target per lane (x
     of shape initial.shape + (3,)) that iterate together; a lane without a
-    root gets NaN. line gets the iterates as an array (start, *lanes).
+    root gets NaN. line gets the iterates as an array (start, *lanes) in
+    which the entries that have stopped, and NaN starts, are NaN; it returns
+    NaN there without evaluating the surface. A NaN start is never iterated.
 
     Converges when |R^2| drops to 1e-13 of the problem size (the square of
     scale plus the magnitude of the summed squares at the iterate). If the
@@ -210,13 +231,12 @@ def newton_root(
     with np.errstate(all="ignore"):
         if nearest:
             starts = np.concatenate([w0[None], ladder])
-            w, residual = _newton(line, starts, xs, scale2, np.ones(starts.shape, bool))
+            w, residual = _newton(line, starts, xs, scale2, np.isfinite(starts))
         else:
-            w, residual = _newton(line, w0[None], xs, scale2, np.ones((1,) + w0.shape, bool))
+            w, residual = _newton(line, w0[None], xs, scale2, np.isfinite(w0[None]))
             retry = np.isnan(residual[0])
             if retry.any():
-                active = np.broadcast_to(retry, ladder.shape).copy()
-                w_l, residual_l = _newton(line, ladder, xs, scale2, active)
+                w_l, residual_l = _newton(line, ladder, xs, scale2, retry & np.isfinite(ladder))
                 w, residual = np.concatenate([w, w_l]), np.concatenate([residual, residual_l])
     found = ~np.isnan(residual)
     # per lane: the smallest |Im| (nearest) or the first converged start

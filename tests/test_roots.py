@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from layerr.cli import preset_config
 from layerr.errors import DegenerateModel, NoRootExists
 from layerr.rounding import entrywise
 from layerr.roots import (
@@ -201,6 +202,65 @@ def test_newton_analytic_agreement_random_sample():
                            complex(ana.value.real, 0.1), a, nearest=True)
         assert abs(ana.value - newt.value) < 1e-10
         assert ana.lam > 1.0
+
+
+def _spied(line):
+    """line, recording a copy of every array of iterates it is given."""
+    calls = []
+
+    def spy(w):
+        calls.append(np.array(w))
+        return line(w)
+
+    return spy, calls
+
+
+def _blob_shell_block():
+    # 40 of the blob-shell preset's targets with their polar and azimuthal angles
+    x = preset_config("blob-shell").targets[::29]
+    theta = np.arccos(x[:, 2] / np.linalg.norm(x, axis=1))
+    return x, theta, np.arctan2(x[:, 1], x[:, 0])
+
+
+@pytest.mark.parametrize("direction", [VAR_THETA, VAR_PHI])
+def test_newton_evaluates_only_live_entries(direction):
+    # the anchor solve of the estimate, nearest=True over 8 starts x 40 lanes
+    blob = paper_blob()
+    x, theta, phi = _blob_shell_block()
+    make, fixed, start = (theta_line, phi, theta) if direction == VAR_THETA else (phi_line, theta, phi)
+    spy, calls = _spied(make(blob, fixed))
+    root = newton_root(spy, direction, fixed, x, start + 0.1j, 1.2, nearest=True)
+    assert not np.isnan(root.value).any()
+    # an entry that stopped stays stopped: NaN in every later call
+    stopped = [np.isnan(w) for w in calls]
+    assert all((earlier <= later).all() for earlier, later in zip(stopped, stopped[1:]))
+    evaluated = sum(int((~s).sum()) for s in stopped)
+    lockstep = calls[0].size * len(calls)
+    assert len(calls) > 15 and evaluated <= lockstep // 2, (evaluated, lockstep)
+
+    # a line that evaluates every entry, stopped or not, gives the same bits
+    def lockstep_line(w):
+        return make(blob, fixed)(np.where(np.isnan(w), start + 0.1j, w))
+
+    full = newton_root(lockstep_line, direction, fixed, x, start + 0.1j, 1.2, nearest=True)
+    np.testing.assert_array_equal(full.value, root.value)
+    np.testing.assert_array_equal(full.residual, root.residual)
+
+
+@pytest.mark.parametrize("nearest", [False, True])
+def test_newton_nan_starts_never_reach_the_line(nearest):
+    blob = paper_blob()
+    x, theta, phi = _blob_shell_block()
+    spy, calls = _spied(theta_line(blob, phi[:3]))
+    root = newton_root(spy, VAR_THETA, phi[:3], x[:3], np.full(3, np.nan + 0j), 1.2, nearest=nearest)
+    assert calls == []
+    assert np.isnan(root.value).all() and np.isnan(root.residual).all()
+    # mixed with finite starts, including the retry ladder of the NaN lanes
+    start = np.array([np.nan, theta[1] + 0.1j, np.nan])
+    spy, calls = _spied(theta_line(blob, phi[:3]))
+    root = newton_root(spy, VAR_THETA, phi[:3], x[:3], start, 1.2, nearest=nearest)
+    assert calls and all(np.isnan(w[:, [0, 2]]).all() for w in calls)
+    assert np.isnan(root.value[[0, 2]]).all() and np.isfinite(root.value[1])
 
 
 # --------------------------------------------------------------- properties
