@@ -170,8 +170,7 @@ def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
 
 def _newton(line, w, x, scale2: float, active):
     """Masked Newton iterations from the starts w; returns the iterates and
-    |R^2| at them, NaN where an entry did not converge. line sees the
-    entries that are no longer active as NaN.
+    |R^2| at them, NaN where an entry did not converge.
 
     The convergence threshold scales with the magnitude of the summed
     squares: far off the real axis the individual terms grow like
@@ -180,20 +179,23 @@ def _newton(line, w, x, scale2: float, active):
     beyond 1e6, or after _NEWTON_MAX_ITER evaluations.
     """
     residual = np.full(w.shape, np.nan)
+    w = w.copy()
     for _ in range(_NEWTON_MAX_ITER):
-        if not active.any():
+        live = active.copy()
+        if not live.any():
             break
-        pos, dpos = line(np.where(active, w, np.nan))
-        diff = pos - x
+        pos, dpos, xs = np.broadcast_arrays(*line(np.where(live, w, np.nan)), x)
+        diff = pos[:, live] - xs[:, live]
         r2 = np.sum(diff * diff, axis=0)
         magnitude = np.sum(np.abs(diff) ** 2, axis=0)
-        done = active & (np.abs(r2) < 1e-13 * (scale2 + magnitude))
-        residual[done] = np.abs(r2[done])
-        dr2 = 2.0 * np.sum(diff * dpos, axis=0)
-        w_next = w - cdiv(r2, dr2)
-        active &= ~done & np.isfinite(r2) & np.isfinite(dr2) & (dr2 != 0.0)
-        active &= np.isfinite(w_next) & (np.abs(w_next) <= 1e6)
-        w = np.where(active, w_next, w)
+        done = np.abs(r2) < 1e-13 * (scale2 + magnitude)
+        residual[live] = np.where(done, np.abs(r2), np.nan)
+        dr2 = 2.0 * np.sum(diff * dpos[:, live], axis=0)
+        w_next = w[live] - cdiv(r2, dr2)
+        go = ~done & np.isfinite(r2) & np.isfinite(dr2) & (dr2 != 0.0)
+        go &= np.isfinite(w_next) & (np.abs(w_next) <= 1e6)
+        w[live] = np.where(go, w_next, w[live])
+        active[live] = go
     return w, residual
 
 
