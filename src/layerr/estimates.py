@@ -42,7 +42,7 @@ from .potentials import (
     DensitySpec,
     KernelSpec,
     _dot_c,
-    _not_finite,
+    _not_located,
     integrand_f_at,
     one_or_block,
     surface_scale,
@@ -219,16 +219,15 @@ class _Frame:
 
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
     """Frame of the targets x, of shape (3,) or (M, 3), located on the grid; a
-    target that is not finite or is on a grid node gets an EvaluationError."""
+    target that is not finite, too far away or on a grid node gets an EvaluationError."""
     scale = surface_scale(surface, g)
     outcomes, lanes = [], []
     for xi in target_block(x):
-        if not np.all(np.isfinite(xi)):
-            outcomes.append(_not_finite(xi))
-            continue
         # looked up on the module, so that a wrapper put there sees each call
         _, _, t_star, phi_star, dist = potentials.nearest_grid_node(surface, g, xi)
-        if dist <= 1e-12 * scale:
+        if not dist < math.inf:
+            outcomes.append(_not_located(xi))
+        elif dist <= 1e-12 * scale:
             message = f"target {xi.tolist()} coincides with a surface grid node"
             outcomes.append(EvaluationError(message))
         else:

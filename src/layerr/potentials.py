@@ -167,10 +167,11 @@ def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
     n_t, n_phi = g.n_t, g.n_phi
     positions = np.empty((3, n_t, n_phi))
     normals = np.empty((3, n_t, n_phi))
-    thetas = np.array([surface.theta_map.theta(t) for t in ts])
-    for k, theta in enumerate(thetas):
+    thetas = surface.theta_map.theta(ts)
+    jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
+    for k, (theta, jacobian) in enumerate(zip(thetas, jacobians)):
         pos, d_theta, d_phi = surface.eval_sph(np.full(n_phi, theta), phis)
-        d_t = d_theta * surface.theta_map.dtheta_dt_at(theta)
+        d_t = d_theta * jacobian
         positions[:, k] = np.real(pos)
         normals[:, k] = np.cross(np.real(d_t), np.real(d_phi), axis=0)
     positions = positions.reshape(3, -1)
@@ -198,12 +199,14 @@ def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
 def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
     """Closest grid node to x by exhaustive scan.
 
-    Returns (k, l, t_star, phi_star, distance).
+    Returns (k, l, t_star, phi_star, distance); the distance is inf or NaN for
+    a target that is too far away (its square overflows) or not finite.
     """
     tab = _grid_tables(surface, g)
     x = np.asarray(x, dtype=float)
     px, py, pz = tab.positions
-    d2 = (px - x[0]) ** 2 + (py - x[1]) ** 2 + (pz - x[2]) ** 2
+    with np.errstate(over="ignore"):
+        d2 = (px - x[0]) ** 2 + (py - x[1]) ** 2 + (pz - x[2]) ** 2
     idx = int(np.argmin(d2))
     k, l = divmod(idx, g.n_phi)
     return k, l, float(tab.ts[k]), float(tab.phis[l]), float(math.sqrt(d2[idx]))
@@ -232,7 +235,10 @@ def one_or_block(x, outcomes):
     return outcomes[0]
 
 
-def _not_finite(x) -> EvaluationError:
+def _not_located(x) -> EvaluationError:
+    """The error of a target x without a finite distance to the grid."""
+    if np.all(np.isfinite(x)):
+        return EvaluationError(f"target {x.tolist()} is too far away: its squared distance overflows")
     return EvaluationError(f"target {x.tolist()} is not finite")
 
 
@@ -290,18 +296,19 @@ def potential_quadrature(
 
     x of shape (3,) returns the sum or raises its EvaluationError. x of shape
     (M, 3) returns M outcomes, each a sum or the EvaluationError of that
-    target: not finite, or a node within 1e-14 * scale of it. A target's
-    terms are added tile by tile in node order, so its sum is the same in
-    any block.
+    target: not finite, too far away (R^2 overflows), or a node within
+    1e-14 * scale of it. A target's terms are added tile by tile in node
+    order, so its sum is the same in any block.
     """
     block = target_block(x)
     tab = _grid_tables(surface, g)
     weights = _sum_weights(surface, g, density)
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
-    # a target on a node divides by zero there, and one that is not finite
-    # makes NaN terms; the sums of both are discarded
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a target on a node divides by zero, one that is not finite makes NaN
+    # terms, and one whose R^2 overflows makes inf: their sums are discarded.
+    # Where only a double-layer R^3 overflows, the term underflows to zero.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(0, len(block), _TILE_TARGETS):
             rows = slice(i, i + _TILE_TARGETS)
             for j in range(0, len(weights), _TILE_NODES):
@@ -313,9 +320,9 @@ def potential_quadrature(
                 sums[rows] += s
                 nearest[rows] = np.minimum(nearest[rows], d)
     outcomes = []
-    for xi, finite, s, d in zip(block, np.isfinite(block).all(axis=1), sums, nearest):
-        if not finite:
-            outcomes.append(_not_finite(xi))
+    for xi, s, d in zip(block, sums, nearest):
+        if not d < math.inf:
+            outcomes.append(_not_located(xi))
         elif d < 1e-14 * tab.scale:
             outcomes.append(EvaluationError("a quadrature node coincides with the target point"))
         else:

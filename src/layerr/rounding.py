@@ -40,16 +40,17 @@ def power(x, n: int):
 
 
 def cdiv(a, b):
-    """a / b for complex arrays, rounded as Python's complex division."""
+    """a / b for complex scalars or arrays, rounded as Python's complex division."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     big = np.abs(br) >= np.abs(bi)
-    ratio = np.where(big, bi / br, br / bi)
+    # divide by the larger part only, so a real divisor divides no zero
+    ratio = np.where(big, bi, br) / np.where(big, br, bi)
     den = np.where(big, br + bi * ratio, br * ratio + bi)
     real = np.where(big, ar + ai * ratio, ar * ratio + ai) / den
     out = np.empty(real.shape, dtype=complex)
     out.real = real
     out.imag = np.where(big, ai - ar * ratio, ai * ratio - ar) / den
-    return out
+    return out[()]
 
 
 def dot3(u, v):

@@ -13,7 +13,8 @@ continue the parametrization analytically; for real arguments the results
 are real. theta and phi may also be arrays of one shape, with the coordinate
 on the first axis of each returned vector. eval_sph evaluates arrays with
 numpy ufuncs; for real arrays each entry equals the scalar call bitwise.
-The ThetaMap methods take arrays entry by entry through their scalar branch.
+The ThetaMap methods run one numpy path for scalars and arrays; only the
+arccosine goes entry by entry, as numpy's does not round as the C library's.
 """
 from __future__ import annotations
 
@@ -23,48 +24,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rounding import cmul, dot3, entrywise, power
+from .rounding import cdiv, cmul, dot3, power
 
 LINEAR = "linear"
 COSINE = "cosine"
 
 
-def _is_complex(z) -> bool:
-    return isinstance(z, complex) or isinstance(z, np.complexfloating)
-
-
 @dataclass(frozen=True)
 class ThetaMap:
-    """Bijection between t in [-1, 1] and the polar angle theta in [0, pi]."""
+    """Bijection between t in [-1, 1] and the polar angle theta in [0, pi]: one
+    numpy path for scalars and arrays, only the arccosine is libm's, entrywise."""
 
     kind: str
 
-    # The methods take an array entry by entry through their scalar branch,
-    # so that a batch rounds as its single targets do.
-
     def theta(self, t):
-        """Map t to theta; complex t is continued on the principal branch."""
+        """Map t to theta; complex t or real t beyond [-1, 1] takes the principal branch."""
         if self.kind == LINEAR:
             return (t + 1.0) * (math.pi / 2.0)
-        if isinstance(t, np.ndarray):
-            return entrywise(self.theta, t)
-        if _is_complex(t):
-            return math.pi - cmath.acos(t)
-        if -1.0 <= t <= 1.0:
-            return math.pi - math.acos(t)
-        return math.pi - cmath.acos(complex(t))
+        t = np.asarray(t)
+        libm = (np.abs(t) <= 1.0) & (t.dtype.kind != "c")
+        acos = np.empty(t.shape, float if libm.all() else complex)
+        acos[libm] = [math.acos(v) for v in t[libm].tolist()]
+        acos[~libm] = [cmath.acos(v) for v in t[~libm].astype(complex).tolist()]
+        return math.pi - acos
 
     def t(self, theta):
         """Inverse map theta -> t."""
-        if isinstance(theta, np.ndarray):
-            return entrywise(self.t, theta)
-        if not _is_complex(theta) and not 0.0 <= theta <= math.pi:
+        theta = np.asarray(theta)
+        real = theta.dtype.kind != "c"
+        if real and not np.all((0.0 <= theta) & (theta <= math.pi)):
             raise ValueError(f"real theta must lie in [0, pi], got {theta}")
         if self.kind == LINEAR:
-            return -1.0 + 2.0 * theta / math.pi
-        if _is_complex(theta):
-            return -cmath.cos(theta)
-        return -math.cos(theta)
+            return -1.0 + (2.0 * theta / math.pi if real else cdiv(2.0 * theta, math.pi))
+        return -np.cos(theta)
 
     def dtheta_dt_at(self, theta):
         """Jacobian d theta / d t expressed in theta; branch-safe for complex theta.
@@ -75,10 +67,10 @@ class ThetaMap:
         """
         if self.kind == LINEAR:
             return math.pi / 2.0
-        if isinstance(theta, np.ndarray):
-            return entrywise(self.dtheta_dt_at, theta)
-        s = cmath.sin(theta) if _is_complex(theta) else math.sin(theta)
-        return 1.0 / s if s else math.inf
+        s = np.sin(theta)
+        pole = s == 0.0
+        s = np.where(pole, 1.0, s)
+        return np.where(pole, math.inf, cdiv(1.0, s) if s.dtype.kind == "c" else 1.0 / s)[()]
 
 
 LINEAR_MAP = ThetaMap(LINEAR)

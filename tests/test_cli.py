@@ -372,6 +372,27 @@ def test_nonfinite_targets_get_error_rows(tmp_path, kind):
     assert all("not finite" in r["error"] for r in rows[:3])
 
 
+@pytest.mark.parametrize("kind", ["harmonic_single", "harmonic_double", "mod_helmholtz_single"])
+def test_far_targets_get_error_rows(tmp_path, kind):
+    def run(points):
+        body = (
+            CONFIG_TEMPLATE.replace("kind = harmonic_single", f"kind = {kind}")
+            .replace("n_t = 12\nn_phi = 24", "n_t = 8\nn_phi = 16")
+            .replace("1.5, 0, 0; 0, 0, 1.3", points)
+        )
+        assert main(["run", write_config(tmp_path, body)]) == EXIT_OK
+        return read_rows(tmp_path / "out.csv")
+
+    # the squared distances of the first two overflow; 1e103 is far, but only
+    # its double-layer R^3 overflows, and its row stays finite
+    ordinary = "1e103, 0, 0; 1.5, 0, 0"
+    rows = run("1e200, 0, 0; 1e155, 0, 0; " + ordinary)
+    assert [r["error"] != "" for r in rows] == [True, True, False, False]
+    assert all("too far away" in r["error"] for r in rows[:2])
+    assert all(math.isfinite(float(r["distance_to_grid"])) for r in rows[2:])
+    assert rows[2:] == run(ordinary)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

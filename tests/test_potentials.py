@@ -346,6 +346,28 @@ def test_estimate_rejects_targets_it_cannot_locate():
     assert str(out[2]) == f"target {bad.tolist()} is not finite"
 
 
+_FAR = np.array([[1e200, 0.0, 0.0], [1e155, 0.0, 0.0], [0.0, -9.5e153, 9.5e153]])
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_far_targets_get_one_typed_error_from_sums_and_frame(kernel):
+    # squared distances beyond the largest double; 1e120 is far but its R^2
+    # is finite, and its double-layer R^3 overflows to a term that is zero
+    ordinary = np.array([[1e120, 0.0, 0.0], [1.3, 0.2, -0.4]])
+    block = np.vstack([_FAR, ordinary])
+    sums = potential_quadrature(SPHERE, kernel, unit_density(), G_SPHERE, block)
+    estimates = full_estimate(SPHERE, kernel, unit_density(), G_SPHERE, block)
+    for x, s, e in zip(_FAR, sums, estimates):
+        want = f"target {x.tolist()} is too far away: its squared distance overflows"
+        assert isinstance(s, EvaluationError) and isinstance(e, EvaluationError)
+        assert str(s) == str(e) == want
+    for x, s, e in zip(ordinary, sums[3:], estimates[3:]):
+        assert math.isfinite(s) and math.isfinite(e.total) and math.isfinite(e.grid_distance)
+        assert s == potential_quadrature(SPHERE, kernel, unit_density(), G_SPHERE, x)
+        assert e == full_estimate(SPHERE, kernel, unit_density(), G_SPHERE, x)
+    assert nearest_grid_node(SPHERE, G_SPHERE, _FAR[0])[4] == math.inf
+
+
 def test_linear_map_shell_potential():
     s = Sphere(1.0, LINEAR_MAP)
     u = potential_quadrature(s, harmonic_single(), unit_density(), grid(30, 60), [0, 0, 2.0])

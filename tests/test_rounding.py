@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from layerr.rounding import dot3
+from layerr.rounding import cdiv, dot3
 
 
 def _per_lane_dot(u, v):
@@ -33,3 +35,54 @@ def test_dot3_is_bitwise_the_per_lane_dot(u, v):
     got, want = dot3(u, v), _per_lane_dot(u, v)
     assert isinstance(got, np.ndarray) and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _python_quotients(a, b):
+    a, b = np.broadcast_arrays(a, b)
+    out = [p / q for p, q in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return np.array(out, dtype=complex).reshape(a.shape)
+
+
+def _complex_normal(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+_Q = np.random.default_rng(9)
+_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_TIES = np.array([2.5, 0.75, 1e-3, 4.0]) * (_SIGNS + 1j * _SIGNS[::-1])
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (_complex_normal(_Q, 400), _complex_normal(_Q, 400)),
+        (_complex_normal(_Q, (20, 5)) * 10.0 ** _Q.uniform(-8, 8, (20, 5)),
+         _complex_normal(_Q, (20, 5)) * 10.0 ** _Q.uniform(-8, 8, (20, 5))),
+        (_complex_normal(_Q, 4), _TIES),  # |Re b| = |Im b|
+        (np.array([0j, -0.0 - 0j, complex(0.0, -0.0), -0.0 + 0j]), _TIES),
+        (_complex_normal(_Q, 30), math.pi),  # a real scalar divisor
+        (_complex_normal(_Q, 30), np.float64(-2.5)),
+        (_complex_normal(_Q, 30), _Q.standard_normal(30)),  # a real array divisor
+        (_complex_normal(_Q, 50, 1e300), _complex_normal(_Q, 50, 1e300)),
+        (_complex_normal(_Q, 50, 1e-300), _complex_normal(_Q, 50, 1e-300)),
+        (_complex_normal(_Q, 50, 1e300), _complex_normal(_Q, 50, 1e290)),
+        (_complex_normal(_Q, 50, 1e-300), _complex_normal(_Q, 50, 1e-290)),
+        (_complex_normal(_Q, (3, 1)), _complex_normal(_Q, 4)),  # broadcast
+        (np.array(0.3 - 2.0j), np.array(-1.5 + 0.25j)),  # 0-d arrays
+        (np.empty(0, dtype=complex), np.empty(0, dtype=complex)),
+    ],
+    ids=["random", "magnitudes", "ties", "zero-numerators", "pi", "real-scalar",
+         "real-array", "1e300", "1e-300", "1e300-over-1e290", "1e-300-over-1e-290",
+         "broadcast", "0-d", "empty"],
+)
+def test_cdiv_is_bitwise_python_division(a, b):
+    got, want = np.asarray(cdiv(a, b)), _python_quotients(a, b)
+    assert got.dtype == complex and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cdiv_of_scalars_is_a_scalar():
+    for a, b in [(0.3 - 2.0j, -1.5 + 0.25j), (1.0, 2.0 - 2.0j), (-4.0 + 1e-9j, math.pi)]:
+        got = cdiv(a, b)
+        assert np.ndim(got) == 0
+        assert np.array(got).tobytes() == np.array(complex(a) / b).tobytes()

@@ -67,6 +67,117 @@ def test_theta_map_by_name():
         theta_map_by_name("chebyshev")
 
 
+# The maps as scalar stdlib formulas, one entry at a time: the oracle the
+# array methods must reproduce bit for bit.
+
+
+def _theta_oracle(kind, t):
+    if kind == "linear":
+        return (t + 1.0) * (math.pi / 2.0)
+    if isinstance(t, complex):
+        return math.pi - cmath.acos(t)
+    if -1.0 <= t <= 1.0:
+        return math.pi - math.acos(t)
+    return math.pi - cmath.acos(complex(t))
+
+
+def _t_oracle(kind, theta):
+    if kind == "linear":
+        return -1.0 + 2.0 * theta / math.pi
+    return -cmath.cos(theta) if isinstance(theta, complex) else -math.cos(theta)
+
+
+def _jacobian_oracle(kind, theta):
+    if kind == "linear":
+        return math.pi / 2.0
+    s = cmath.sin(theta) if isinstance(theta, complex) else math.sin(theta)
+    return 1.0 / s if s else math.inf
+
+
+def _assert_matches_oracle(got, oracle, kind, args):
+    """got equals oracle applied to each entry of args: same shape, real or
+    complex alike, and the same bits in each part (any NaN equals any NaN)."""
+    want = np.array([oracle(kind, v) for v in args.ravel().tolist()]).reshape(args.shape)
+    got = np.asarray(got)
+    assert got.shape == want.shape
+    if want.size:
+        assert got.dtype == want.dtype
+    for part in (np.real, np.imag):
+        a, b = (np.ascontiguousarray(part(v), dtype=float) for v in (got, want))
+        assert ((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))).all()
+
+
+_RNG = np.random.default_rng(12)
+_T_ARGS = [
+    np.array([[-1.0, -0.5, -0.0, 0.7, 1.0], [1.5, -3.0, math.nan, 0.2, 1.0 + 1e-16]]),
+    np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+    _RNG.uniform(-1.5, 1.5, (30, 4)),
+    np.array([0.3 + 0.2j, -2.0 + 1e-3j, 1.0 + 0j, -1.0 - 0j,
+              complex(math.nan, 0.0), complex(0.5, math.nan)]),
+    _RNG.uniform(-2.0, 2.0, (10, 3)) + 1j * _RNG.uniform(-2.0, 2.0, (10, 3)),
+    np.array(0.25),
+    np.array(-1.5),
+    np.array(0.3 - 0.1j),
+    np.empty(0),
+    np.empty((0, 2), dtype=complex),
+]
+_THETA_ARGS = [
+    np.array([[0.0, math.pi / 3.0, math.pi / 2.0], [math.pi, 2.0, 1e-300]]),
+    _RNG.uniform(0.0, math.pi, (25, 4)),
+    np.array([0j, math.pi + 0j, 0.4 + 0.3j, 2.0 - 1.0j, -0.5 + 2.0j, 4.0 + 0j,
+              complex(math.nan, 0.0), complex(1.0, math.nan)]),
+    _RNG.uniform(-1.0, 4.0, (10, 3)) + 1j * _RNG.uniform(-3.0, 3.0, (10, 3)),
+    np.array(math.pi),
+    np.array(0.0),
+    np.array(1.0 + 0.5j),
+    np.empty(0),
+    np.empty((2, 0), dtype=complex),
+]
+
+
+@pytest.mark.parametrize("m", [LINEAR_MAP, COSINE_MAP], ids=["linear", "cosine"])
+@pytest.mark.parametrize("t", _T_ARGS)
+def test_theta_is_bitwise_the_scalar_formula(m, t):
+    _assert_matches_oracle(m.theta(t), _theta_oracle, m.kind, t)
+
+
+@pytest.mark.parametrize("m", [LINEAR_MAP, COSINE_MAP], ids=["linear", "cosine"])
+@pytest.mark.parametrize("theta", _THETA_ARGS)
+def test_inverse_and_jacobian_are_bitwise_the_scalar_formulas(m, theta):
+    _assert_matches_oracle(m.t(theta), _t_oracle, m.kind, theta)
+    jacobian = np.broadcast_to(m.dtheta_dt_at(theta), theta.shape)
+    _assert_matches_oracle(jacobian, _jacobian_oracle, m.kind, theta)
+
+
+@pytest.mark.parametrize("m", [LINEAR_MAP, COSINE_MAP], ids=["linear", "cosine"])
+def test_jacobian_takes_real_theta_beyond_the_interval(m):
+    theta = np.array([-0.5, -0.0, math.nan, 4.0])
+    jacobian = np.broadcast_to(m.dtheta_dt_at(theta), theta.shape)
+    _assert_matches_oracle(jacobian, _jacobian_oracle, m.kind, theta)
+
+
+@pytest.mark.parametrize("m", [LINEAR_MAP, COSINE_MAP], ids=["linear", "cosine"])
+def test_scalars_in_give_scalars_out(m):
+    for value in (0.0, 0.3, 0.3 + 0.1j):
+        assert np.ndim(m.theta(value)) == 0
+        assert np.ndim(m.t(value)) == 0
+        assert np.ndim(m.dtheta_dt_at(value)) == 0
+        assert m.theta(value) == _theta_oracle(m.kind, value)
+        assert m.t(value) == _t_oracle(m.kind, value)
+        assert m.dtheta_dt_at(value) == _jacobian_oracle(m.kind, value)
+
+
+@pytest.mark.parametrize("m", [LINEAR_MAP, COSINE_MAP], ids=["linear", "cosine"])
+@pytest.mark.parametrize(
+    "theta",
+    [-0.5, 4.0, math.nan, np.array(math.nan), np.array([0.1, math.nan]),
+     np.array([[0.5], [-1e-300]])],
+)
+def test_inverse_rejects_real_theta_outside_the_interval(m, theta):
+    with pytest.raises(ValueError, match="must lie in"):
+        m.t(theta)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
