@@ -412,7 +412,7 @@ def sphere_sweep(a: float, n_list, distances, out_path: str) -> str:
             eqs = measured_error(surface, kernel, density, g, np.array(block))
             failure = next((eq for eq in eqs if isinstance(eq, LayerrError)), None)
             if failure is not None:
-                raise failure
+                raise ConfigError(f"distance {d} has no measured error: {failure}") from failure
             lo, hi = min(eqs), max(eqs)
             row = (n_t, d, lo, hi, sphere_simplified(zeta, a, kernel.p, n))
             rows.append(dict(zip(SWEEP_COLUMNS, map(_fmt, row))))

@@ -242,38 +242,44 @@ def _not_located(x) -> EvaluationError:
     return EvaluationError(f"target {x.tolist()} is not finite")
 
 
-# A sum walks (targets x nodes) tiles of at most this many entries, so that
-# its temporaries stay in cache.
+# A sum walks (targets x nodes) tiles of at most this many entries. Every
+# tile of a sum works in place in the same 256 KiB tile buffers, two of them
+# (three for the double layer), so that they stay in cache.
 _TILE_TARGETS = 8
 _TILE_NODES = 4096
 
 
-def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs):
+def _coordinate_sum(out, scratch, positions, xs, factors=None):
+    """out = (d0 f0 + d1 f1) + d2 f2, with d_c = positions[c] - xs[:, c] and
+    f_c = factors[c], or f_c = d_c (R^2) where factors is None."""
+    for c in range(3):
+        d = np.subtract(positions[c], xs[:, c, None], out=scratch if c else out)
+        d *= d if factors is None else factors[c]
+        if c:
+            out += scratch
+
+
+def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs, buffers):
     """Sums of the quadrature terms over the nodes of one (targets x nodes)
     tile, and each target's nearest node distance there; the node tables are
     coordinate first, the targets xs of shape (m, 3).
 
-    The arithmetic runs in place, so that a tile allocates few temporaries.
+    The arithmetic runs in place in buffers, of shape (3, at least m x nodes)
+    and shared by all tiles of a sum: R^2, R, and n_y . (y - x) for the
+    double layer.
     """
-    dx, dy, dz = (p - xs[:, c, None] for c, p in enumerate(positions))
-    r2 = dx * dx
-    dist = np.multiply(dy, dy)
-    r2 += dist
-    np.multiply(dz, dz, out=dist)
-    r2 += dist
+    m, n = len(xs), len(weights)
+    r2, dist, ndot = buffers[:, : m * n].reshape(3, m, n)
+    _coordinate_sum(r2, dist, positions, xs)
+    if kernel.kind == HARMONIC_DOUBLE:
+        _coordinate_sum(ndot, dist, positions, xs, normals)
     np.sqrt(r2, out=dist)
     nearest = np.min(dist, axis=1)
     # f / R^(2p) for the half-integer powers p = 1/2 and 3/2, without a pow
     if kernel.kind == HARMONIC_DOUBLE:
-        nx, ny, nz = normals
-        dx *= nx
-        dy *= ny
-        dz *= nz
-        dx += dy
-        dx += dz  # n_y . (y - x)
-        dx *= weights
+        ndot *= weights
         r2 *= dist
-        terms = np.divide(dx, r2, out=dx)
+        terms = np.divide(ndot, r2, out=ndot)
     elif kernel.kind == MOD_HELMHOLTZ_SINGLE:
         terms = np.multiply(-kernel.omega, dist, out=r2)
         np.exp(terms, out=terms)
@@ -305,6 +311,7 @@ def potential_quadrature(
     weights = _sum_weights(surface, g, density)
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
+    buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
     # a target on a node divides by zero, one that is not finite makes NaN
     # terms, and one whose R^2 overflows makes inf: their sums are discarded.
     # Where only a double-layer R^3 overflows, the term underflows to zero.
@@ -315,7 +322,7 @@ def potential_quadrature(
                 nodes = slice(j, j + _TILE_NODES)
                 s, d = _tile_sums(
                     kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes],
-                    block[rows],
+                    block[rows], buffers,
                 )
                 sums[rows] += s
                 nearest[rows] = np.minimum(nearest[rows], d)

@@ -412,6 +412,18 @@ def test_bad_command_line_values_exit_one(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sphere_sweep_distance_without_measured_error_exits_one(tmp_path, capsys):
+    # finite, but its targets' squared distances overflow: a bad distance
+    # like the others, not a traceback
+    out = tmp_path / "sweep.csv"
+    argv = ["sphere-sweep", "--n", "4", "--distances", "1e300", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: distance 1e+300 ")
+    assert "too far away" in err
+    assert not out.exists()
+
+
 def test_bad_theta_map_exits_one(tmp_path, capsys):
     body = CONFIG_TEMPLATE.replace("theta_map = cosine", "theta_map = chebyshev")
     assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG

@@ -9,6 +9,8 @@ from layerr.potentials import (
     _TILE_NODES,
     _TILE_TARGETS,
     _grid_tables,
+    _sum_weights,
+    _tile_sums,
     harmonic_double,
     harmonic_single,
     integrand_f,
@@ -252,6 +254,48 @@ def test_tiled_sums_agree_with_per_target_oracle(kernel):
         for x, got in zip(xs, potential_quadrature(BLOB, kernel, d, g, xs)):
             want, magnitude = _per_target_sum(BLOB, kernel, d, g, x)
             assert abs(got - want) <= 1e-13 * magnitude
+
+
+def _expression_tile_sums(kernel, positions, normals, weights, xs):
+    """A tile's sums and nearest distances as whole-array expressions, each
+    operation making a new array, in the order the in-place kernel keeps:
+    R^2 = (dx dx + dy dy) + dz dz, n . (y - x) = (dx nx + dy ny) + dz nz."""
+    dx, dy, dz = (p - xs[:, c, None] for c, p in enumerate(positions))
+    r2 = dx * dx + dy * dy + dz * dz
+    dist = np.sqrt(r2)
+    if kernel.kind == "harmonic_double":
+        terms = (dx * normals[0] + dy * normals[1] + dz * normals[2]) * weights / (r2 * dist)
+    elif kernel.kind == "mod_helmholtz_single":
+        terms = np.exp(-kernel.omega * dist) * weights / dist
+    else:
+        terms = weights / dist
+    return np.sum(terms, axis=1), np.min(dist, axis=1)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
+    fine = grid(65, 135)
+    tab = _grid_tables(BLOB, fine)
+    weights = _sum_weights(BLOB, fine, paper_density())
+    xs = _blob_targets()
+    on_node, nan, far = tab.positions[:, 8200], [0.3, math.nan, 0.1], [1e200, 0.0, 0.0]
+    full = np.vstack([xs[:5], [nan, far, tab.positions[:, 100]]])
+    partial = np.vstack([on_node, xs[5:7], far, nan])
+    # buffers left full of NaN and reused by the next tile, as in a sum
+    buffers = np.full((3, _TILE_TARGETS * _TILE_NODES), np.nan)
+    tiles = [(full, slice(0, _TILE_NODES)), (partial, slice(2 * _TILE_NODES, None))]
+    assert len(full) == _TILE_TARGETS and len(partial) < _TILE_TARGETS
+    assert 0 < len(weights[tiles[1][1]]) < _TILE_NODES
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for block, nodes in tiles:
+            args = (kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes], block)
+            sums, nearest = _tile_sums(*args, buffers)
+            want_sums, want_nearest = _expression_tile_sums(*args)
+            assert np.array_equal(sums, want_sums, equal_nan=True)
+            assert np.array_equal(nearest, want_nearest, equal_nan=True)
+            assert np.isnan(sums[np.isnan(block).any(axis=1)]).all()
+            assert (nearest[block[:, 0] == 1e200] == np.inf).all()
+            assert 0.0 in nearest
 
 
 @pytest.mark.parametrize("shape", [(0,), (2,), (4,), (2, 2), (2, 3, 1)])
