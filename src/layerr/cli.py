@@ -274,15 +274,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _write_csv(path: str, columns, rows) -> str:
     """rows, dicts keyed by columns, written to path as CSV with a header;
-    ConfigError naming path if it cannot be opened for writing."""
+    ConfigError naming path if it cannot be opened, written or closed."""
     try:
-        fh = open(path, "w", newline="")
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc.strerror}")
-    with fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
     return path
 
 

@@ -12,10 +12,12 @@ the line integrals are mapped to the half line and evaluated with a small
 Gauss-Laguerre rule. One root function per direction serves the anchor
 solve at the nearest node and every sweep node: the closed form where one
 exists (azimuthal roots of surfaces of revolution, polar roots of spheres),
-else a Newton solve warm-started from the previous node, with a RootModel
-where Newton fails. One surface evaluation per root gives f and the
-geometry factors. All magnitude combinations happen in log space so that
-estimates remain meaningful down to the underflow threshold.
+else a Newton solve warm-started from the previous node. Where Newton
+fails, one RootModel per direction, built once at the nearest node, stands
+in: its anchor root for the anchor solve, and its variation, shifted onto
+the anchor's root, for a sweep node. One surface evaluation per root gives
+f and the geometry factors. All magnitude combinations happen in log space
+so that estimates remain meaningful down to the underflow threshold.
 
 A block of targets is estimated as arrays with one lane per target: each
 anchor solve, and each sweep node in both directions, is one masked array
@@ -51,7 +53,6 @@ from .potentials import (
 from .quadrature import QuadratureGrid, gauss_laguerre
 from .roots import (
     VAR_PHI,
-    VAR_T,
     VAR_THETA,
     axisym_phi_root,
     azimuthal_sweep_model,
@@ -267,15 +268,6 @@ def _phi_root(frame: _Frame, theta, initial, nearest: bool = False):
     return newton_root(line, VAR_PHI, theta, x, initial, frame.scale, nearest=nearest).value
 
 
-def _tangent_root(frame: _Frame, primary: str):
-    """Root against the tangent plane at the nearest node, the stand-in for an
-    anchor solve that did not converge; NaN where the target lies in that plane."""
-    model = linear_root_model(
-        frame.surface, frame.t_star, frame.phi_star, frame.x, primary, np.zeros(frame.t_star.shape)
-    )
-    return model.linear_root(model.v_star)
-
-
 def _root_terms(frame: _Frame, theta, phi):
     """f, d R^2/dt and d R^2/dphi at (theta, phi) from one surface evaluation.
 
@@ -352,7 +344,8 @@ def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
         nonlocal chain
         t_s = frame.t_star + offset * width
         inside = (-1.0 < t_s) & (t_s < 1.0)
-        from_model = log_fg_anchor + log_est_tz(np.abs(model.model_root(t_s).imag), g.n_phi, p)
+        model_phi0 = model.model_root(t_s, phi0)
+        from_model = log_fg_anchor + log_est_tz(np.abs(model_phi0.imag), g.n_phi, p)
         theta_s = surf.theta_map.theta(np.where(inside, t_s, 0.0))
         root = _phi_root(frame, theta_s, np.where(inside, chain, np.nan))
         found = inside & ~np.isnan(root)
@@ -372,10 +365,12 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     live = ~_in_cone(frame, cone) if surf.axisymmetric else np.ones(frame.t_star.shape, bool)
+    model = linear_root_model(surf, frame.t_star, frame.phi_star, frame.x)
     initial = np.where(live, frame.phi_star + 0.1j, np.nan)
     phi0 = _phi_root(frame, frame.theta_star, initial, nearest=True)
     if not surf.axisymmetric:
-        phi0 = np.where(np.isnan(phi0), _tangent_root(frame, VAR_PHI), phi0)
+        # the tangent-plane root stands in for a failed Newton solve
+        phi0 = np.where(np.isnan(phi0), model.anchor, phi0)
     phi0 = np.where(live, phi0, np.nan)
     # geometry factor at the root; huge values signal a near-axis target
     f_val, _, den = _root_terms(frame, frame.theta_star, phi0)
@@ -384,7 +379,6 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     # the sweep can never contribute more measure than the whole t-interval
     # at its anchor value
     log_full = _LOG_2 + log_fg_anchor + log_est_tz(np.abs(phi0.imag), g.n_phi, p)
-    model = linear_root_model(surf, frame.t_star, frame.phi_star, frame.x, VAR_PHI, phi0)
     # a target in the tangent plane at the node has a degenerate model: it
     # integrates the flat kernel over the whole t-interval as a coarse stand-in
     sweep_phi0 = np.where(sweeps & ~model.degenerate, phi0, np.nan)
@@ -398,12 +392,15 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     with bad_t the anchor's or a sweep node's root on [-1, 1], else NaN."""
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
+    model = None if isinstance(surf, Sphere) else azimuthal_sweep_model(
+        surf, frame.t_star, frame.phi_star, frame.x
+    )
     theta0 = _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True)
     t0 = surf.theta_map.t(theta0)
-    if not isinstance(surf, Sphere):
-        tangent = _tangent_root(frame, VAR_T)
-        theta0 = np.where(np.isnan(t0), surf.theta_map.theta(tangent), theta0)
-        t0 = np.where(np.isnan(t0), tangent, t0)
+    if model is not None:
+        # the tangent-plane root stands in for a failed Newton solve
+        theta0 = np.where(np.isnan(t0), surf.theta_map.theta(model.anchor), theta0)
+        t0 = np.where(np.isnan(t0), model.anchor, t0)
     t0 = np.where(t0.imag < 0, np.conj(t0), t0)
     found = ~np.isnan(t0)
     log_fg = _log_fg(frame, theta0, frame.phi_star, polar=True)
@@ -414,13 +411,9 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     # the flat kernel around the full circle
     circle = surf.axisymmetric & _in_cone(frame, cone)
     sweeps = found & ~circle & ~infinite & ~undefined
-    model = None
-    degenerate = np.zeros(t0.shape, bool)
-    if not isinstance(surf, Sphere):
-        model = azimuthal_sweep_model(surf, frame.t_star, frame.phi_star, frame.x, t0)
-        degenerate = model.degenerate
+    degenerate = np.zeros(t0.shape, bool) if model is None else model.degenerate
     chain = np.where(sweeps & ~degenerate, theta0, np.nan)
-    log_val, bad_t = _log_gl_sweep(frame, chain, log_fg, model, tail_n)
+    log_val, bad_t = _log_gl_sweep(frame, chain, t0, log_fg, model, tail_n)
     bad_t = np.where(found & ~infinite & undefined, t0, bad_t)
     # coarse fallback for a degenerate model: flat kernel over one azimuthal cell
     log_val = np.where(degenerate, math.log(2.0 * math.pi / g.n_phi) + log_flat, log_val)
@@ -435,9 +428,10 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     return np.where(found, np.exp(log_val), 0.0), t0, infinite, bad_t
 
 
-def _log_gl_sweep(frame: _Frame, theta0, log_fg_anchor, model, tail_n: int):
+def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
     """log of the integral of |f G1^p| est along the azimuthal sweep of the
-    polar roots theta0 (NaN on lanes that do not sweep), and bad_t.
+    polar roots theta0 (NaN on lanes that do not sweep), whose t-values are
+    t0, and bad_t.
 
     Each sweep node takes its root from _theta_root, warm-started from the
     previous node in the same direction, and re-evaluates the smooth and
@@ -469,7 +463,7 @@ def _log_gl_sweep(frame: _Frame, theta0, log_fg_anchor, model, tail_n: int):
         t_s = surf.theta_map.t(root)
         fallback = live & ~found & (model is not None)
         if model is not None:
-            t_s = np.where(fallback, model.model_root(phi_s), t_s)
+            t_s = np.where(fallback, model.model_root(phi_s, t0), t_s)
             log_fg = np.where(fallback, log_fg_anchor, log_fg)
         log_k, undefined = _log_est_gl(t_s, g.n_t, p)
         used = (found & (log_fg != np.inf)) | fallback

@@ -19,9 +19,10 @@ missing or unconverged root is NaN; a single target raises instead.
 
 One RootModel type gives a cheap stand-in for a root swept along a grid
 direction: the quadratic root of R^2 against a line through the grid
-point, anchored to an accurate root there. Two slice functions move that
-line with the secondary coordinate: linear_root_model translates it along
-the surface tangent, azimuthal_sweep_model rotates it about the z-axis.
+point, shifted onto an accurate root there when evaluated. Two slice
+functions move that line with the secondary coordinate: linear_root_model
+translates it along the surface tangent, azimuthal_sweep_model rotates it
+about the z-axis.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .surfaces import Spheroid, Surface
 
 VAR_THETA = "theta"
 VAR_PHI = "phi"
-VAR_T = "t"
 
 _NEWTON_MAX_ITER = 30
 # escalating imaginary parts for retries; slices far from the target
@@ -257,32 +257,29 @@ def newton_root(
 
 
 class RootModel:
-    """Anchored quadratic root model of R^2 along one grid direction.
+    """Quadratic root model of R^2 along one grid direction.
 
     Near the grid point the surface slice at secondary coordinate v is
     replaced by the line r(v) + (u - u_star) g(v) in the primary variable u,
     and the model root solves |r(v) + (u - u_star) g(v)|^2 = 0. slice_at(v)
     returns (r, g) with the coordinate last: the linearized slice translates
-    the anchor along its tangent in v, the rotated slice turns it about the
-    z-axis. An offset fixed at construction makes the model exact at
-    v = v_star, where it returns the accurate root u0_star. On lanes,
-    degenerate marks those with a real double root at the anchor, whose
-    roots are NaN; a single-lane model raises DegenerateModel there.
+    the grid point along its tangent in v, the rotated slice turns it about
+    the z-axis. anchor is the model root at v = v_star. On lanes, degenerate
+    marks those with a real double root there, whose roots are NaN; a
+    single-lane model raises DegenerateModel there.
     """
 
-    def __init__(self, u_star, v_star, slice_at, u0_star):
+    def __init__(self, u_star, v_star, slice_at):
         self.u_star = u_star
         self.v_star = v_star
         self.slice_at = slice_at
         _, g = slice_at(v_star)
         # both slices keep |g| fixed, so the anchor's norm scales every root
         self.gg = dot3(g, g)
-        self.u0_star = _canonical(np.asarray(u0_star, dtype=complex))
-        anchor = self.linear_root(v_star)
-        self.degenerate = np.isnan(anchor)
+        self.anchor = self.linear_root(v_star)
+        self.degenerate = np.isnan(self.anchor)
         if np.ndim(self.degenerate) == 0 and self.degenerate:
             raise DegenerateModel("no complex root of the model distance at the anchor")
-        self.offset = self.u0_star - anchor
 
     def linear_root(self, v):
         """Root (Im >= 0) of the model R^2 at secondary coordinate v; a real
@@ -295,9 +292,10 @@ class RootModel:
         im = np.where((disc <= 0.0) & (v == self.v_star), np.nan, im)
         return self.u_star - b / (2.0 * self.gg) + 1j * im
 
-    def model_root(self, v):
-        """Combined model: accurate at v_star, model variation in v."""
-        return self.offset + self.linear_root(v)
+    def model_root(self, v, u0_star):
+        """The model's variation in v, shifted so that it returns the
+        accurate root u0_star at v_star."""
+        return (_canonical(np.asarray(u0_star, dtype=complex)) - self.anchor) + self.linear_root(v)
 
 
 def _last(v):
@@ -312,10 +310,10 @@ def _turn(v, dphi):
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
-def azimuthal_sweep_model(surface: Surface, t_star, phi_star, x, t0_star) -> RootModel:
+def azimuthal_sweep_model(surface: Surface, t_star, phi_star, x) -> RootModel:
     """Polar root at a grid point, swept in the azimuth by rotating the slice.
 
-    The anchor point and its polar tangent turn about the z-axis instead of
+    The grid point and its polar tangent turn about the z-axis instead of
     following the tangent line in phi. The chord growth this produces
     matches the way surfaces of spherical topology wrap around the axis, so
     the root trajectory stays faithful out to large azimuthal offsets where
@@ -329,23 +327,13 @@ def azimuthal_sweep_model(surface: Surface, t_star, phi_star, x, t0_star) -> Roo
         dphi = np.clip(phi - phi_star, -math.pi, math.pi)
         return _turn(y, dphi) - x, _turn(g, dphi)
 
-    return RootModel(t_star, phi_star, rotated, t0_star)
+    return RootModel(t_star, phi_star, rotated)
 
 
-def linear_root_model(surface: Surface, t_star, phi_star, x, primary: str, u0_star) -> RootModel:
-    """Root at a grid point against the linearized surface.
-
-    primary is "t" for the polar-direction root swept in phi, or "phi"
-    for the azimuthal root swept in t. u0_star is an accurate root in the
-    primary variable at the grid point (from a closed form or Newton).
-    """
+def linear_root_model(surface: Surface, t_star, phi_star, x) -> RootModel:
+    """Azimuthal root at a grid point, swept in t against the linearized
+    surface: the azimuthal line translates along the polar tangent."""
     pos, g_t, g_phi = surface.eval_t(t_star, phi_star)
     r = _last(pos) - np.asarray(x, dtype=float)
     g_t, g_phi = _last(g_t), _last(g_phi)
-    if primary == VAR_T:
-        u_star, v_star, g_u, g_v = t_star, phi_star, g_t, g_phi
-    elif primary == VAR_PHI:
-        u_star, v_star, g_u, g_v = phi_star, t_star, g_phi, g_t
-    else:
-        raise ValueError(f"primary must be 't' or 'phi', got {primary!r}")
-    return RootModel(u_star, v_star, lambda v: (r + g_v * np.expand_dims(v - v_star, -1), g_u), u0_star)
+    return RootModel(phi_star, t_star, lambda t: (r + g_t * np.expand_dims(t - t_star, -1), g_phi))

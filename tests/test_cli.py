@@ -155,6 +155,22 @@ def test_unwritable_output_exits_one(tmp_path, capsys, argv):
     assert "config error" in err and out in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preset", "sphere-cosine"],
+        ["sphere-sweep", "--n", "4", "--distances", "0.5"],
+    ],
+    ids=["preset", "sphere-sweep"],
+)
+def test_failed_write_exits_one(capsys, argv):
+    # /dev/full opens, but every write to it fails with ENOSPC
+    assert main(argv + ["--out", "/dev/full"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: cannot write output '/dev/full'" in err
+
+
 def test_bad_generator_exits_one(tmp_path, capsys):
     body = CONFIG_TEMPLATE.replace("generator = explicit", "generator = warp")
     cfg = write_config(tmp_path, body)

@@ -11,7 +11,9 @@ from layerr.estimates import (
     _build_frame,
     _in_cone,
     _log_fg,
+    _phi_root,
     _root_terms,
+    _theta_root,
     e_fac_tz_analytic,
     est_gl,
     est_tz,
@@ -27,8 +29,13 @@ from layerr.potentials import (
     unit_density,
 )
 from layerr.quadrature import grid
-from layerr.roots import axisym_phi_root, sphere_theta_root
-from layerr.surfaces import Sphere, Spheroid, paper_blob
+from layerr.roots import (
+    axisym_phi_root,
+    azimuthal_sweep_model,
+    linear_root_model,
+    sphere_theta_root,
+)
+from layerr.surfaces import COSINE_MAP, LINEAR_MAP, Sphere, Spheroid, paper_blob
 
 
 SPHERE = Sphere(1.0)
@@ -422,6 +429,39 @@ def test_cone_parameters_respected():
     assert not bd_default.tz_skipped
     bd_wide = full_estimate(SPHERE, KER, DEN, g, x, ConeParams(A=1.0, K_c=1e6))
     assert bd_wide.tz_skipped and bd_wide.e_tz == 0.0
+
+
+# ------------------------------------------------- failed anchor solves
+
+
+@pytest.mark.parametrize(
+    "theta_map, kernel, n, z, stood_in",
+    [
+        # blob targets on the axis and at the centre (corpus cases 89 and 107)
+        (COSINE_MAP, harmonic_double(), (59, 47), 0.1364181862398793, ("phi0", "t0")),
+        (LINEAR_MAP, harmonic_double(), (63, 38), 0.0, ("t0",)),
+        (COSINE_MAP, mod_helmholtz_single(3.0), (25, 25), -2.785283509481811, ("phi0",)),
+    ],
+    ids=["axis-near", "centre", "axis-far"],
+)
+def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, stood_in):
+    # where Newton finds no anchor root, the breakdown reports the anchor
+    # root of the direction's root model, bit for bit
+    surface, g, x = paper_blob(theta_map), grid(*n), np.array([0.0, 0.0, z])
+    frame = _build_frame(surface, kernel, paper_density(), g, x)
+    with np.errstate(all="ignore"):
+        solved = {
+            "phi0": _phi_root(frame, frame.theta_star, frame.phi_star + 0.1j, nearest=True),
+            "t0": _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True),
+        }
+    bd = full_estimate(surface, kernel, paper_density(), g, x)
+    anchors = {
+        "phi0": linear_root_model(surface, bd.t_star, bd.phi_star, x).anchor,
+        "t0": azimuthal_sweep_model(surface, bd.t_star, bd.phi_star, x).anchor,
+    }
+    for name in stood_in:
+        assert np.isnan(solved[name]).all()
+        assert getattr(bd, name) == anchors[name]
 
 
 # ------------------------------------------------------- batched estimates

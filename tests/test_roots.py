@@ -307,8 +307,8 @@ def test_linear_model_anchored_at_grid_point():
     x = np.array([1.2, 0.1, 0.3])
     t_star, phi_star = 0.25, 0.3
     root = complex(0.21, 0.19)
-    model = linear_root_model(s, t_star, phi_star, x, "t", root)
-    assert model.model_root(phi_star) == pytest.approx(root, abs=1e-15)
+    model = azimuthal_sweep_model(s, t_star, phi_star, x)
+    assert model.model_root(phi_star, root) == pytest.approx(root, abs=1e-15)
 
 
 def test_linear_model_normal_distance():
@@ -318,12 +318,8 @@ def test_linear_model_normal_distance():
     theta = s.theta_map.theta(t_star)
     normal = np.real(s.position(theta, phi_star))
     for d in (0.05, 0.1, 0.2):
-        x = (1.0 + d) * normal
-        ana = sphere_theta_root(1.0, phi_star, x)
-        t0 = complex(s.theta_map.t(ana.value))
-        model = linear_root_model(s, t_star, phi_star, x, "t", t0)
-        lin = model.linear_root(phi_star)
-        assert abs(lin.imag - d) / d < 0.1
+        model = azimuthal_sweep_model(s, t_star, phi_star, (1.0 + d) * normal)
+        assert abs(model.anchor.imag - d) / d < 0.1
 
 
 def test_linear_model_imag_growth_rate():
@@ -333,12 +329,12 @@ def test_linear_model_imag_growth_rate():
     t_star, phi_star = s.theta_map.t(theta_star), 0.0
     x = np.array([1.1, 0.0, 0.0])
     phi0 = axisym_phi_root(s, theta_star, x).value
-    model = linear_root_model(s, t_star, phi_star, x, "phi", phi0)
+    model = linear_root_model(s, t_star, phi_star, x)
     kappa = s.grid_anisotropy(t_star, phi_star)
     n_phi = 60
     for k in (1, 2, 3):
         dt = k * math.pi / n_phi
-        growth = model.model_root(t_star + dt).imag - model.model_root(t_star).imag
+        growth = model.model_root(t_star + dt, phi0).imag - model.model_root(t_star, phi0).imag
         # hyperbola growth approaches kappa * dt; allow the near-field lag
         assert growth <= kappa * dt * 1.15
         assert growth > 0
@@ -353,12 +349,12 @@ def test_linear_model_polar_root_slope_in_azimuth():
     d = 0.02
     x = np.array([1.0 + d, 0.0, 0.0])
     t0 = complex(s.theta_map.t(sphere_theta_root(1.0, phi_star, x).value))
-    model = linear_root_model(s, t_star, phi_star, x, "t", t0)
+    model = azimuthal_sweep_model(s, t_star, phi_star, x)
     kappa = s.grid_anisotropy(t_star, phi_star)
     n_phi = 60
     span = 3 * math.pi / n_phi
-    secant = (model.model_root(phi_star + span).imag - model.model_root(phi_star).imag) / span
-    assert abs(secant - 1.0 / kappa) / (1.0 / kappa) < 0.15
+    rise = model.model_root(phi_star + span, t0).imag - model.model_root(phi_star, t0).imag
+    assert abs(rise / span - 1.0 / kappa) / (1.0 / kappa) < 0.15
 
 
 def test_linear_model_degenerate_in_tangent_plane():
@@ -369,19 +365,30 @@ def test_linear_model_degenerate_in_tangent_plane():
     d_t = np.real(d_theta) * s.theta_map.dtheta_dt_at(theta)
     x = np.real(pos) + 0.3 * d_t / np.linalg.norm(d_t)
     with pytest.raises(DegenerateModel):
-        linear_root_model(s, t_star, phi_star, x, "t", 0.1j)
+        azimuthal_sweep_model(s, t_star, phi_star, x)
+
+
+def _tangent_line_root(s, t_star, phi_star, x, phi):
+    """Polar root against the tangent plane at the grid point, translated to
+    azimuth phi: the root in t of |r + (t - t_star) g_t|^2 with
+    r = y + (phi - phi_star) g_phi - x."""
+    pos, g_t, g_phi = (np.real(v) for v in s.eval_t(t_star, phi_star))
+    r = pos + (phi - phi_star) * g_phi - x
+    gg, b = g_t @ g_t, 2.0 * (r @ g_t)
+    return t_star - b / (2.0 * gg) + 1j * math.sqrt(4.0 * (r @ r) * gg - b * b) / (2.0 * gg)
 
 
 def test_azimuthal_sweep_model_matches_linear_near_anchor():
     s = Spheroid(1.0, 3.0)
     t_star, phi_star = 0.1, 0.5
     x = 1.2 * np.real(s.position(s.theta_map.theta(t_star), phi_star))
-    lin = linear_root_model(s, t_star, phi_star, x, "t", 0.2j)
-    rot = azimuthal_sweep_model(s, t_star, phi_star, x, 0.2j)
-    assert rot.model_root(phi_star) == pytest.approx(lin.model_root(phi_star), abs=1e-14)
+    rot = azimuthal_sweep_model(s, t_star, phi_star, x)
+    lin = _tangent_line_root(s, t_star, phi_star, x, phi_star)
+    assert rot.anchor == pytest.approx(lin, abs=1e-14)
     small = 1e-4
-    assert rot.model_root(phi_star + small).imag == pytest.approx(
-        lin.model_root(phi_star + small).imag, rel=1e-4
+    lin_small = _tangent_line_root(s, t_star, phi_star, x, phi_star + small)
+    assert rot.model_root(phi_star + small, 0.2j).imag == pytest.approx(
+        (0.2j - lin + lin_small).imag, rel=1e-4
     )
 
 
@@ -389,7 +396,7 @@ def test_azimuthal_sweep_model_clamps_at_half_turn():
     s = Spheroid(1.0, 3.0)
     t_star, phi_star = 0.1, 0.5
     x = 1.2 * np.real(s.position(s.theta_map.theta(t_star), phi_star))
-    rot = azimuthal_sweep_model(s, t_star, phi_star, x, 0.2j)
-    at_pi = rot.model_root(phi_star + math.pi)
-    beyond = rot.model_root(phi_star + math.pi + 2.0)
+    rot = azimuthal_sweep_model(s, t_star, phi_star, x)
+    at_pi = rot.model_root(phi_star + math.pi, 0.2j)
+    beyond = rot.model_root(phi_star + math.pi + 2.0, 0.2j)
     assert beyond == at_pi
