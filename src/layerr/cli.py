@@ -221,14 +221,32 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
     raise ConfigError(f"[targets] unknown generator {gen!r}")
 
 
+# every section and key that _build_config reads; any other is a typo
+_CONFIG_KEYS = {
+    "surface": {"shape", "a", "b", "theta_map"},
+    "kernel": {"kind", "omega"},
+    "density": {"kind"},
+    "grid": {"n_t", "n_phi"},
+    "targets": {"generator", "axis", "offset", "extent", "resolution", "distances", "angles",
+                "count", "shell", "seed", "radius", "points"},
+    "output": {"path"},
+}
+
+
 def _build_config(sections: dict) -> ExperimentConfig:
     """Validate a {section: {key: value}} mapping, the config-file schema.
 
     Files give string values and presets give numbers where a file gives
-    a number; both parse the same way.
+    a number; both parse the same way. A section or key that is never read
+    is a ConfigError naming it.
     """
     if "cone" in sections:
         raise ConfigError("[cone] is not configurable: the cone constants are fixed")
+    unknown = [f"[{name}]" for name in sections if name not in _CONFIG_KEYS]
+    unknown += [f"[{name}] {key}" for name, keys in _CONFIG_KEYS.items()
+                for key in sections.get(name, {}) if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config entries: {', '.join(unknown)}")
     try:
         surf = sections["surface"]
         try:

@@ -21,9 +21,5 @@ class InfiniteGeometryFactor(LayerrError):
     """The derivative of the squared-distance function vanishes at the root."""
 
 
-class DegenerateModel(LayerrError):
-    """The linearized root model has no complex root at the grid point."""
-
-
 class ConfigError(LayerrError):
     """A CLI configuration file could not be parsed or validated."""

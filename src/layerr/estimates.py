@@ -103,25 +103,22 @@ def _logsumexp(vals):
     return np.where(m == -np.inf, -np.inf, m + np.log(sum(np.exp(v - m) for v in vals)))
 
 
-def log_est_tz(im_abs: float, n: int, p: float) -> float:
-    """log of the trapezoidal error kernel for root imaginary part im_abs."""
-    return _LOG_4PI - math.lgamma(p) + (p - 1.0) * math.log(n) - n * im_abs
-
-
-def est_tz(phi0: complex, n: int, p: float) -> float:
-    """Trapezoidal-rule error kernel at the azimuthal root phi0.
+def log_est_tz(im_abs: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log of the trapezoidal error kernel at azimuthal roots phi0 with
+    |Im phi0| = im_abs.
 
     est = 4 pi / Gamma(p) * n^(p-1) * exp(-n |Im phi0|).
     """
-    return math.exp(log_est_tz(abs(phi0.imag), n, p))
+    return _LOG_4PI - math.lgamma(p) + (p - 1.0) * math.log(n) - n * im_abs
 
 
-def _log_est_gl(t0, n: int, p: float):
+def log_est_gl(t0: np.ndarray, n: int, p: float):
     """log of the Gauss-Legendre error kernel at the polar roots t0, and the
     mask of roots on [-1, 1], where it is undefined.
 
-    Uses |sqrt(t0^2 - 1)| and |t0 + sqrt(t0^2 - 1)| on the branch
-    sqrt(t0 + 1) * sqrt(t0 - 1) with principal square roots.
+    est = 4 pi / Gamma(p) * |(2n+1)/sqrt(t0^2-1)|^(p-1) * |t0+sqrt(t0^2-1)|^-(2n+1),
+    with sqrt(t0^2 - 1) on the branch sqrt(t0 + 1) * sqrt(t0 - 1) of
+    principal square roots.
     """
     t0 = np.asarray(t0, dtype=complex)
     s = np.sqrt(t0 + 1.0) * np.sqrt(t0 - 1.0)
@@ -134,21 +131,6 @@ def _log_est_gl(t0, n: int, p: float):
             - (2.0 * n + 1.0) * np.log(abs_w)
         )
     return log_val, (abs_s == 0.0) | (abs_w <= 1.0)
-
-
-def _gl_undefined(t0) -> EvaluationError:
-    return EvaluationError(f"Gauss-Legendre kernel undefined for t0={complex(t0)} on [-1, 1]")
-
-
-def est_gl(t0: complex, n: int, p: float) -> float:
-    """Gauss-Legendre error kernel at the polar root t0 (off [-1, 1]).
-
-    est = 4 pi / Gamma(p) * |(2n+1)/sqrt(t0^2-1)|^(p-1) * |t0+sqrt(t0^2-1)|^-(2n+1).
-    """
-    log_val, undefined = _log_est_gl(t0, n, p)
-    if undefined:
-        raise _gl_undefined(t0)
-    return math.exp(log_val)
 
 
 def e_fac_tz_analytic(surface, x, theta: float, p: float, n_phi: int) -> float:
@@ -404,7 +386,7 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     t0 = np.where(t0.imag < 0, np.conj(t0), t0)
     found = ~np.isnan(t0)
     log_fg = _log_fg(frame, theta0, frame.phi_star, polar=True)
-    log_kernel, undefined = _log_est_gl(t0, g.n_t, p)
+    log_kernel, undefined = log_est_gl(t0, g.n_t, p)
     infinite = found & (log_fg == np.inf)
     log_flat = log_fg + log_kernel
     # near the axis the polar root barely depends on the azimuth: integrate
@@ -465,7 +447,7 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
         if model is not None:
             t_s = np.where(fallback, model.model_root(phi_s, t0), t_s)
             log_fg = np.where(fallback, log_fg_anchor, log_fg)
-        log_k, undefined = _log_est_gl(t_s, g.n_t, p)
+        log_k, undefined = log_est_gl(t_s, g.n_t, p)
         used = (found & (log_fg != np.inf)) | fallback
         first = used & undefined & np.isnan(first_undefined)
         first_undefined[first] = t_s[first]
@@ -503,7 +485,8 @@ def full_estimate(
         elif infinite[j]:
             outcomes.append(InfiniteGeometryFactor("d R^2 / d t vanishes at the root"))
         elif not np.isnan(bad_t[j]):
-            outcomes.append(_gl_undefined(bad_t[j]))
+            message = f"Gauss-Legendre kernel undefined for t0={complex(bad_t[j])} on [-1, 1]"
+            outcomes.append(EvaluationError(message))
         else:
             phi0_j, t0_j = (None if np.isnan(v) else complex(v) for v in (phi0[j], t0[j]))
             outcomes.append(EstimateBreakdown(

@@ -105,13 +105,6 @@ def _cross_c(u, v):
     )
 
 
-def _sqrt_c(z):
-    """Principal square root that stays real for non-negative real input."""
-    if np.iscomplexobj(z) or np.any(np.less(z, 0.0)):
-        return np.sqrt(np.asarray(z, dtype=complex))
-    return np.sqrt(z)
-
-
 def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d_t, d_phi):
     """f at evaluated points: diff = gamma - x and the (t, phi) partials,
     coordinate first; theta and phi may be arrays.
@@ -126,18 +119,11 @@ def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d
     sigma = density.value(theta, phi)
     if kernel.kind == HARMONIC_DOUBLE:
         return sigma * _dot_c(cross, diff)
-    area = _sqrt_c(_dot_c(cross, cross))
+    area = np.sqrt(_dot_c(cross, cross))
     if kernel.kind == HARMONIC_SINGLE:
         return sigma * area
-    dist = _sqrt_c(_dot_c(diff, diff))
+    dist = np.sqrt(_dot_c(diff, diff))
     return np.exp(-kernel.omega * dist) * sigma * area
-
-
-def integrand_f(surface: Surface, kernel: KernelSpec, density: DensitySpec, t, phi, x):
-    """Smooth numerator f at (t, phi); at most one argument complex."""
-    pos, d_t, d_phi = surface.eval_t(t, phi)
-    theta = surface.theta_map.theta(t)
-    return integrand_f_at(kernel, density, theta, phi, pos - np.asarray(x), d_t, d_phi)
 
 
 @dataclass(frozen=True, eq=False)

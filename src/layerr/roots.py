@@ -15,7 +15,8 @@ have stopped as NaN, and the line evaluates the surface only at the others.
 
 The closed forms, Newton and the root models take one target or a block of
 them: x of shape (3,) or (*lanes, 3), with one root per lane. On lanes a
-missing or unconverged root is NaN; a single target raises instead.
+missing or unconverged root is NaN; for a single target the closed forms
+and Newton raise instead, while a root model marks it degenerate.
 
 One RootModel type gives a cheap stand-in for a root swept along a grid
 direction: the quadratic root of R^2 against a line through the grid
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateModel, NoRootExists, NonConvergence
+from .errors import NoRootExists, NonConvergence
 from .rounding import cdiv, dot3, entrywise
 from .surfaces import Spheroid, Surface
 
@@ -264,9 +265,9 @@ class RootModel:
     and the model root solves |r(v) + (u - u_star) g(v)|^2 = 0. slice_at(v)
     returns (r, g) with the coordinate last: the linearized slice translates
     the grid point along its tangent in v, the rotated slice turns it about
-    the z-axis. anchor is the model root at v = v_star. On lanes, degenerate
-    marks those with a real double root there, whose roots are NaN; a
-    single-lane model raises DegenerateModel there.
+    the z-axis. anchor is the model root at v = v_star. degenerate marks
+    the lanes with a real double root there, whose anchor is NaN; a single
+    target is one lane and does not raise.
     """
 
     def __init__(self, u_star, v_star, slice_at):
@@ -278,8 +279,6 @@ class RootModel:
         self.gg = dot3(g, g)
         self.anchor = self.linear_root(v_star)
         self.degenerate = np.isnan(self.anchor)
-        if np.ndim(self.degenerate) == 0 and self.degenerate:
-            raise DegenerateModel("no complex root of the model distance at the anchor")
 
     def linear_root(self, v):
         """Root (Im >= 0) of the model R^2 at secondary coordinate v; a real

@@ -516,6 +516,34 @@ def test_cone_section_rejected(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "section, line, named",
+    [
+        ("kernel", "omgea = 3.0", "[kernel] omgea"),
+        ("grid", "n_tt = 99", "[grid] n_tt"),
+        ("targets", "resolutoin = 5", "[targets] resolutoin"),
+        ("grids", "n_t = 8", "[grids]"),
+    ],
+)
+def test_unknown_config_entries_exit_one(tmp_path, capsys, section, line, named):
+    # a misspelled key used to be ignored: the run wrote a row with omega = 1
+    sections = {
+        "surface": "shape = blob",
+        "kernel": "kind = mod_helmholtz_single\nomega = 3.0",
+        "grid": "n_t = 8\nn_phi = 16",
+        "targets": "generator = explicit\npoints = 1.3, 0.1, 0.2",
+        "output": "path = {out}",
+    }
+    if section in sections:
+        sections[section] += "\n" + line
+    else:
+        sections[section] = line
+    body = "".join(f"[{name}]\n{text}\n" for name, text in sections.items())
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("name", sorted(_PRESETS))
 def test_preset_round_trips_through_a_config_file(tmp_path, name):
     parser = configparser.ConfigParser()

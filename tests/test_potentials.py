@@ -13,7 +13,6 @@ from layerr.potentials import (
     _tile_sums,
     harmonic_double,
     harmonic_single,
-    integrand_f,
     measured_error,
     mod_helmholtz_single,
     nearest_grid_node,
@@ -22,7 +21,7 @@ from layerr.potentials import (
     reference_potential,
     unit_density,
 )
-from layerr.estimates import _build_frame, full_estimate
+from layerr.estimates import _build_frame, _root_terms, full_estimate
 from layerr.quadrature import grid
 from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
 
@@ -37,9 +36,10 @@ G_SPHERE = grid(30, 60)
 def test_unit_sphere_cosine_integrand_is_one():
     k = harmonic_single()
     d = unit_density()
+    frame = _build_frame(SPHERE, k, d, G_SPHERE, np.array([5.0, 0.0, 0.0]))
     for t in (-0.8, 0.0, 0.6):
         for phi in (0.1, 2.5):
-            f = integrand_f(SPHERE, k, d, t, phi, np.array([5.0, 0.0, 0.0]))
+            f = _root_terms(frame, SPHERE.theta_map.theta(t), phi)[0][0]
             assert complex(f).real == pytest.approx(1.0, rel=1e-12)
             assert complex(f).imag == pytest.approx(0.0, abs=1e-13)
 
@@ -49,7 +49,8 @@ def test_double_layer_numerator_at_center():
     # with unit density and unit area element, f = a at the center
     k = harmonic_double()
     d = unit_density()
-    f = integrand_f(SPHERE, k, d, 0.3, 1.2, np.array([0.0, 0.0, 0.0]))
+    frame = _build_frame(SPHERE, k, d, G_SPHERE, np.array([0.0, 0.0, 0.0]))
+    f = _root_terms(frame, SPHERE.theta_map.theta(0.3), 1.2)[0][0]
     assert complex(f).real == pytest.approx(1.0, rel=1e-12)
 
 
@@ -57,12 +58,38 @@ def test_mod_helmholtz_numerator_decay():
     k = mod_helmholtz_single(3.0)
     d = unit_density()
     # target at distance 1 from the evaluation point on the surface
-    t, phi = 0.0, 0.0
-    y = np.real(SPHERE.position(SPHERE.theta_map.theta(t), phi))
-    x = y + np.array([1.0, 0.0, 0.0]) * (1.0 if y[0] < 0 else -1.0)
-    x = y - np.array([1.0, 0.0, 0.0])
-    f = integrand_f(SPHERE, k, d, t, phi, x)
+    theta, phi = SPHERE.theta_map.theta(0.0), 0.0
+    x = np.real(SPHERE.position(theta, phi)) - np.array([1.0, 0.0, 0.0])
+    f = _root_terms(_build_frame(SPHERE, k, d, G_SPHERE, x), theta, phi)[0][0]
     assert abs(complex(f)) == pytest.approx(math.exp(-3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [harmonic_single(), harmonic_double(), mod_helmholtz_single(2.0)],
+    ids=lambda k: k.kind,
+)
+def test_estimator_numerator_is_the_quadrature_integrand(kernel):
+    # f from the estimator's root terms at every real node equals the sums'
+    # weight over the rule weights, times 1, n.(y - x) or exp(-omega R)
+    blob, g, density = paper_blob(), grid(12, 24), paper_density()
+    xs = np.array([[1.3, 0.1, 0.2], [0.1, -0.2, 0.3]])
+    tab = _grid_tables(blob, g)
+    theta = np.repeat(tab.thetas, g.n_phi)[:, None]
+    phi = np.tile(tab.phis, g.n_t)[:, None]
+    f = _root_terms(_build_frame(blob, kernel, density, g, xs), theta, phi)[0]
+    rule_weights = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
+    area_sigma = _sum_weights(blob, g, density) / rule_weights
+    diff = tab.positions.T[:, None, :] - xs
+    factor = {
+        "harmonic_single": np.ones(diff.shape[:2]),
+        "harmonic_double": np.einsum("kc,kmc->km", tab.normals.T, diff),
+        "mod_helmholtz_single": np.exp(-2.0 * np.linalg.norm(diff, axis=-1)),
+    }[kernel.kind]
+    expected = area_sigma[:, None] * factor
+    # the double layer's n.(y - x) cancels at some nodes: compare against the
+    # largest numerator
+    np.testing.assert_allclose(f, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_paper_density_formula():
