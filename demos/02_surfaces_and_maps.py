@@ -16,15 +16,23 @@ sphere_lin = Sphere(1.0, LINEAR_MAP)
 spheroid = Spheroid(1.0, 3.0)
 blob = paper_blob()
 
-print("area element across the polar range (phi = 0):")
+
+def partials(s, t):
+    """The real partials d gamma/dt and d gamma/dphi of s at (t, phi = 0)."""
+    _, d_t, d_phi = s.eval_t(t, 0.0)
+    return np.real(d_t), np.real(d_phi)
+
+
+print("area element |d gamma/dt x d gamma/dphi| across the polar range (phi = 0):")
 print(f"{'t':>6} {'sphere/cos':>12} {'sphere/lin':>12} {'spheroid':>12} {'blob':>12}")
 for t in (-0.9, -0.5, 0.0, 0.5, 0.9):
-    row = [s.area_element(t, 0.0) for s in (sphere, sphere_lin, spheroid, blob)]
+    row = [np.linalg.norm(np.cross(*partials(s, t))) for s in (sphere, sphere_lin, spheroid, blob)]
     print(f"{t:6.2f} {row[0]:12.6f} {row[1]:12.6f} {row[2]:12.6f} {row[3]:12.6f}")
 
 print("\ngrid anisotropy |d gamma/dt| / |d gamma/dphi| (phi = 0):")
 for t in (-0.9, 0.0, 0.9):
-    vals = [s.grid_anisotropy(t, 0.0) for s in (sphere, spheroid, blob)]
+    pairs = (partials(s, t) for s in (sphere, spheroid, blob))
+    vals = [np.linalg.norm(d_t) / np.linalg.norm(d_phi) for d_t, d_phi in pairs]
     print(f"  t={t:+.1f}: sphere {vals[0]:7.3f}  spheroid {vals[1]:7.3f}  blob {vals[2]:7.3f}")
 
 # analytic continuation: one parameter may be complex

@@ -62,6 +62,7 @@ from .roots import (
     sphere_theta_root,
     theta_line,
 )
+from .rounding import dot3
 from .surfaces import COSINE, Sphere, Surface
 
 _LOG_4PI = math.log(4.0 * math.pi)
@@ -183,7 +184,8 @@ class _Frame:
     """Shared context of a block of targets, with one lane per located target.
 
     outcomes has one entry per target: its lane, or the EvaluationError that
-    kept it from being located. The arrays below it hold one entry per lane.
+    kept it from being located. The arrays below it hold one entry per lane;
+    kappa and both root models read the nearest node's one evaluation.
     """
 
     surface: Surface
@@ -197,7 +199,10 @@ class _Frame:
     phi_star: np.ndarray
     grid_distance: np.ndarray
     theta_star: np.ndarray
-    kappa: np.ndarray
+    position: np.ndarray  # (lanes, 3), real; d_t and d_phi are the partials there
+    d_t: np.ndarray
+    d_phi: np.ndarray
+    kappa: np.ndarray  # |d_t| / |d_phi|, the grid anisotropy
 
 
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
@@ -218,9 +223,11 @@ def _build_frame(surface, kernel, density, g, x) -> _Frame:
             lanes.append((*xi, t_star, phi_star, dist))
     lanes = np.array(lanes, dtype=float).reshape(-1, 6)
     t_star, phi_star, dist = lanes[:, 3:].T.copy()
+    pos, d_t, d_phi = (np.moveaxis(np.real(v), 0, -1) for v in surface.eval_t(t_star, phi_star))
+    # Gauss-Legendre nodes lie inside (-1, 1), off the poles where |d_phi| = 0
+    kappa = np.sqrt(dot3(d_t, d_t)) / np.sqrt(dot3(d_phi, d_phi))
     return _Frame(surface, kernel, density, g, scale, outcomes, lanes[:, :3].copy(), t_star,
-                  phi_star, dist, surface.theta_map.theta(t_star),
-                  surface.grid_anisotropy(t_star, phi_star))
+                  phi_star, dist, surface.theta_map.theta(t_star), pos, d_t, d_phi, kappa)
 
 
 def _targets(frame: _Frame, shape) -> np.ndarray:
@@ -347,7 +354,8 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     live = ~_in_cone(frame, cone) if surf.axisymmetric else np.ones(frame.t_star.shape, bool)
-    model = linear_root_model(surf, frame.t_star, frame.phi_star, frame.x)
+    model = linear_root_model(frame.t_star, frame.phi_star, frame.position, frame.d_t,
+                              frame.d_phi, frame.x)
     initial = np.where(live, frame.phi_star + 0.1j, np.nan)
     phi0 = _phi_root(frame, frame.theta_star, initial, nearest=True)
     if not surf.axisymmetric:
@@ -375,7 +383,7 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     model = None if isinstance(surf, Sphere) else azimuthal_sweep_model(
-        surf, frame.t_star, frame.phi_star, frame.x
+        frame.t_star, frame.phi_star, frame.position, frame.d_t, frame.x
     )
     theta0 = _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True)
     t0 = surf.theta_map.t(theta0)

@@ -40,6 +40,13 @@ class KernelSpec:
     kind: str
     omega: Optional[float] = None
 
+    def __post_init__(self):
+        if self.kind not in (HARMONIC_SINGLE, HARMONIC_DOUBLE, MOD_HELMHOLTZ_SINGLE):
+            raise ValueError(f"KernelSpec.kind names no kernel: {self.kind!r}")
+        screened = self.kind == MOD_HELMHOLTZ_SINGLE
+        if screened and not (self.omega is not None and 0.0 < self.omega < math.inf):
+            raise ValueError(f"KernelSpec.omega must be finite and positive, got {self.omega}")
+
     @property
     def p(self) -> float:
         if self.kind == HARMONIC_DOUBLE:
@@ -64,8 +71,6 @@ def harmonic_double() -> KernelSpec:
 
 def mod_helmholtz_single(omega: float) -> KernelSpec:
     """Single layer for (Laplacian - omega^2): numerator exp(-omega |y-x|)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     return KernelSpec(MOD_HELMHOLTZ_SINGLE, float(omega))
 
 
@@ -74,6 +79,10 @@ class DensitySpec:
     """Surface density sigma(theta, phi); extends to complex arguments."""
 
     kind: str
+
+    def __post_init__(self):
+        if self.kind not in (UNIT, PAPER):
+            raise ValueError(f"DensitySpec.kind names no density: {self.kind!r}")
 
     def value(self, theta, phi):
         if self.kind == UNIT:

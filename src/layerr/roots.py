@@ -23,7 +23,8 @@ direction: the quadratic root of R^2 against a line through the grid
 point, shifted onto an accurate root there when evaluated. Two slice
 functions move that line with the secondary coordinate: linear_root_model
 translates it along the surface tangent, azimuthal_sweep_model rotates it
-about the z-axis.
+about the z-axis. Both take the grid point's real position and (t, phi)
+partials, coordinate last, and evaluate no surface.
 """
 from __future__ import annotations
 
@@ -297,11 +298,6 @@ class RootModel:
         return (_canonical(np.asarray(u0_star, dtype=complex)) - self.anchor) + self.linear_root(v)
 
 
-def _last(v):
-    """Surface vectors (3, ...) with the coordinate moved last, real part."""
-    return np.moveaxis(np.real(v), 0, -1)
-
-
 def _turn(v, dphi):
     """Vectors v (..., 3) turned by dphi about the z-axis."""
     c, s = np.cos(dphi), np.sin(dphi)
@@ -309,30 +305,26 @@ def _turn(v, dphi):
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
-def azimuthal_sweep_model(surface: Surface, t_star, phi_star, x) -> RootModel:
+def azimuthal_sweep_model(t_star, phi_star, position, d_t, x) -> RootModel:
     """Polar root at a grid point, swept in the azimuth by rotating the slice.
 
-    The grid point and its polar tangent turn about the z-axis instead of
-    following the tangent line in phi. The chord growth this produces
+    The grid point and its polar tangent d_t turn about the z-axis instead
+    of following the tangent line in phi. The chord growth this produces
     matches the way surfaces of spherical topology wrap around the axis, so
     the root trajectory stays faithful out to large azimuthal offsets where
     the linearized model decays far too slowly. Offsets are clamped at half
     a turn; beyond that the sweep would re-enter the antipodal region.
     """
-    pos, g_t, _ = surface.eval_t(t_star, phi_star)
-    y, g = _last(pos), _last(g_t)
 
     def rotated(phi):
         dphi = np.clip(phi - phi_star, -math.pi, math.pi)
-        return _turn(y, dphi) - x, _turn(g, dphi)
+        return _turn(position, dphi) - x, _turn(d_t, dphi)
 
     return RootModel(t_star, phi_star, rotated)
 
 
-def linear_root_model(surface: Surface, t_star, phi_star, x) -> RootModel:
+def linear_root_model(t_star, phi_star, position, d_t, d_phi, x) -> RootModel:
     """Azimuthal root at a grid point, swept in t against the linearized
-    surface: the azimuthal line translates along the polar tangent."""
-    pos, g_t, g_phi = surface.eval_t(t_star, phi_star)
-    r = _last(pos) - np.asarray(x, dtype=float)
-    g_t, g_phi = _last(g_t), _last(g_phi)
-    return RootModel(phi_star, t_star, lambda t: (r + g_t * np.expand_dims(t - t_star, -1), g_phi))
+    surface: the azimuthal line d_phi translates along the polar tangent d_t."""
+    r = position - np.asarray(x, dtype=float)
+    return RootModel(phi_star, t_star, lambda t: (r + d_t * np.expand_dims(t - t_star, -1), d_phi))

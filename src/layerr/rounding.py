@@ -1,12 +1,14 @@
-"""Array arithmetic that rounds as the scalar code does.
+"""Array arithmetic that keeps the stored reference bits.
 
 numpy's vectorized complex products use fused multiply-adds where the CPU has
 them, its vectorized exp/log/acos/atan2/hypot and powers are not the C
 library's, a 3-vector np.dot is a fused BLAS chain, and Python divides complex
 numbers its own way. Estimates evaluate exp(-omega sqrt(R^2)) and n . (y - x)
 at roots where these cancel to rounding level, so a last-bit change in a root
-moves the screened-kernel estimate by up to ~1e-7. These helpers make a batch
-of targets round exactly as one target evaluated with scalars.
+moves blob-shell's screened-kernel estimates by up to ~1e-7. These helpers keep
+the bits stored in perfbench/reference/ and tests/estimate_corpus.json, and give
+each target of a block the bits of a block of one, until exact numerators at
+roots retire them.
 """
 from __future__ import annotations
 

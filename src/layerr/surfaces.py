@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rounding import cdiv, cmul, dot3, power
+from .rounding import cdiv, cmul, power
 
 LINEAR = "linear"
 COSINE = "cosine"
@@ -105,21 +105,6 @@ class Surface:
         theta = self.theta_map.theta(t)
         pos, d_theta, d_phi = self.eval_sph(theta, phi)
         return pos, d_theta * self.theta_map.dtheta_dt_at(theta), d_phi
-
-    def area_element(self, t: float, phi: float) -> float:
-        """Norm of the cross product of the two (t, phi) partials."""
-        _, d_t, d_phi = self.eval_t(t, phi)
-        return float(np.linalg.norm(np.cross(np.real(d_t), np.real(d_phi))))
-
-    def grid_anisotropy(self, t, phi):
-        """Ratio |d gamma/d t| / |d gamma/d phi| at non-pole points (t, phi),
-        which may be arrays of one shape."""
-        _, d_t, d_phi = self.eval_t(t, phi)
-        d_t, d_phi = (np.moveaxis(np.real(v), 0, -1) for v in (d_t, d_phi))
-        denom = np.sqrt(dot3(d_phi, d_phi))
-        if np.any(denom == 0.0):
-            raise ValueError("grid anisotropy undefined at a parametrization pole")
-        return np.sqrt(dot3(d_t, d_t)) / denom
 
 
 class Spheroid(Surface):

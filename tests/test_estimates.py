@@ -464,9 +464,10 @@ def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, sto
             "t0": _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True),
         }
     bd = full_estimate(surface, kernel, paper_density(), g, x)
+    pos, d_t, d_phi = (np.real(v) for v in surface.eval_t(bd.t_star, bd.phi_star))
     anchors = {
-        "phi0": linear_root_model(surface, bd.t_star, bd.phi_star, x).anchor,
-        "t0": azimuthal_sweep_model(surface, bd.t_star, bd.phi_star, x).anchor,
+        "phi0": linear_root_model(bd.t_star, bd.phi_star, pos, d_t, d_phi, x).anchor,
+        "t0": azimuthal_sweep_model(bd.t_star, bd.phi_star, pos, d_t, x).anchor,
     }
     for name in stood_in:
         assert np.isnan(solved[name]).all()
@@ -505,6 +506,25 @@ def test_block_matches_its_batches_of_one():
                     assert got.e_gl == pytest.approx(want.e_gl, rel=1e-12, abs=0.0)
     # the pole, on-surface and NaN targets fail with every kernel
     assert errors >= 4 * 3
+
+
+@pytest.mark.parametrize("surface", [Sphere(1.0), Spheroid(1.0, 3.0), paper_blob()],
+                         ids=["sphere", "spheroid", "blob"])
+def test_each_nearest_node_is_evaluated_once(surface, monkeypatch):
+    # kappa and both root models read the frame's one evaluation of the nodes;
+    # eval_t is wrapped on the instance, as the benchmark's tracer wraps it
+    calls = []
+    eval_t = surface.eval_t
+
+    def counted(t, phi):
+        calls.append(np.shape(t))
+        return eval_t(t, phi)
+
+    monkeypatch.setattr(surface, "eval_t", counted)
+    xs = np.array([[1.3, 0.1, 0.2], [-0.4, 0.9, 0.5]])
+    block = full_estimate(surface, harmonic_single(), paper_density(), grid(12, 24), xs)
+    assert not any(isinstance(bd, LayerrError) for bd in block)
+    assert calls == [(2,)]
 
 
 def test_block_error_classes_and_messages():

@@ -6,6 +6,8 @@ import pytest
 
 from layerr.errors import EvaluationError
 from layerr.potentials import (
+    DensitySpec,
+    KernelSpec,
     _TILE_NODES,
     _TILE_TARGETS,
     _grid_tables,
@@ -98,6 +100,27 @@ def test_paper_density_formula():
     assert d.value(theta, phi) == pytest.approx(
         1.0 + math.sin(6 * phi + theta) * math.sin(theta) ** 2
     )
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: mod_helmholtz_single(math.nan), "KernelSpec.omega"),
+        (lambda: mod_helmholtz_single(math.inf), "KernelSpec.omega"),
+        (lambda: mod_helmholtz_single(0.0), "KernelSpec.omega"),
+        (lambda: mod_helmholtz_single(-1.0), "KernelSpec.omega"),
+        (lambda: KernelSpec("mod_helmholtz_single"), "KernelSpec.omega"),
+        (lambda: KernelSpec("foo"), "KernelSpec.kind"),
+        (lambda: DensitySpec("bogus"), "DensitySpec.kind"),
+    ],
+    ids=["nan-omega", "inf-omega", "zero-omega", "negative-omega", "no-omega", "kind",
+         "density-kind"],
+)
+def test_invalid_kernel_and_density_specs_are_rejected(make, field):
+    # unchecked, these summed as another kernel or density, or failed later
+    # with a misleading error inside the estimate
+    with pytest.raises(ValueError, match=re.escape(field)):
+        make()
 
 
 # --------------------------------------------------------- shell potentials

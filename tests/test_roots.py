@@ -302,12 +302,18 @@ def test_lambda_increases_with_distance():
 # --------------------------------------------------------------- root model
 
 
+def node_vectors(s, t_star, phi_star):
+    """The real position and (t, phi) partials of s at one grid point."""
+    return [np.real(v) for v in s.eval_t(t_star, phi_star)]
+
+
 def test_linear_model_anchored_at_grid_point():
     s = Sphere(1.0)
     x = np.array([1.2, 0.1, 0.3])
     t_star, phi_star = 0.25, 0.3
     root = complex(0.21, 0.19)
-    model = azimuthal_sweep_model(s, t_star, phi_star, x)
+    pos, d_t, _ = node_vectors(s, t_star, phi_star)
+    model = azimuthal_sweep_model(t_star, phi_star, pos, d_t, x)
     assert model.model_root(phi_star, root) == pytest.approx(root, abs=1e-15)
 
 
@@ -315,10 +321,10 @@ def test_linear_model_normal_distance():
     # target along the outward normal: model imag part equals the distance
     s = Sphere(1.0)
     t_star, phi_star = 0.25, 0.3
-    theta = s.theta_map.theta(t_star)
-    normal = np.real(s.position(theta, phi_star))
+    # on the unit sphere the grid point is its own outward normal
+    pos, d_t, _ = node_vectors(s, t_star, phi_star)
     for d in (0.05, 0.1, 0.2):
-        model = azimuthal_sweep_model(s, t_star, phi_star, (1.0 + d) * normal)
+        model = azimuthal_sweep_model(t_star, phi_star, pos, d_t, (1.0 + d) * pos)
         assert abs(model.anchor.imag - d) / d < 0.1
 
 
@@ -329,8 +335,9 @@ def test_linear_model_imag_growth_rate():
     t_star, phi_star = s.theta_map.t(theta_star), 0.0
     x = np.array([1.1, 0.0, 0.0])
     phi0 = axisym_phi_root(s, theta_star, x).value
-    model = linear_root_model(s, t_star, phi_star, x)
-    kappa = s.grid_anisotropy(t_star, phi_star)
+    pos, d_t, d_phi = node_vectors(s, t_star, phi_star)
+    model = linear_root_model(t_star, phi_star, pos, d_t, d_phi, x)
+    kappa = np.linalg.norm(d_t) / np.linalg.norm(d_phi)
     n_phi = 60
     for k in (1, 2, 3):
         dt = k * math.pi / n_phi
@@ -349,8 +356,9 @@ def test_linear_model_polar_root_slope_in_azimuth():
     d = 0.02
     x = np.array([1.0 + d, 0.0, 0.0])
     t0 = complex(s.theta_map.t(sphere_theta_root(1.0, phi_star, x).value))
-    model = azimuthal_sweep_model(s, t_star, phi_star, x)
-    kappa = s.grid_anisotropy(t_star, phi_star)
+    pos, d_t, d_phi = node_vectors(s, t_star, phi_star)
+    model = azimuthal_sweep_model(t_star, phi_star, pos, d_t, x)
+    kappa = np.linalg.norm(d_t) / np.linalg.norm(d_phi)
     n_phi = 60
     span = 3 * math.pi / n_phi
     rise = model.model_root(phi_star + span, t0).imag - model.model_root(phi_star, t0).imag
@@ -360,11 +368,9 @@ def test_linear_model_polar_root_slope_in_azimuth():
 def test_linear_model_degenerate_in_tangent_plane():
     s = Sphere(1.0)
     t_star, phi_star = 0.0, 0.0
-    theta = s.theta_map.theta(t_star)
-    pos, d_theta, _ = s.eval_sph(theta, phi_star)
-    d_t = np.real(d_theta) * s.theta_map.dtheta_dt_at(theta)
-    x = np.real(pos) + 0.3 * d_t / np.linalg.norm(d_t)
-    model = azimuthal_sweep_model(s, t_star, phi_star, x)
+    pos, d_t, _ = node_vectors(s, t_star, phi_star)
+    x = pos + 0.3 * d_t / np.linalg.norm(d_t)
+    model = azimuthal_sweep_model(t_star, phi_star, pos, d_t, x)
     assert model.degenerate
     assert cmath.isnan(model.anchor)
 
@@ -373,7 +379,7 @@ def _tangent_line_root(s, t_star, phi_star, x, phi):
     """Polar root against the tangent plane at the grid point, translated to
     azimuth phi: the root in t of |r + (t - t_star) g_t|^2 with
     r = y + (phi - phi_star) g_phi - x."""
-    pos, g_t, g_phi = (np.real(v) for v in s.eval_t(t_star, phi_star))
+    pos, g_t, g_phi = node_vectors(s, t_star, phi_star)
     r = pos + (phi - phi_star) * g_phi - x
     gg, b = g_t @ g_t, 2.0 * (r @ g_t)
     return t_star - b / (2.0 * gg) + 1j * math.sqrt(4.0 * (r @ r) * gg - b * b) / (2.0 * gg)
@@ -382,8 +388,9 @@ def _tangent_line_root(s, t_star, phi_star, x, phi):
 def test_azimuthal_sweep_model_matches_linear_near_anchor():
     s = Spheroid(1.0, 3.0)
     t_star, phi_star = 0.1, 0.5
-    x = 1.2 * np.real(s.position(s.theta_map.theta(t_star), phi_star))
-    rot = azimuthal_sweep_model(s, t_star, phi_star, x)
+    pos, d_t, _ = node_vectors(s, t_star, phi_star)
+    x = 1.2 * pos
+    rot = azimuthal_sweep_model(t_star, phi_star, pos, d_t, x)
     lin = _tangent_line_root(s, t_star, phi_star, x, phi_star)
     assert rot.anchor == pytest.approx(lin, abs=1e-14)
     small = 1e-4
@@ -396,8 +403,9 @@ def test_azimuthal_sweep_model_matches_linear_near_anchor():
 def test_azimuthal_sweep_model_clamps_at_half_turn():
     s = Spheroid(1.0, 3.0)
     t_star, phi_star = 0.1, 0.5
-    x = 1.2 * np.real(s.position(s.theta_map.theta(t_star), phi_star))
-    rot = azimuthal_sweep_model(s, t_star, phi_star, x)
+    pos, d_t, _ = node_vectors(s, t_star, phi_star)
+    x = 1.2 * pos
+    rot = azimuthal_sweep_model(t_star, phi_star, pos, d_t, x)
     at_pi = rot.model_root(phi_star + math.pi, 0.2j)
     beyond = rot.model_root(phi_star + math.pi + 2.0, 0.2j)
     assert beyond == at_pi

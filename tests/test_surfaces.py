@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from layerr.errors import NonConvergence
+from layerr.estimates import _build_frame
+from layerr.potentials import _grid_tables, harmonic_single, unit_density
+from layerr.quadrature import grid
 from layerr.roots import VAR_THETA, newton_root, phi_line, theta_line
 from layerr.rounding import cmul, power
 from layerr.surfaces import (
@@ -217,40 +220,51 @@ def test_eval_t_linear_jacobian():
     assert np.real(d_t) == pytest.approx(np.real(d_theta) * math.pi / 2, rel=1e-13)
 
 
+def areas(s, g):
+    """The area element at each node of the grid g, as the quadrature sums use it."""
+    tab = _grid_tables(s, g)
+    return tab.base_weights / np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
+
+
 def test_area_element_sphere_cosine_constant():
-    s = Sphere(1.0)
-    for t in (-0.9, -0.2, 0.4, 0.8):
-        for phi in (0.0, 2.0):
-            assert s.area_element(t, phi) == pytest.approx(1.0, rel=1e-12)
+    assert areas(Sphere(1.0), grid(8, 4)) == pytest.approx(np.ones(32), rel=1e-12)
 
 
 def test_area_element_sphere_linear():
-    s = Sphere(1.0, LINEAR_MAP)
-    assert s.area_element(0.0, 0.0) == pytest.approx(math.pi / 2, rel=1e-13)
+    g = grid(5, 4)
+    thetas = np.repeat(LINEAR_MAP.theta(g.t_rule.nodes), 4)
+    assert areas(Sphere(1.0, LINEAR_MAP), g) == pytest.approx(
+        math.pi / 2 * np.sin(thetas), rel=1e-13
+    )
 
 
 def test_area_element_scales_with_radius():
-    s = Sphere(2.0)
-    assert s.area_element(0.3, 1.0) == pytest.approx(4.0, rel=1e-12)
+    assert areas(Sphere(2.0), grid(7, 6)) == pytest.approx(np.full(42, 4.0), rel=1e-12)
 
 
 def test_grid_anisotropy_sphere():
-    s = Sphere(1.0)
-    assert s.grid_anisotropy(0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
-    s_lin = Sphere(1.0, LINEAR_MAP)
-    assert s_lin.grid_anisotropy(0.0, 0.0) == pytest.approx(math.pi / 2, rel=1e-12)
+    # the nearest node of a target on the positive x-axis is (t, phi) = (0, 0)
+    x = np.array([1.1, 0.0, 0.0])
+    for theta_map, kappa in ((COSINE_MAP, 1.0), (LINEAR_MAP, math.pi / 2)):
+        frame = _build_frame(Sphere(1.0, theta_map), harmonic_single(), unit_density(),
+                             grid(5, 8), x)
+        assert (frame.t_star[0], frame.phi_star[0]) == (0.0, 0.0)
+        assert frame.kappa[0] == pytest.approx(kappa, rel=1e-12)
 
 
 def test_grid_anisotropy_off_equator_matches_finite_differences():
     s = Sphere(1.0)
-    t, phi = 1.0 / math.sqrt(2.0), 0.4
+    frame = _build_frame(s, harmonic_single(), unit_density(), grid(8, 16),
+                         np.array([0.4, 0.3, -0.8]))
+    t, phi = frame.t_star[0], frame.phi_star[0]
+    assert abs(t) > 0.5
     h = 1e-6
     d_t = (np.real(s.position(s.theta_map.theta(t + h), phi))
            - np.real(s.position(s.theta_map.theta(t - h), phi))) / (2 * h)
     d_p = (np.real(s.position(s.theta_map.theta(t), phi + h))
            - np.real(s.position(s.theta_map.theta(t), phi - h))) / (2 * h)
     expected = np.linalg.norm(d_t) / np.linalg.norm(d_p)
-    assert s.grid_anisotropy(t, phi) == pytest.approx(expected, rel=1e-6)
+    assert frame.kappa[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_partials_match_finite_differences():
@@ -389,8 +403,7 @@ def test_eval_sph_matches_generic_reference_bitwise(surface, reference):
 
 def test_area_element_positive_interior_vanishes_at_poles():
     for name, s in surfaces_under_test():
-        for t in np.linspace(-0.95, 0.95, 9):
-            assert s.area_element(t, 0.7) > 0, name
+        assert np.all(areas(s, grid(9, 8)) > 0), name
         _, dth, dph = s.eval_sph(0.0, 0.7)
         assert np.linalg.norm(np.cross(np.real(dth), np.real(dph))) < 1e-12, name
         _, dth, dph = s.eval_sph(math.pi, 0.7)
