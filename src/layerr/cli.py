@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, LayerrError
+from . import potentials
 from .estimates import ConeParams, full_estimate, sphere_simplified
 from .potentials import (
     DensitySpec,
@@ -33,7 +34,6 @@ from .potentials import (
     harmonic_single,
     measured_error,
     mod_helmholtz_single,
-    nearest_grid_node,
     paper_density,
     surface_scale,
     unit_density,
@@ -178,8 +178,8 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
     if gen == "random":
         count = _count(sec, "count", 100, 1)
         shell = _floats(sec.get("shell", "1.02,2.0"), "[targets] shell")
-        if len(shell) != 2 or shell[0] <= 0 or shell[1] <= shell[0]:
-            raise ConfigError("[targets] shell must be two increasing positive factors")
+        if len(shell) != 2 or not 0 < shell[0] < shell[1] < math.inf:
+            raise ConfigError("[targets] shell must be two increasing, positive, finite factors")
         if "seed" not in sec:
             raise ConfigError("[targets] random generator requires a seed")
         rng = np.random.default_rng(int(sec["seed"]))
@@ -187,14 +187,13 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
         scale = surface_scale(surface, g)
         pts = []
         while len(pts) < count:
-            u, v, w = rng.random(3)
-            theta = math.acos(1.0 - 2.0 * u)
-            phi = 2.0 * math.pi * v
-            s = shell[0] + (shell[1] - shell[0]) * w
-            x = s * np.real(surface.position(theta, phi))
-            _, _, _, _, dist = nearest_grid_node(surface, g, x)
-            if dist > 1e-3 * scale:
-                pts.append(x)
+            candidates = np.array([
+                (shell[0] + (shell[1] - shell[0]) * w)
+                * np.real(surface.position(math.acos(1.0 - 2.0 * u), 2.0 * math.pi * v))
+                for u, v, w in (rng.random(3) for _ in range(count - len(pts)))
+            ])
+            dist = potentials.nearest_grid_node(surface, g, candidates)[4]
+            pts.extend(candidates[dist > 1e-3 * scale])
         return np.array(pts)
     if gen == "shell":
         radius = float(sec.get("radius", 1.46))

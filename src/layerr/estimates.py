@@ -184,8 +184,9 @@ class _Frame:
     """Shared context of a block of targets, with one lane per located target.
 
     outcomes has one entry per target: its lane, or the EvaluationError that
-    kept it from being located. The arrays below it hold one entry per lane;
-    kappa and both root models read the nearest node's one evaluation.
+    kept the block's one nearest-node scan from locating it. The arrays below
+    hold one entry per lane; kappa and both root models read the nearest
+    node's one evaluation.
     """
 
     surface: Surface
@@ -206,27 +207,23 @@ class _Frame:
 
 
 def _build_frame(surface, kernel, density, g, x) -> _Frame:
-    """Frame of the targets x, of shape (3,) or (M, 3), located on the grid; a
-    target that is not finite, too far away or on a grid node gets an EvaluationError."""
+    """Frame of the targets x, of shape (3,) or (M, 3), located on the grid by
+    one block scan; a target that is not finite, too far away or on a grid
+    node gets an EvaluationError, every other target a lane."""
     scale = surface_scale(surface, g)
-    outcomes, lanes = [], []
-    for xi in target_block(x):
-        # looked up on the module, so that a wrapper put there sees each call
-        _, _, t_star, phi_star, dist = potentials.nearest_grid_node(surface, g, xi)
-        if not dist < math.inf:
-            outcomes.append(_not_located(xi))
-        elif dist <= 1e-12 * scale:
-            message = f"target {xi.tolist()} coincides with a surface grid node"
-            outcomes.append(EvaluationError(message))
-        else:
-            outcomes.append(len(lanes))
-            lanes.append((*xi, t_star, phi_star, dist))
-    lanes = np.array(lanes, dtype=float).reshape(-1, 6)
-    t_star, phi_star, dist = lanes[:, 3:].T.copy()
+    block = target_block(x)
+    # looked up on the module, so that a wrapper put there sees the block's scan
+    _, _, t_star, phi_star, dist = potentials.nearest_grid_node(surface, g, block)
+    on_lane = (dist < math.inf) & (dist > 1e-12 * scale)
+    outcomes = (np.cumsum(on_lane) - 1).tolist()
+    for i in np.flatnonzero(~on_lane):
+        message = f"target {block[i].tolist()} coincides with a surface grid node"
+        outcomes[i] = EvaluationError(message) if dist[i] < math.inf else _not_located(block[i])
+    t_star, phi_star, dist = t_star[on_lane], phi_star[on_lane], dist[on_lane]
     pos, d_t, d_phi = (np.moveaxis(np.real(v), 0, -1) for v in surface.eval_t(t_star, phi_star))
     # Gauss-Legendre nodes lie inside (-1, 1), off the poles where |d_phi| = 0
     kappa = np.sqrt(dot3(d_t, d_t)) / np.sqrt(dot3(d_phi, d_phi))
-    return _Frame(surface, kernel, density, g, scale, outcomes, lanes[:, :3].copy(), t_star,
+    return _Frame(surface, kernel, density, g, scale, outcomes, block[on_lane], t_star,
                   phi_star, dist, surface.theta_map.theta(t_star), pos, d_t, d_phi, kappa)
 
 

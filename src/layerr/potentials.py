@@ -191,22 +191,6 @@ def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
     return _grid_tables(surface, g).scale
 
 
-def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
-    """Closest grid node to x by exhaustive scan.
-
-    Returns (k, l, t_star, phi_star, distance); the distance is inf or NaN for
-    a target that is too far away (its square overflows) or not finite.
-    """
-    tab = _grid_tables(surface, g)
-    x = np.asarray(x, dtype=float)
-    px, py, pz = tab.positions
-    with np.errstate(over="ignore"):
-        d2 = (px - x[0]) ** 2 + (py - x[1]) ** 2 + (pz - x[2]) ** 2
-    idx = int(np.argmin(d2))
-    k, l = divmod(idx, g.n_phi)
-    return k, l, float(tab.ts[k]), float(tab.phis[l]), float(math.sqrt(d2[idx]))
-
-
 def target_block(x) -> np.ndarray:
     """x as an (M, 3) float block of targets; one target of shape (3,) is a
     block of one. Any other shape is an EvaluationError naming it."""
@@ -252,6 +236,33 @@ def _coordinate_sum(out, scratch, positions, xs, factors=None):
         d *= d if factors is None else factors[c]
         if c:
             out += scratch
+
+
+def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
+    """Closest grid node to each target by exhaustive scan: (k, l, t_star,
+    phi_star, distance), five scalars for one target x of shape (3,) and five
+    arrays for a block (M, 3).
+
+    A block is scanned in chunks of targets, each R^2 = (dx dx + dy dy) + dz dz
+    formed by the sums' _coordinate_sum in two buffers that every chunk reuses,
+    of at most _TILE_TARGETS * _TILE_NODES (target, node) entries or one
+    target's row. A tie goes to the first node; the distance is inf or NaN for
+    a target that is too far away (its R^2 overflows) or not finite.
+    """
+    block = target_block(x)
+    tab = _grid_tables(surface, g)
+    chunk = max(1, _TILE_TARGETS * _TILE_NODES // len(tab.base_weights))
+    buffers = np.empty((2, min(chunk, len(block)), len(tab.base_weights)))
+    idx, d2 = np.empty(len(block), dtype=np.intp), np.empty(len(block))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(block), chunk):
+            r2, scratch = buffers[:, : len(block[i : i + chunk])]
+            _coordinate_sum(r2, scratch, tab.positions, block[i : i + chunk])
+            np.argmin(r2, axis=1, out=idx[i : i + chunk])
+            np.min(r2, axis=1, out=d2[i : i + chunk])
+    k, l = np.divmod(idx, g.n_phi)
+    found = (k, l, tab.ts[k], tab.phis[l], np.sqrt(d2))
+    return found if np.ndim(x) > 1 else tuple(v[0].item() for v in found)
 
 
 def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs, buffers):

@@ -22,7 +22,8 @@ from layerr.cli import (
     sphere_sweep,
 )
 from layerr.estimates import sphere_simplified
-from layerr.potentials import harmonic_single, measured_error, unit_density
+from layerr import potentials
+from layerr.potentials import harmonic_single, measured_error, surface_scale, unit_density
 from layerr.quadrature import grid
 from layerr.roots import (
     VAR_PHI,
@@ -99,6 +100,59 @@ def test_random_targets_reproducible(tmp_path):
     main(["run", cfg, "--out", str(tmp_path / "a.csv")])
     main(["run", cfg, "--out", str(tmp_path / "b.csv")])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _draw_one_at_a_time(surface, n_t, n_phi, count, shell, seed):
+    """The random generator's loop before it located its candidates in
+    blocks: draw one candidate, scan it alone, keep it or draw the next."""
+    rng = np.random.default_rng(seed)
+    g = grid(n_t, n_phi)
+    scale = surface_scale(surface, g)
+    pts = []
+    while len(pts) < count:
+        u, v, w = rng.random(3)
+        theta = math.acos(1.0 - 2.0 * u)
+        phi = 2.0 * math.pi * v
+        s = shell[0] + (shell[1] - shell[0]) * w
+        x = s * np.real(surface.position(theta, phi))
+        if potentials.nearest_grid_node(surface, g, x)[4] > 1e-3 * scale:
+            pts.append(x)
+    return np.array(pts)
+
+
+def test_random_targets_match_the_one_at_a_time_draw():
+    cfg = preset_config("spheroid-random")
+    want = _draw_one_at_a_time(cfg.surface, cfg.n_t, cfg.n_phi, 300, (1.02, 2.0), 7)
+    assert cfg.targets.shape == (300, 3)
+    assert cfg.targets.tobytes() == want.tobytes()
+
+
+def test_random_targets_redraw_rejected_candidates_in_rounds(tmp_path, monkeypatch):
+    # a scan that puts every third candidate on a node (distance 0) makes the
+    # generator redraw: one block scan per round, of the candidates still missing
+    scan = potentials.nearest_grid_node
+    rounds = []
+
+    def on_node_every_third(surface, g, x):
+        found = scan(surface, g, x)
+        first = sum(rounds)
+        rounds.append(len(potentials.target_block(x)))
+        dist = np.where(np.arange(first, sum(rounds)) % 3 == 1, 0.0, found[4])
+        return (*found[:4], dist if np.ndim(x) > 1 else float(dist[0]))
+
+    monkeypatch.setattr(potentials, "nearest_grid_node", on_node_every_third)
+    body = CONFIG_TEMPLATE.replace(
+        "generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3",
+        "generator = random\ncount = 20\nshell = 1.1,1.8\nseed = 42",
+    )
+    targets = load_config(write_config(tmp_path, body)).targets
+    # candidates 1, 4, ..., 19 of the first round, 22 and 25 of the second and
+    # 28 of the third are rejected
+    assert rounds == [20, 7, 2, 1]
+    rounds.clear()
+    want = _draw_one_at_a_time(Sphere(1.0), 12, 24, 20, (1.1, 1.8), 42)
+    assert len(rounds) == 30
+    assert targets.tobytes() == want.tobytes()
 
 
 def test_per_point_failure_recorded(tmp_path):
@@ -612,6 +666,19 @@ def test_empty_generator_exits_one(tmp_path, capsys, targets):
     body = CONFIG_TEMPLATE.replace("generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3", targets)
     assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
     assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("shell", ["nan, 2.0", "1.02, nan", "1.02, inf"],
+                         ids=["nan-first", "nan-second", "inf"])
+def test_random_shell_factors_must_be_finite(tmp_path, capsys, shell):
+    # a NaN factor passed every comparison of the check and hung the generator
+    body = CONFIG_TEMPLATE.replace(
+        "generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3",
+        f"generator = random\ncount = 5\nshell = {shell}\nseed = 1",
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "shell must be two increasing, positive, finite factors" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -20,6 +20,7 @@ from layerr.estimates import (
     log_est_tz,
     sphere_simplified,
 )
+from layerr import potentials
 from layerr.potentials import (
     harmonic_double,
     harmonic_single,
@@ -525,6 +526,25 @@ def test_each_nearest_node_is_evaluated_once(surface, monkeypatch):
     block = full_estimate(surface, harmonic_single(), paper_density(), grid(12, 24), xs)
     assert not any(isinstance(bd, LayerrError) for bd in block)
     assert calls == [(2,)]
+
+
+@pytest.mark.parametrize("surface", [Sphere(1.0), Spheroid(1.0, 3.0), paper_blob()],
+                         ids=["sphere", "spheroid", "blob"])
+def test_each_estimate_scans_its_targets_once(surface, monkeypatch):
+    # one nearest-node scan per full_estimate, of the whole block, through the
+    # module attribute that the benchmark's tracer wraps
+    calls = []
+    scan = potentials.nearest_grid_node
+
+    def counted(surface, g, x):
+        calls.append(np.shape(x))
+        return scan(surface, g, x)
+
+    monkeypatch.setattr(potentials, "nearest_grid_node", counted)
+    xs = np.array([[1.3, 0.1, 0.2], [-0.4, 0.9, 0.5], [math.nan, 0.0, 0.0]])
+    full_estimate(surface, harmonic_single(), paper_density(), grid(12, 24), xs)
+    full_estimate(surface, harmonic_single(), paper_density(), grid(12, 24), xs[0])
+    assert calls == [(3, 3), (1, 3)]
 
 
 def test_block_error_classes_and_messages():

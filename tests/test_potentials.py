@@ -363,6 +363,20 @@ def test_empty_block_has_no_outcomes(f):
 # ------------------------------------------------------------- grid lookups
 
 
+def _scan_one(surface, g, x):
+    """One target's scan as the estimator made it before it scanned blocks."""
+    px, py, pz = _grid_tables(surface, g).positions
+    with np.errstate(over="ignore"):
+        d2 = (px - x[0]) ** 2 + (py - x[1]) ** 2 + (pz - x[2]) ** 2
+    idx = int(np.argmin(d2))
+    k, l = divmod(idx, g.n_phi)
+    return k, l, float(g.t_rule.nodes[k]), float(g.phi_rule.nodes[l]), math.sqrt(d2[idx])
+
+
+def _bitwise_equal(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_nearest_grid_node_matches_exhaustive_scan():
     x = np.array([0.8, -0.3, 0.9])
     k, l, t_star, phi_star, dist = nearest_grid_node(SPHERE, G_SPHERE, x)
@@ -374,6 +388,24 @@ def test_nearest_grid_node_matches_exhaustive_scan():
             pos = np.real(SPHERE.position(SPHERE.theta_map.theta(tk), pl))
             best = min(best, float(np.linalg.norm(pos - x)))
     assert dist == pytest.approx(best, abs=1e-14)
+    # per grid, a block longer than one chunk of the scan, with the far, the
+    # NaN, an on-axis and an on-node target: each entry is bitwise its own scan's
+    for surface, g in [(SPHERE, G_SPHERE), (Spheroid(1.0, 3.0), grid(20, 40)),
+                       (paper_blob(), grid(25, 25))]:
+        chunk = _TILE_TARGETS * _TILE_NODES // (g.n_t * g.n_phi)
+        node = _grid_tables(surface, g).positions[:, 7]
+        ordinary = np.random.default_rng(5).normal(scale=1.5, size=(chunk + 9, 3))
+        block = np.vstack([ordinary, _FAR, [math.nan, 0.0, 0.0], [0.0, 0.0, 2.5], node])
+        found = nearest_grid_node(surface, g, block)
+        assert len(block) > chunk and all(len(v) == len(block) for v in found)
+        for i, xi in enumerate(block):
+            one = nearest_grid_node(surface, g, xi)
+            assert [type(v) for v in one] == [int, int, float, float, float]
+            for got, single, want in zip(found, one, _scan_one(surface, g, xi)):
+                assert _bitwise_equal(got[i], single) and _bitwise_equal(single, want)
+        assert found[4][-1] == 0.0 and math.isnan(found[4][len(ordinary) + 3])
+        empty = nearest_grid_node(surface, g, np.empty((0, 3)))
+        assert [v.shape for v in empty] == [(0,)] * 5
 
 
 def _per_node_tables(surface, g):
