@@ -12,6 +12,8 @@ quadrature on a grid upsampled five-fold in both directions.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -222,9 +224,9 @@ def _not_located(x) -> EvaluationError:
 
 
 # A sum walks (targets x nodes) tiles of at most this many entries. Every
-# tile of a sum works in place in the same 256 KiB tile buffers, two of them
-# (three for the double layer), so that they stay in cache.
-_TILE_TARGETS = 8
+# tile a worker of a sum takes works in place in that worker's own 512 KiB
+# tile buffers, two of them (three for the double layer).
+_TILE_TARGETS = 16
 _TILE_NODES = 4096
 
 
@@ -296,6 +298,47 @@ def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs, buffers):
     return np.sum(terms, axis=1), nearest
 
 
+def _affinity_cpus() -> list:
+    """The CPUs this process may run on, in order; none where the platform
+    cannot say, and then every sum runs in one worker."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _sum_tiles(kernel, tab, weights, block, tiles, sums, nearest, cpu=None):
+    """One worker of a sum: takes target tiles from the shared iterator tiles
+    until it is exhausted, and adds each tile's terms into its rows of sums
+    and nearest, node tile by node tile in node order.
+
+    A worker on a thread of its own first pins that thread to cpu (on Linux,
+    sched_setaffinity(0) sets the calling thread's mask only): two unpinned
+    numpy threads often ran one after the other on a 2-CPU host. The inline
+    worker, cpu None, leaves the calling thread's mask alone. next() on a
+    range iterator is atomic under the interpreter lock, so each tile goes
+    to one worker.
+    """
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
+    # a target on a node divides by zero, one that is not finite makes NaN
+    # terms, and one whose R^2 overflows makes inf: their sums are discarded.
+    # Where only a double-layer R^3 overflows, the term underflows to zero.
+    # numpy keeps its error state per context and a new thread starts at the
+    # defaults, so each worker sets its own.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in tiles:
+            rows = slice(i, i + _TILE_TARGETS)
+            for j in range(0, len(weights), _TILE_NODES):
+                nodes = slice(j, j + _TILE_NODES)
+                s, d = _tile_sums(
+                    kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes],
+                    block[rows], buffers,
+                )
+                sums[rows] += s
+                nearest[rows] = np.minimum(nearest[rows], d)
+
+
 def potential_quadrature(
     surface: Surface,
     kernel: KernelSpec,
@@ -310,28 +353,27 @@ def potential_quadrature(
     (M, 3) returns M outcomes, each a sum or the EvaluationError of that
     target: not finite, too far away (R^2 overflows), or a node within
     1e-14 * scale of it. A target's terms are added tile by tile in node
-    order, so its sum is the same in any block.
+    order, so its sum is the same in any block and with any number of workers.
+
+    The target tiles are shared out to one worker thread per CPU the process
+    may run on, each pinned to its CPU, and never more workers than tiles; a
+    block of one tile, or a process on one CPU, runs its one worker inline.
     """
     block = target_block(x)
     tab = _grid_tables(surface, g)
     weights = _sum_weights(surface, g, density)
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
-    buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
-    # a target on a node divides by zero, one that is not finite makes NaN
-    # terms, and one whose R^2 overflows makes inf: their sums are discarded.
-    # Where only a double-layer R^3 overflows, the term underflows to zero.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, len(block), _TILE_TARGETS):
-            rows = slice(i, i + _TILE_TARGETS)
-            for j in range(0, len(weights), _TILE_NODES):
-                nodes = slice(j, j + _TILE_NODES)
-                s, d = _tile_sums(
-                    kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes],
-                    block[rows], buffers,
-                )
-                sums[rows] += s
-                nearest[rows] = np.minimum(nearest[rows], d)
+    starts = range(0, len(block), _TILE_TARGETS)
+    cpus = _affinity_cpus()[: len(starts)]
+    args = (kernel, tab, weights, block, iter(starts), sums, nearest)
+    if len(cpus) < 2:
+        _sum_tiles(*args)
+    else:
+        with ThreadPoolExecutor(len(cpus)) as pool:
+            workers = [pool.submit(_sum_tiles, *args, cpu=cpu) for cpu in cpus]
+        for worker in workers:
+            worker.result()
     outcomes = []
     for xi, s, d in zip(block, sums, nearest):
         if not d < math.inf:

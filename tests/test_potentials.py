@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from layerr import potentials
 from layerr.errors import EvaluationError
 from layerr.potentials import (
     DensitySpec,
@@ -220,15 +225,15 @@ def test_singular_node_rejected():
 KERNELS = [harmonic_single(), harmonic_double(), mod_helmholtz_single(3.0)]
 KERNEL_IDS = ["single", "double", "helmholtz"]
 # 13 x 27 base nodes and a 65 x 135 reference grid: neither node count, nor
-# the 19 targets below, is a multiple of its tile size
+# the 37 targets below, is a multiple of its tile size
 BLOB, G_BLOB = paper_blob(), grid(13, 27)
 
 
 def _blob_targets():
     rng = np.random.default_rng(5)
-    dirs = rng.standard_normal((19, 3))
+    dirs = rng.standard_normal((37, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return dirs * rng.uniform(0.5, 2.0, (19, 1))
+    return dirs * rng.uniform(0.5, 2.0, (37, 1))
 
 
 def test_tile_sizes_do_not_divide_the_test_blocks():
@@ -329,7 +334,7 @@ def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
     weights = _sum_weights(BLOB, fine, paper_density())
     xs = _blob_targets()
     on_node, nan, far = tab.positions[:, 8200], [0.3, math.nan, 0.1], [1e200, 0.0, 0.0]
-    full = np.vstack([xs[:5], [nan, far, tab.positions[:, 100]]])
+    full = np.vstack([xs[: _TILE_TARGETS - 3], [nan, far, tab.positions[:, 100]]])
     partial = np.vstack([on_node, xs[5:7], far, nan])
     # buffers left full of NaN and reused by the next tile, as in a sum
     buffers = np.full((3, _TILE_TARGETS * _TILE_NODES), np.nan)
@@ -346,6 +351,106 @@ def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
             assert np.isnan(sums[np.isnan(block).any(axis=1)]).all()
             assert (nearest[block[:, 0] == 1e200] == np.inf).all()
             assert 0.0 in nearest
+
+
+# ------------------------------------------------------ workers of a sum
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="the platform has no CPU affinity"
+)
+
+
+def _worker_block():
+    """71 blob targets: four full tiles and a part, so that neither the 71
+    targets nor their 5 tiles divide among 2 or 3 workers. Mixed in: a NaN
+    target, an overflowing one, and a node of each grid of the sums."""
+    ordinary = np.random.default_rng(9).uniform(-2.0, 2.0, (67, 3))
+    base_node = _grid_tables(BLOB, G_BLOB).positions[:, 50]
+    fine_node = _grid_tables(BLOB, grid(65, 135)).positions[:, 8200]
+    bad = [[0.3, math.nan, 0.1], [1e200, 0.0, 0.0], base_node, fine_node]
+    return np.vstack([ordinary[:20], bad[:2], ordinary[20:50], bad[2:], ordinary[50:]])
+
+
+def _outcome_bits(outcomes):
+    """Each outcome as its float's hex digits, or as its error's type and text."""
+    return [o.hex() if isinstance(o, float) else (type(o), str(o)) for o in outcomes]
+
+
+@needs_affinity
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    if workers == 2 and len(cpus) < 2:
+        pytest.skip("two workers need two CPUs")
+    block, d = _worker_block(), paper_density()
+    assert len(block) % _TILE_TARGETS and len(block) % workers
+    assert -(-len(block) // _TILE_TARGETS) % workers
+    sum_tiles, calls = potentials._sum_tiles, []
+
+    def recorded(*args, cpu=None):
+        calls.append((threading.current_thread() is threading.main_thread(), cpu))
+        sum_tiles(*args, cpu=cpu)
+
+    monkeypatch.setattr(potentials, "_sum_tiles", recorded)
+    runs = {}
+    # a short switch interval, so that workers interleave at every bytecode;
+    # a warning of a worker is an error that the sum raises
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, workers):
+                worker_cpus = [cpus[i % len(cpus)] for i in range(n)]
+                monkeypatch.setattr(potentials, "_affinity_cpus", lambda: worker_cpus)
+                runs[n] = [
+                    _outcome_bits(potential_quadrature(BLOB, kernel, d, g, block))
+                    for g in (G_BLOB, grid(65, 135))
+                ]
+    finally:
+        sys.setswitchinterval(switch)
+    assert runs[workers] == runs[1]
+    assert [type(o) for o in runs[1][0][20:22]] == [tuple, tuple]
+    assert [type(o) for o in runs[1][1][52:54]] == [str, tuple]
+    # one inline worker per one-worker sum; a pinned thread per CPU otherwise
+    worker_cpus = [cpus[i % len(cpus)] for i in range(workers)]
+    assert calls[:2] == [(True, None)] * 2
+    assert sorted(calls[2:]) == sorted([(False, cpu) for cpu in worker_cpus] * 2)
+    assert os.sched_getaffinity(0) == set(cpus)
+
+
+@needs_affinity
+def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    block = _worker_block()
+    third = block[2 * _TILE_TARGETS : 3 * _TILE_TARGETS]
+    tile_sums = potentials._tile_sums
+
+    class TileFailed(RuntimeError):
+        pass
+
+    def failing(kernel, positions, normals, weights, xs, buffers):
+        if np.array_equal(xs, third, equal_nan=True):
+            raise TileFailed("the third tile")
+        return tile_sums(kernel, positions, normals, weights, xs, buffers)
+
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(potentials, "_tile_sums", failing)
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
+    before, raised = threading.active_count(), []
+
+    def call():
+        try:
+            potential_quadrature(BLOB, harmonic_single(), unit_density(), G_BLOB, block)
+        except TileFailed as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["the third tile"]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("shape", [(0,), (2,), (4,), (2, 2), (2, 3, 1)])
