@@ -385,7 +385,8 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
         pytest.skip("two workers need two CPUs")
     block, d = _worker_block(), paper_density()
     assert len(block) % _TILE_TARGETS and len(block) % workers
-    assert -(-len(block) // _TILE_TARGETS) % workers
+    assert math.ceil(len(block) / _TILE_TARGETS) % workers
+    listed = {n: [cpus[i % len(cpus)] for i in range(n)] for n in (1, workers)}
     sum_tiles, calls = potentials._sum_tiles, []
 
     def recorded(*args, cpu=None):
@@ -402,8 +403,7 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, workers):
-                worker_cpus = [cpus[i % len(cpus)] for i in range(n)]
-                monkeypatch.setattr(potentials, "_affinity_cpus", lambda: worker_cpus)
+                monkeypatch.setattr(potentials, "_affinity_cpus", lambda: listed[n])
                 runs[n] = [
                     _outcome_bits(potential_quadrature(BLOB, kernel, d, g, block))
                     for g in (G_BLOB, grid(65, 135))
@@ -414,9 +414,8 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
     assert [type(o) for o in runs[1][0][20:22]] == [tuple, tuple]
     assert [type(o) for o in runs[1][1][52:54]] == [str, tuple]
     # one inline worker per one-worker sum; a pinned thread per CPU otherwise
-    worker_cpus = [cpus[i % len(cpus)] for i in range(workers)]
     assert calls[:2] == [(True, None)] * 2
-    assert sorted(calls[2:]) == sorted([(False, cpu) for cpu in worker_cpus] * 2)
+    assert sorted(calls[2:]) == sorted([(False, cpu) for cpu in listed[workers]] * 2)
     assert os.sched_getaffinity(0) == set(cpus)
 
 
