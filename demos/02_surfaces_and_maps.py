@@ -42,14 +42,15 @@ print("\nspheroid position at complex polar angle", w, ":")
 print("  ", np.round(pos, 6))
 
 # root finding runs on line evaluators: position and derivative along one
-# parameter with the other fixed, continued analytically off the real axis
+# parameter with the other fixed, continued analytically off the real axis;
+# one point comes back as a column (3, 1)
 line = theta_line(blob, 1.2)
-pos, d_theta = line(0.8)
+pos, d_theta = (v[:, 0] for v in line(0.8))
 h = 1e-6
-fd = (np.real(line(0.8 + h)[0]) - np.real(line(0.8 - h)[0])) / (2 * h)
+fd = (np.real(line(0.8 + h)[0][:, 0]) - np.real(line(0.8 - h)[0][:, 0])) / (2 * h)
 print("\nblob meridian at phi = 1.2, theta = 0.8:")
 print("   position        ", np.round(np.real(pos), 8))
 print("   d/dtheta        ", np.round(np.real(d_theta), 8))
 print("   central diff.   ", np.round(fd, 8))
 pos_c, _ = line(0.8 + 0.2j)
-print("   at theta = 0.8+0.2i:", np.round(pos_c, 6))
+print("   at theta = 0.8+0.2i:", np.round(pos_c[:, 0], 6))

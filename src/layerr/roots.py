@@ -11,7 +11,8 @@ fixed polar angle (a circle in a plane is the equator case) and for the
 polar root of a sphere at fixed azimuth. Everything else goes through a
 one-dimensional complex Newton iteration on the analytic parametrization,
 evaluated along a line: each iteration passes the (start, lane) entries that
-have stopped as NaN, and the line evaluates the surface only at the others.
+have stopped as NaN, and the line evaluates the position and the one partial
+Newton reads only at the others, returned in C order as they come.
 
 The closed forms, Newton and the root models take one target or a block of
 them: x of shape (3,) or (*lanes, 3), with one root per lane. On lanes a
@@ -36,10 +37,7 @@ import numpy as np
 
 from .errors import NoRootExists, NonConvergence
 from .rounding import cdiv, dot3, entrywise
-from .surfaces import Spheroid, Surface
-
-VAR_THETA = "theta"
-VAR_PHI = "phi"
+from .surfaces import VAR_PHI, VAR_THETA, Spheroid, Surface
 
 _NEWTON_MAX_ITER = 30
 # escalating imaginary parts for retries; slices far from the target
@@ -87,44 +85,34 @@ def _closed_form(root, residual, lam, no_root: str) -> RootResult:
     return RootResult(complex(root), float(residual), float(lam))
 
 
-# A line maps the iterates w to (gamma, d gamma/dw), coordinate first. A NaN
-# entry of w has stopped iterating: the line returns NaN there without
-# evaluating the surface.
+# A line maps the iterates w to (gamma, d gamma/dw) at the entries of w that
+# are not NaN, in C order: two arrays (3, live entries). A NaN entry has
+# stopped iterating, and the line evaluates nothing there.
 LineEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-def _eval_live(surface: Surface, theta, phi):
-    """surface.eval_sph at the broadcast (theta, phi), evaluated only where
-    neither is NaN and NaN elsewhere."""
-    theta, phi = np.broadcast_arrays(theta, phi)
-    live = ~(np.isnan(theta) | np.isnan(phi))
-    if live.all():
-        return surface.eval_sph(theta, phi)
-    parts = np.array(surface.eval_sph(theta[live], phi[live]))
-    out = np.full(parts.shape[:2] + live.shape, np.nan, dtype=parts.dtype)
-    out[:, :, live] = parts
-    return out
+def _line(surface: Surface, var: str, fixed) -> LineEvaluator:
+    """surface.eval_line along var at the live entries of w, the other
+    coordinate fixed; the trailing axes of w are fixed's lanes."""
+
+    def line(w):
+        w = np.asarray(w)
+        live = ~np.isnan(w)
+        other = np.broadcast_to(fixed, w.shape)[live]
+        theta, phi = (w[live], other) if var == VAR_THETA else (other, w[live])
+        return surface.eval_line(theta, phi, var)
+
+    return line
 
 
 def theta_line(surface: Surface, phi_fixed) -> LineEvaluator:
-    """Evaluator w -> (gamma, d gamma/d theta) along phi = phi_fixed; the
-    trailing axes of the array w are phi_fixed's lanes."""
-
-    def line(w):
-        pos, d_theta, _ = _eval_live(surface, w, phi_fixed)
-        return pos, d_theta
-
-    return line
+    """Evaluator w -> (gamma, d gamma/d theta) along phi = phi_fixed."""
+    return _line(surface, VAR_THETA, phi_fixed)
 
 
 def phi_line(surface: Surface, theta_fixed) -> LineEvaluator:
     """Evaluator w -> (gamma, d gamma/d phi) along theta = theta_fixed."""
-
-    def line(w):
-        pos, _, d_phi = _eval_live(surface, theta_fixed, w)
-        return pos, d_phi
-
-    return line
+    return _line(surface, VAR_PHI, theta_fixed)
 
 
 def circle_root(a: float, x: np.ndarray) -> RootResult:
@@ -182,17 +170,18 @@ def _newton(line, w, x, scale2: float, active):
     """
     residual = np.full(w.shape, np.nan)
     w = w.copy()
+    xs = np.broadcast_to(x, (3,) + w.shape)
     for _ in range(_NEWTON_MAX_ITER):
         live = active.copy()
         if not live.any():
             break
-        pos, dpos, xs = np.broadcast_arrays(*line(np.where(live, w, np.nan)), x)
-        diff = pos[:, live] - xs[:, live]
+        pos, dpos = line(np.where(live, w, np.nan))
+        diff = pos - xs[:, live]
         r2 = np.sum(diff * diff, axis=0)
         magnitude = np.sum(np.abs(diff) ** 2, axis=0)
         done = np.abs(r2) < 1e-13 * (scale2 + magnitude)
         residual[live] = np.where(done, np.abs(r2), np.nan)
-        dr2 = 2.0 * np.sum(diff * dpos[:, live], axis=0)
+        dr2 = 2.0 * np.sum(diff * dpos, axis=0)
         w_next = w[live] - cdiv(r2, dr2)
         go = ~done & np.isfinite(r2) & np.isfinite(dr2) & (dr2 != 0.0)
         go &= np.isfinite(w_next) & (np.abs(w_next) <= 1e6)
@@ -216,13 +205,14 @@ def newton_root(
     of shape initial.shape + (3,)) that iterate together; a lane without a
     root gets NaN. line gets the iterates as an array (start, *lanes) in
     which the entries that have stopped, and NaN starts, are NaN; it returns
-    NaN there without evaluating the surface. A NaN start is never iterated.
+    the other entries only, in C order. A NaN start is never iterated.
 
     Converges when |R^2| drops to 1e-13 of the problem size (the square of
     scale plus the magnitude of the summed squares at the iterate). If the
     supplied initial guess fails, retries with an escalating ladder of
     imaginary parts above the real part of the initial guess. With
-    nearest=True all starting points are tried and the converged root
+    nearest=True all distinct starting points are tried (the initial guess
+    only where it is not the ladder's first rung) and the converged root
     closest to the real axis is returned (the first in ladder order on a
     tie); the error-decay theory wants the root pair nearest the interval,
     and a single start can land on a farther branch. A single initial guess
@@ -234,11 +224,15 @@ def newton_root(
     scale2 = scale * scale
     with np.errstate(all="ignore"):
         if nearest:
-            starts = np.concatenate([w0[None], ladder])
+            # a start bitwise the ladder's first rung (a zero's sign included)
+            # would repeat that rung's iterates: the rung alone runs them
+            rung = (w0 == ladder[0]) & (np.signbit(w0.real) == np.signbit(ladder[0].real))
+            starts = np.concatenate([np.where(rung, np.nan, w0)[None], ladder])
             w, residual = _newton(line, starts, xs, scale2, np.isfinite(starts))
         else:
             w, residual = _newton(line, w0[None], xs, scale2, np.isfinite(w0[None]))
-            retry = np.isnan(residual[0])
+            # the ladder keeps the start's real part: none without a finite one
+            retry = np.isnan(residual[0]) & np.isfinite(w0.real)
             if retry.any():
                 w_l, residual_l = _newton(line, ladder, xs, scale2, retry & np.isfinite(ladder))
                 w, residual = np.concatenate([w, w_l]), np.concatenate([residual, residual_l])

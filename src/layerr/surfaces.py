@@ -11,8 +11,11 @@ quadrature nodes so that a sphere has a constant area element.
 All evaluators accept one complex argument (theta or phi, never both) and
 continue the parametrization analytically; for real arguments the results
 are real. theta and phi may also be arrays of one shape, with the coordinate
-on the first axis of each returned vector. eval_sph evaluates arrays with
-numpy ufuncs; for real arrays each entry equals the scalar call bitwise.
+on the first axis of each returned vector. eval_sph returns the position and
+both partials, evaluated with numpy ufuncs; for real arrays each entry equals
+the scalar call bitwise. eval_line returns the position and the one partial a
+root line along theta or phi reads; the Blob then skips the other partial's
+formulas, which it shares with eval_sph, so both give the same bits.
 The ThetaMap methods run one numpy path for scalars and arrays; only the
 arccosine goes entry by entry, as numpy's does not round as the C library's.
 """
@@ -28,6 +31,9 @@ from .rounding import cdiv, cmul, power
 
 LINEAR = "linear"
 COSINE = "cosine"
+
+VAR_THETA = "theta"
+VAR_PHI = "phi"
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,11 @@ class Surface:
     def eval_sph(self, theta, phi):
         raise NotImplementedError
 
+    def eval_line(self, theta, phi, var: str):
+        """Position and the partial along var (VAR_THETA or VAR_PHI)."""
+        pos, d_theta, d_phi = self.eval_sph(theta, phi)
+        return pos, d_theta if var == VAR_THETA else d_phi
+
     def position(self, theta, phi):
         return self.eval_sph(theta, phi)[0]
 
@@ -154,19 +165,30 @@ class Blob(Surface):
         self.theta_map = theta_map
 
     def eval_sph(self, theta, phi):
+        return self._eval(theta, phi, (VAR_THETA, VAR_PHI))
+
+    def eval_line(self, theta, phi, var: str):
+        return self._eval(theta, phi, (var,))
+
+    def _eval(self, theta, phi, partials):
+        """The position and the partials named in partials, in that order."""
         st, ct = np.sin(theta), np.cos(theta)
         sp, cp = np.sin(phi), np.cos(phi)
         # rho = 0.8 + e; estimates depend on every bit, so keep the operand order
         c_cos2 = _Y32_AMPL * np.cos(2.0 * phi)
         st2 = power(st, 2)
         e = 0.2 * np.exp(-3.0 * cmul(c_cos2 * st2, ct))
-        dg_th = cmul(c_cos2, cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
-        dg_ph = cmul(cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), st2), ct)
-        r, r_th, r_ph = 0.8 + e, cmul(e, -3.0 * dg_th), cmul(e, -3.0 * dg_ph)
-        u = np.array([cp * st, sp * st, ct])
-        du_th = np.array([cp * ct, sp * ct, -st])
-        du_ph = np.array([-sp * st, cp * st, 0.0 * st])
-        return r * u, r_th * u + r * du_th, r_ph * u + r * du_ph
+        r, u = 0.8 + e, np.array([cp * st, sp * st, ct])
+        out = [r * u]
+        for var in partials:
+            if var == VAR_THETA:
+                dg = cmul(c_cos2, cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
+                du = np.array([cp * ct, sp * ct, -st])
+            else:
+                dg = cmul(cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), st2), ct)
+                du = np.array([-sp * st, cp * st, 0.0 * st])
+            out.append(cmul(e, -3.0 * dg) * u + r * du)
+        return tuple(out)
 
 
 def paper_blob(theta_map: ThetaMap = COSINE_MAP) -> Blob:

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from layerr import roots
 from layerr.cli import preset_config
 from layerr.errors import NoRootExists
 from layerr.rounding import entrywise
 from layerr.roots import (
+    _RETRY_IMAG,
     VAR_PHI,
     VAR_THETA,
+    _newton,
     axisym_phi_root,
     azimuthal_sweep_model,
     circle_root,
@@ -222,15 +225,30 @@ def _blob_shell_block():
     return x, theta, np.arctan2(x[:, 1], x[:, 0])
 
 
+def _lockstep(line, start):
+    """line evaluated at every entry, stopped ones at start, returning the
+    live entries' values."""
+
+    def lockstep_line(w):
+        live = ~np.isnan(w)
+        pos, dpos = line(np.where(live, w, start))
+        return pos[:, live.ravel()], dpos[:, live.ravel()]
+
+    return lockstep_line
+
+
 @pytest.mark.parametrize("direction", [VAR_THETA, VAR_PHI])
 def test_newton_evaluates_only_live_entries(direction):
-    # the anchor solve of the estimate, nearest=True over 8 starts x 40 lanes
+    # the anchor solve of the estimate, nearest=True: its start, Im 0.1, is
+    # bitwise the ladder's first rung, so 7 distinct starts x 40 lanes
     blob = paper_blob()
     x, theta, phi = _blob_shell_block()
     make, fixed, start = (theta_line, phi, theta) if direction == VAR_THETA else (phi_line, theta, phi)
+    w0 = start + 0.1j
     spy, calls = _spied(make(blob, fixed))
-    root = newton_root(spy, direction, fixed, x, start + 0.1j, 1.2, nearest=True)
+    root = newton_root(spy, direction, fixed, x, w0, 1.2, nearest=True)
     assert not np.isnan(root.value).any()
+    assert np.isnan(calls[0][0]).all() and int((~np.isnan(calls[0])).sum()) == 7 * x.shape[0]
     # an entry that stopped stays stopped: NaN in every later call
     stopped = [np.isnan(w) for w in calls]
     assert all((earlier <= later).all() for earlier, later in zip(stopped, stopped[1:]))
@@ -238,13 +256,38 @@ def test_newton_evaluates_only_live_entries(direction):
     lockstep = calls[0].size * len(calls)
     assert len(calls) > 15 and evaluated <= lockstep // 2, (evaluated, lockstep)
 
-    # a line that evaluates every entry, stopped or not, gives the same bits
-    def lockstep_line(w):
-        return make(blob, fixed)(np.where(np.isnan(w), start + 0.1j, w))
+    # all 8 starts, duplicate included, on a line that evaluates every entry,
+    # stopped or not, and the pick rule (smallest |Im|, first on a tie) give
+    # the same bits
+    starts = np.concatenate([w0[None], w0.real + 1j * np.reshape(_RETRY_IMAG, (-1, 1))])
+    assert (starts[0] == starts[1]).all()
+    with np.errstate(all="ignore"):
+        w, residual = _newton(_lockstep(make(blob, fixed), w0), starts,
+                              np.moveaxis(x, -1, 0)[:, None], 1.2 * 1.2, np.isfinite(starts))
+    found = ~np.isnan(residual)
+    pick = np.argmin(np.where(found, np.abs(w.imag), np.inf), 0)
+    lanes = np.arange(x.shape[0])
+    value = w[pick, lanes]
+    np.testing.assert_array_equal(np.where(value.imag < 0, np.conj(value), value), root.value)
+    np.testing.assert_array_equal(residual[pick, lanes], root.residual)
 
-    full = newton_root(lockstep_line, direction, fixed, x, start + 0.1j, 1.2, nearest=True)
-    np.testing.assert_array_equal(full.value, root.value)
-    np.testing.assert_array_equal(full.residual, root.residual)
+
+def test_newton_without_nearest_skips_the_ladder_of_nan_starts(monkeypatch):
+    # lanes 0 and 2 start at NaN, lane 1 converges from its start: the
+    # retry ladder has nothing to iterate, so it does not run
+    blob = paper_blob()
+    x, theta, phi = _blob_shell_block()
+    runs = []
+
+    def counted(line, w, *args):
+        runs.append(w.shape)
+        return _newton(line, w, *args)
+
+    monkeypatch.setattr(roots, "_newton", counted)
+    start = np.array([np.nan, theta[1] + 0.1j, np.nan])
+    root = newton_root(theta_line(blob, phi[:3]), VAR_THETA, phi[:3], x[:3], start, 1.2)
+    assert np.isfinite(root.value[1]) and np.isnan(root.value[[0, 2]]).all()
+    assert runs == [(1, 3)]
 
 
 @pytest.mark.parametrize("nearest", [False, True])

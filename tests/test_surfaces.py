@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from layerr.errors import NonConvergence
 from layerr.estimates import _build_frame
 from layerr.potentials import _grid_tables, harmonic_single, unit_density
 from layerr.quadrature import grid
-from layerr.roots import VAR_THETA, newton_root, phi_line, theta_line
+from layerr.roots import VAR_PHI, VAR_THETA, newton_root, phi_line, theta_line
 from layerr.rounding import cmul, power
 from layerr.surfaces import (
     COSINE_MAP,
@@ -311,6 +313,27 @@ def test_eval_sph_arrays_match_scalar_calls_bitwise():
                     assert np.array_equal(row[:, j], scalar), (name, theta, phi)
 
 
+_parts = hst.floats(-4.0, 4.0, allow_nan=False) | hst.sampled_from([0.0, -0.0, math.pi])
+_imag = hst.floats(-800.0, 800.0, allow_nan=False)  # beyond |Im| ~ 710 sin and cos overflow
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.tuples(_parts, _imag, _parts), min_size=1, max_size=12),
+       hst.sampled_from([VAR_THETA, VAR_PHI]))
+def test_blob_line_evaluation_is_eval_sph_bitwise(entries, var):
+    # the line along var: var complex, the other coordinate real
+    w = np.array([complex(re, im) for re, im, _ in entries])
+    other = np.array([v for _, _, v in entries])
+    theta, phi = (w, other) if var == VAR_THETA else (other, w)
+    b = paper_blob()
+    with np.errstate(all="ignore"):
+        pos, d_var = b.eval_line(theta, phi, var)
+        full = b.eval_sph(theta, phi)
+    want = full[1] if var == VAR_THETA else full[2]
+    assert pos.tobytes() == full[0].tobytes() and pos.dtype == full[0].dtype
+    assert d_var.tobytes() == want.tobytes() and d_var.dtype == want.dtype
+
+
 # Reference formulas: the generic evaluators the three surfaces replaced. A
 # surface of revolution took profile callables a(theta), b(theta) and their
 # derivatives; the blob was rho * (unit radial direction) with three radius
@@ -424,11 +447,14 @@ def richardson_derivative(f, x0, h=1e-2):
 
 
 def test_surrogate_center_reproduces_position():
+    # a line returns its one live entry as a column (3, 1)
     for name, s in surfaces_under_test():
         pos, _ = theta_line(s, 0.6)(1.1)
-        assert np.real(pos) == pytest.approx(np.real(s.position(1.1, 0.6)), abs=1e-14), name
+        assert pos.shape == (3, 1), name
+        assert np.real(pos[:, 0]) == pytest.approx(np.real(s.position(1.1, 0.6)), abs=1e-14), name
         pos, _ = phi_line(s, 1.1)(0.6)
-        assert np.real(pos) == pytest.approx(np.real(s.position(1.1, 0.6)), abs=1e-14), name
+        assert pos.shape == (3, 1), name
+        assert np.real(pos[:, 0]) == pytest.approx(np.real(s.position(1.1, 0.6)), abs=1e-14), name
 
 
 def test_surrogate_matches_sphere_within_taylor_remainder():
@@ -452,8 +478,9 @@ def test_surrogate_polynomial_reproduction():
     r = p0 - x
     dd, rd = float(d @ d), float(r @ d)
     expected = complex(-rd / dd, math.sqrt(float(r @ r) * dd - rd * rd) / dd)
-    # a line gets the iterates as an array and returns coordinate-first vectors
-    line = lambda w: (p0[:, None] + d[:, None] * w, d[:, None])
+    # a line gets the iterates as an array and returns coordinate-first
+    # vectors at the entries that are not NaN
+    line = lambda w: (p0[:, None] + d[:, None] * w[~np.isnan(w)], d[:, None])
     root = newton_root(line, VAR_THETA, 0.0, x, 0.1j)
     assert root.value == pytest.approx(expected, abs=1e-12)
 
