@@ -225,18 +225,6 @@ def _blob_shell_block():
     return x, theta, np.arctan2(x[:, 1], x[:, 0])
 
 
-def _lockstep(line, start):
-    """line evaluated at every entry, stopped ones at start, returning the
-    live entries' values."""
-
-    def lockstep_line(w):
-        live = ~np.isnan(w)
-        pos, dpos = line(np.where(live, w, start))
-        return pos[:, live.ravel()], dpos[:, live.ravel()]
-
-    return lockstep_line
-
-
 @pytest.mark.parametrize("direction", [VAR_THETA, VAR_PHI])
 def test_newton_evaluates_only_live_entries(direction):
     # the anchor solve of the estimate, nearest=True: its start, Im 0.1, is
@@ -259,11 +247,16 @@ def test_newton_evaluates_only_live_entries(direction):
     # all 8 starts, duplicate included, on a line that evaluates every entry,
     # stopped or not, and the pick rule (smallest |Im|, first on a tie) give
     # the same bits
+    def lockstep_line(w):
+        live = ~np.isnan(w)
+        pos, dpos = make(blob, fixed)(np.where(live, w, w0))
+        return pos[:, live.ravel()], dpos[:, live.ravel()]
+
     starts = np.concatenate([w0[None], w0.real + 1j * np.reshape(_RETRY_IMAG, (-1, 1))])
     assert (starts[0] == starts[1]).all()
     with np.errstate(all="ignore"):
-        w, residual = _newton(_lockstep(make(blob, fixed), w0), starts,
-                              np.moveaxis(x, -1, 0)[:, None], 1.2 * 1.2, np.isfinite(starts))
+        w, residual = _newton(lockstep_line, starts, np.moveaxis(x, -1, 0)[:, None], 1.2 * 1.2,
+                              np.isfinite(starts))
     found = ~np.isnan(residual)
     pick = np.argmin(np.where(found, np.abs(w.imag), np.inf), 0)
     lanes = np.arange(x.shape[0])
