@@ -187,11 +187,11 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
         scale = surface_scale(surface, g)
         pts = []
         while len(pts) < count:
-            candidates = np.array([
-                (shell[0] + (shell[1] - shell[0]) * w)
-                * np.real(surface.position(math.acos(1.0 - 2.0 * u), 2.0 * math.pi * v))
-                for u, v, w in (rng.random(3) for _ in range(count - len(pts)))
-            ])
+            # one draw of the round's (u, v, w) triples; libm's arccosine per entry
+            u, v, w = rng.random((count - len(pts), 3)).T
+            theta = np.array([math.acos(1.0 - 2.0 * ui) for ui in u.tolist()])
+            on_surface = np.real(surface.position(theta, 2.0 * math.pi * v))
+            candidates = ((shell[0] + (shell[1] - shell[0]) * w) * on_surface).T
             dist = potentials.nearest_grid_node(surface, g, candidates)[4]
             pts.extend(candidates[dist > 1e-3 * scale])
         return np.array(pts)

@@ -155,37 +155,44 @@ class _GridTables:
 
 @lru_cache(maxsize=64)
 def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
-    # One array evaluation per Gauss-Legendre row: theta and the map's
-    # Jacobian are scalars of the row, phi runs along it. The partials and
-    # their cross products are formed one row at a time, so no whole-table
-    # copy of them is held.
+    # One array evaluation per block of whole Gauss-Legendre rows, of about
+    # _TILE_NODES nodes: theta and the map's Jacobian are constant along a
+    # row, phi runs along it. Each block's positions, unit normals, weights
+    # and largest |gamma| go straight into the final tables, so no temporary
+    # is larger than a block.
     ts = g.t_rule.nodes
     phis = g.phi_rule.nodes
     n_t, n_phi = g.n_t, g.n_phi
-    positions = np.empty((3, n_t, n_phi))
-    normals = np.empty((3, n_t, n_phi))
+    positions = np.empty((3, n_t * n_phi))
+    normals = np.empty((3, n_t * n_phi))
+    weights = np.empty(n_t * n_phi)
     thetas = surface.theta_map.theta(ts)
     jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
-    for k, (theta, jacobian) in enumerate(zip(thetas, jacobians)):
-        pos, d_theta, d_phi = surface.eval_sph(np.full(n_phi, theta), phis)
-        d_t = d_theta * jacobian
-        positions[:, k] = np.real(pos)
-        normals[:, k] = np.cross(np.real(d_t), np.real(d_phi), axis=0)
-    positions = positions.reshape(3, -1)
-    normals = normals.reshape(3, -1)
-    areas = np.linalg.norm(normals, axis=0)
-    normals /= areas
-    w = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
-    scale = float(np.max(np.linalg.norm(positions, axis=0)))
-    return _GridTables(thetas, ts, phis, positions, normals, w * areas, scale)
+    scale = 0.0
+    block_rows = max(1, _TILE_NODES // n_phi)
+    for start in range(0, n_t, block_rows):
+        rows = slice(start, min(start + block_rows, n_t))
+        nodes = slice(start * n_phi, rows.stop * n_phi)
+        pos, d_theta, d_phi = surface.eval_sph(np.repeat(thetas[rows], n_phi),
+                                               np.tile(phis, rows.stop - start))
+        d_t = d_theta * np.repeat(jacobians[rows], n_phi)
+        position, normal = positions[:, nodes], normals[:, nodes]
+        position[...] = np.real(pos)
+        normal[...] = np.cross(np.real(d_t), np.real(d_phi), axis=0)
+        areas = np.linalg.norm(normal, axis=0)
+        normal /= areas
+        np.multiply(np.outer(g.t_rule.weights[rows], g.phi_rule.weights).ravel(), areas,
+                    out=weights[nodes])
+        scale = max(scale, float(np.max(np.linalg.norm(position, axis=0))))
+    return _GridTables(thetas, ts, phis, positions, normals, weights, scale)
 
 
 @lru_cache(maxsize=64)
 def _sum_weights(surface: Surface, g: QuadratureGrid, density: DensitySpec) -> np.ndarray:
     """base_weights * sigma at the grid nodes: the weights of the potential sums."""
     tab = _grid_tables(surface, g)
-    sigma = density.value(np.repeat(tab.thetas, g.n_phi), np.tile(tab.phis, g.n_t))
-    return tab.base_weights * np.asarray(sigma, dtype=float)
+    sigma = density.value(tab.thetas[:, None], tab.phis)
+    return (tab.base_weights.reshape(g.n_t, g.n_phi) * np.asarray(sigma, dtype=float)).ravel()
 
 
 def surface_scale(surface: Surface, g: QuadratureGrid) -> float:

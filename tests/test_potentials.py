@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,7 +534,8 @@ def _per_node_tables(surface, g):
     [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()],
     ids=["sphere-cosine", "sphere-linear", "spheroid", "blob"],
 )
-@pytest.mark.parametrize("n_t,n_phi", [(7, 12), (12, 24)])
+# 7 x 1000 spans blocks of 4096 // 1000 = 4 rows, the last one short
+@pytest.mark.parametrize("n_t,n_phi", [(7, 12), (12, 24), (7, 1000)])
 def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     g = grid(n_t, n_phi)
     positions, normals, weights, scale = _per_node_tables(surface, g)
@@ -543,6 +545,30 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     assert tab.scale == scale
     assert np.max(np.abs(tab.base_weights - weights) / np.abs(weights)) <= 1e-15
     assert np.max(np.abs(tab.normals - normals.T)) <= 1e-15
+    for density in (unit_density(), paper_density()):
+        sigma = [density.value(theta, phi) for theta in tab.thetas for phi in tab.phis]
+        want = tab.base_weights * np.array(sigma, dtype=float)
+        assert _sum_weights(surface, g, density).tobytes() == want.tobytes()
+
+
+def test_grid_table_build_holds_no_whole_table_temporary():
+    # the tables and sum weights of a fresh surface on a 180k-node grid, the
+    # size of spheroid-random's reference grid: the build's peak of traced
+    # memory stays within 1.25x of what it keeps
+    surface, g = Spheroid(1.0, 2.0), grid(300, 600)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tab = _grid_tables(surface, g)
+        weights = _sum_weights(surface, g, paper_density())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = [tab.thetas, tab.positions, tab.normals, tab.base_weights, weights]
+    assert peak <= 1.25 * sum(a.nbytes for a in kept)
 
 
 def test_locate_builds_eval_point():
