@@ -27,13 +27,15 @@ sigma = unit_density()
 
 print("targets at distance 0.1, from equator to pole:")
 print(f"{'theta':>6} {'E_Q':>11} {'E_EST':>11} {'E_TZ':>11} {'E_GL':>11} {'skip':>5}")
-for theta in (1.571, 1.2, 0.8, 0.4, 0.15, 0.0):
-    x = 1.1 * np.array([math.sin(theta), 0.0, math.cos(theta)])
-    eq = measured_error(sphere, kernel, sigma, g, x)
-    bd = full_estimate(sphere, kernel, sigma, g, x)
+# one block of targets: the estimate holds one array entry per target
+thetas = (1.571, 1.2, 0.8, 0.4, 0.15, 0.0)
+xs = 1.1 * np.array([[math.sin(theta), 0.0, math.cos(theta)] for theta in thetas])
+eqs = measured_error(sphere, kernel, sigma, g, xs)
+est = full_estimate(sphere, kernel, sigma, g, xs)
+for i, theta in enumerate(thetas):
     print(
-        f"{theta:6.2f} {eq:11.2e} {bd.total:11.2e} {bd.e_tz:11.2e} "
-        f"{bd.e_gl:11.2e} {str(bd.tz_skipped):>5}"
+        f"{theta:6.2f} {eqs[i]:11.2e} {est.total[i]:11.2e} {est.e_tz[i]:11.2e} "
+        f"{est.e_gl[i]:11.2e} {str(est.tz_skipped[i]):>5}"
     )
 
 print("\nthe closed-form sphere bound needs only the target radius:")
@@ -53,5 +55,5 @@ x = 1.15 * np.array([math.sin(1.53) * math.cos(0.04), math.sin(1.53) * math.sin(
 for n_t in (10, 20, 30, 40):
     gg = grid(n_t, 2 * n_t)
     eq = measured_error(sphere, kernel, sigma, gg, x)
-    bd = full_estimate(sphere, kernel, sigma, gg, x)
-    print(f"  n_t={n_t:2d}: E_Q={eq:.3e}  E_EST={bd.total:.3e}")
+    est = full_estimate(sphere, kernel, sigma, gg, x)  # one target: 0-d arrays
+    print(f"  n_t={n_t:2d}: E_Q={eq:.3e}  E_EST={est.total:.3e}")

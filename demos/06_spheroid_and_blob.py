@@ -36,10 +36,10 @@ while shown < 8:
     eq = measured_error(spheroid, kernel, sigma, g, x)
     if not 1e-12 <= eq <= 1e-2:
         continue
-    bd = full_estimate(spheroid, kernel, sigma, g, x)
+    est = full_estimate(spheroid, kernel, sigma, g, x)  # one target: 0-d arrays
     print(
-        f"{np.linalg.norm(x):6.2f} {bd.grid_distance:6.3f} {eq:11.2e} "
-        f"{bd.total:11.2e} {bd.total / eq:7.2f}"
+        f"{np.linalg.norm(x):6.2f} {est.grid_distance:6.3f} {eq:11.2e} "
+        f"{est.total:11.2e} {est.total / eq:7.2f}"
     )
     shown += 1
 
@@ -50,11 +50,13 @@ kb = mod_helmholtz_single(3.0)
 print(f"{'theta':>6} {'phi':>6} {'E_Q':>11} {'E_EST':>11} {'decades off':>12}")
 # shell points whose measured error is comfortably above the roundoff
 # and far-field floors; much farther out both numbers become noise
-for theta, phi in ((0.9, 1.55), (1.2, 1.6), (1.6, 3.1), (1.9, 5.76), (2.7, 0.9)):
-    x = 1.46 * np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
-    eq = measured_error(blob, kb, sigma, gb, x)
-    bd = full_estimate(blob, kb, sigma, gb, x)
-    off = abs(math.log10(bd.total) - math.log10(eq)) if eq > 0 and bd.total > 0 else float("nan")
-    print(f"{theta:6.2f} {phi:6.2f} {eq:11.2e} {bd.total:11.2e} {off:12.2f}")
+angles = ((0.9, 1.55), (1.2, 1.6), (1.6, 3.1), (1.9, 5.76), (2.7, 0.9))
+xs = 1.46 * np.array(
+    [[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)] for t, p in angles]
+)
+# the shell points as one block: a list of measured errors, one array of totals
+eqs = measured_error(blob, kb, sigma, gb, xs)
+est = full_estimate(blob, kb, sigma, gb, xs)
+for (theta, phi), eq, total in zip(angles, eqs, est.total):
+    off = abs(math.log10(total) - math.log10(eq)) if eq > 0 and total > 0 else float("nan")
+    print(f"{theta:6.2f} {phi:6.2f} {eq:11.2e} {total:11.2e} {off:12.2f}")

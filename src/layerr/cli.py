@@ -302,43 +302,33 @@ def _write_csv(path: str, columns, rows) -> str:
     return path
 
 
-def _point_row(x, eq, bd, seconds: float, timing: bool):
-    """One CSV row from the measured error eq and the estimate outcome bd at x,
-    each a value or a LayerrError; the first error fills the error column."""
-    row = dict.fromkeys(CSV_COLUMNS, "")
-    row.update(x=_fmt(x[0]), y=_fmt(x[1]), z=_fmt(x[2]))
-    row["runtime_us"] = _fmt(seconds * 1e6 if timing else 0.0)
-    failure = next((v for v in (eq, bd) if isinstance(v, LayerrError)), None)
-    if failure is not None:
-        row["error"] = str(failure)
-        return row
-    row.update(
-        distance_to_grid=_fmt(bd.grid_distance),
-        E_Q=_fmt(eq),
-        E_EST=_fmt(bd.total),
-        E_TZ=_fmt(bd.e_tz),
-        E_GL=_fmt(bd.e_gl),
-        tz_skipped="true" if bd.tz_skipped else "false",
-        t_star=_fmt(bd.t_star),
-        phi_star=_fmt(bd.phi_star),
-    )
-    return row
-
-
 def run_experiment(cfg: ExperimentConfig, out_path=None, timing: bool = False) -> str:
     """Measure the error and estimate it at all targets, each in one batch;
     write CSV. With timing, every row's runtime is its equal share of the
-    batched measured error plus its equal share of the batched estimate."""
+    batched measured error plus its equal share of the batched estimate. A
+    failed row names its first failure and leaves its result columns blank."""
     g = grid(cfg.n_t, cfg.n_phi)
     out = out_path or cfg.out_path
     start = time.perf_counter()
     measured = measured_error(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets)
-    estimates = full_estimate(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets, cfg.cone)
+    est = full_estimate(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets, cfg.cone)
     share = (time.perf_counter() - start) / max(len(cfg.targets), 1)
-    rows = [
-        _point_row(x, eq, bd, share, timing)
-        for x, eq, bd in zip(cfg.targets, measured, estimates)
-    ]
+    errors = [eq if isinstance(eq, LayerrError) else e for eq, e in zip(measured, est.errors)]
+
+    def column(values, fmt=_fmt):
+        return [fmt(v) if e is None else "" for v, e in zip(values, errors)]
+
+    columns = dict(
+        zip("xyz", ([_fmt(v) for v in c] for c in cfg.targets.T.tolist())),
+        distance_to_grid=column(est.grid_distance.tolist()), E_Q=column(measured),
+        E_EST=column(est.total.tolist()), E_TZ=column(est.e_tz.tolist()),
+        E_GL=column(est.e_gl.tolist()),
+        tz_skipped=column(est.tz_skipped.tolist(), lambda s: "true" if s else "false"),
+        t_star=column(est.t_star.tolist()), phi_star=column(est.phi_star.tolist()),
+        runtime_us=[_fmt(share * 1e6 if timing else 0.0)] * len(errors),
+        error=["" if e is None else str(e) for e in errors],
+    )
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     return _write_csv(out, CSV_COLUMNS, rows)
 
 

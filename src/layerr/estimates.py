@@ -23,7 +23,8 @@ A block of targets is estimated as arrays with one lane per target: each
 anchor solve, and each sweep node in both directions, is one masked array
 operation over all lanes. A lane that has no root, or whose term vanishes,
 carries NaN or -inf from there on, so the block runs under np.errstate and
-the masks decide each lane's outcome.
+the masks decide each lane's outcome; full_estimate scatters the lanes back
+to their targets, into one array per field, NaN at a target that failed.
 
 Near the symmetry axis of an axisymmetric surface the azimuthal root does
 not exist; a cone criterion detects that region, where the trapezoidal
@@ -34,11 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import EvaluationError, InfiniteGeometryFactor, LayerrError
+from .errors import EvaluationError, InfiniteGeometryFactor
 from . import potentials
 from .potentials import (
     DensitySpec,
@@ -46,7 +46,6 @@ from .potentials import (
     _dot_c,
     _not_located,
     integrand_f_at,
-    one_or_block,
     surface_scale,
     target_block,
 )
@@ -80,19 +79,24 @@ class ConeParams:
     K_c: float = 10.0
 
 
-@dataclass(frozen=True)
-class EstimateBreakdown:
-    """Per-point estimate split into its two contributions."""
+@dataclass(frozen=True, eq=False)
+class Estimates:
+    """Estimates of targets, one entry per target in every array: total is
+    e_tz + e_gl, phi0 and t0 are the anchor roots (NaN where there is none),
+    and t_star, phi_star and grid_distance place the nearest grid node.
+    errors holds None, or the LayerrError of a failed target (NaN elsewhere,
+    False in tz_skipped)."""
 
-    e_tz: float
-    e_gl: float
-    total: float
-    tz_skipped: bool
-    phi0: Optional[complex]
-    t0: Optional[complex]
-    t_star: float
-    phi_star: float
-    grid_distance: float
+    e_tz: np.ndarray
+    e_gl: np.ndarray
+    total: np.ndarray
+    tz_skipped: np.ndarray
+    phi0: np.ndarray
+    t0: np.ndarray
+    t_star: np.ndarray
+    phi_star: np.ndarray
+    grid_distance: np.ndarray
+    errors: tuple
 
 
 def _logsumexp(vals):
@@ -183,10 +187,10 @@ def sphere_simplified(zeta: float, a: float, p: float, n: int) -> float:
 class _Frame:
     """Shared context of a block of targets, with one lane per located target.
 
-    outcomes has one entry per target: its lane, or the EvaluationError that
-    kept the block's one nearest-node scan from locating it. The arrays below
-    hold one entry per lane; kappa and both root models read the nearest
-    node's one evaluation.
+    located marks the targets with a lane; errors holds None for them and, for
+    every other target, the EvaluationError that kept the block's one
+    nearest-node scan from locating it. The arrays below hold one entry per
+    lane; kappa and both root models read the nearest node's one evaluation.
     """
 
     surface: Surface
@@ -194,7 +198,8 @@ class _Frame:
     density: DensitySpec
     grid: QuadratureGrid
     scale: float
-    outcomes: list
+    located: np.ndarray
+    errors: list
     x: np.ndarray  # (lanes, 3)
     t_star: np.ndarray  # nearest grid node
     phi_star: np.ndarray
@@ -215,15 +220,15 @@ def _build_frame(surface, kernel, density, g, x) -> _Frame:
     # looked up on the module, so that a wrapper put there sees the block's scan
     _, _, t_star, phi_star, dist = potentials.nearest_grid_node(surface, g, block)
     on_lane = (dist < math.inf) & (dist > 1e-12 * scale)
-    outcomes = (np.cumsum(on_lane) - 1).tolist()
+    errors = [None] * len(block)
     for i in np.flatnonzero(~on_lane):
         message = f"target {block[i].tolist()} coincides with a surface grid node"
-        outcomes[i] = EvaluationError(message) if dist[i] < math.inf else _not_located(block[i])
+        errors[i] = EvaluationError(message) if dist[i] < math.inf else _not_located(block[i])
     t_star, phi_star, dist = t_star[on_lane], phi_star[on_lane], dist[on_lane]
     pos, d_t, d_phi = (np.moveaxis(np.real(v), 0, -1) for v in surface.eval_t(t_star, phi_star))
     # Gauss-Legendre nodes lie inside (-1, 1), off the poles where |d_phi| = 0
     kappa = np.sqrt(dot3(d_t, d_t)) / np.sqrt(dot3(d_phi, d_phi))
-    return _Frame(surface, kernel, density, g, scale, outcomes, block[on_lane], t_star,
+    return _Frame(surface, kernel, density, g, scale, on_lane, errors, block[on_lane], t_star,
                   phi_star, dist, surface.theta_map.theta(t_star), pos, d_t, d_phi, kappa)
 
 
@@ -471,32 +476,37 @@ def full_estimate(
     x,
     cone: ConeParams = ConeParams(),
     tail_n: int = _DEFAULT_TAIL_NODES,
-) -> Union[EstimateBreakdown, List[Union[EstimateBreakdown, LayerrError]]]:
+) -> Estimates:
     """Total quadrature-error estimate with its breakdown, at one target or a block.
 
-    x of shape (3,) returns its EstimateBreakdown or raises its LayerrError.
-    x of shape (M, 3) returns M outcomes, each an EstimateBreakdown or the
-    LayerrError of that target; the block's anchor solves and sweep nodes
-    run as array operations over all its targets at once.
+    x of shape (M, 3) returns the Estimates of its M targets, each failed
+    target's LayerrError in errors; the block's anchor solves and sweep nodes
+    run as array operations over all its targets at once. x of shape (3,)
+    raises its LayerrError, or returns its Estimates with 0-d arrays.
     """
     frame = _build_frame(surface, kernel, density, g, x)
     with np.errstate(all="ignore"):
         e_tz, skipped, phi0 = _tz_internal(frame, cone, tail_n)
         e_gl, t0, infinite, bad_t = _gl_internal(frame, cone, tail_n)
-    outcomes = []
-    for j in frame.outcomes:
-        if isinstance(j, LayerrError):
-            outcomes.append(j)
-        elif infinite[j]:
-            outcomes.append(InfiniteGeometryFactor("d R^2 / d t vanishes at the root"))
-        elif not np.isnan(bad_t[j]):
-            message = f"Gauss-Legendre kernel undefined for t0={complex(bad_t[j])} on [-1, 1]"
-            outcomes.append(EvaluationError(message))
+    errors, lanes = frame.errors, np.flatnonzero(frame.located)
+    good_lane = ~infinite & np.isnan(bad_t)
+    for j in np.flatnonzero(~good_lane):
+        if infinite[j]:
+            errors[lanes[j]] = InfiniteGeometryFactor("d R^2 / d t vanishes at the root")
         else:
-            phi0_j, t0_j = (None if np.isnan(v) else complex(v) for v in (phi0[j], t0[j]))
-            outcomes.append(EstimateBreakdown(
-                float(e_tz[j]), float(e_gl[j]), float(e_tz[j] + e_gl[j]), bool(skipped[j]),
-                phi0_j, t0_j, float(frame.t_star[j]), float(frame.phi_star[j]),
-                float(frame.grid_distance[j]),
-            ))
-    return one_or_block(x, outcomes)
+            message = f"Gauss-Legendre kernel undefined for t0={complex(bad_t[j])} on [-1, 1]"
+            errors[lanes[j]] = EvaluationError(message)
+    shape = np.shape(x)[:-1]
+    if not shape and errors[0] is not None:
+        raise errors[0]
+
+    def scatter(lane_values, fill=math.nan):
+        values = np.full(len(errors), fill, dtype=lane_values.dtype)
+        values[lanes[good_lane]] = lane_values[good_lane]
+        return values.reshape(shape)
+
+    return Estimates(
+        scatter(e_tz), scatter(e_gl), scatter(e_tz + e_gl), scatter(skipped, False),
+        scatter(phi0), scatter(t0), scatter(frame.t_star), scatter(frame.phi_star),
+        scatter(frame.grid_distance), tuple(errors),
+    )

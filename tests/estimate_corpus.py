@@ -114,7 +114,7 @@ def outcome(case) -> dict:
         return {"unfixed": type(exc).__name__}
     if not (math.isfinite(bd.e_tz) and math.isfinite(bd.e_gl)):
         return {"unfixed": "nan"}
-    return {"e_tz": bd.e_tz, "e_gl": bd.e_gl, "tz_skipped": bd.tz_skipped}
+    return {"e_tz": float(bd.e_tz), "e_gl": float(bd.e_gl), "tz_skipped": bool(bd.tz_skipped)}
 
 
 def main(argv) -> int:

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from layerr.cli import (
     run_experiment,
     sphere_sweep,
 )
-from layerr.estimates import sphere_simplified
+from layerr.estimates import full_estimate, sphere_simplified
 from layerr import potentials
 from layerr.potentials import harmonic_single, measured_error, surface_scale, unit_density
 from layerr.quadrature import grid
@@ -524,6 +525,49 @@ def test_pole_target_recorded_not_fatal(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rows_carry_the_first_error_or_every_estimate_field(tmp_path):
+    # an ordinary, an on-node, a NaN and a pole target in one run: a failed
+    # row keeps its coordinates and runtime, names the measured error's
+    # failure before the estimate's and leaves every other column blank; the
+    # good row holds the target's own single-target values
+    s, g = Sphere(1.0), grid(20, 40)
+    node = np.real(s.position(s.theta_map.theta(g.t_rule.nodes[4]), g.phi_rule.nodes[7]))
+    targets = np.array([[1.3, 0.2, -0.4], node, [math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    points = "; ".join(", ".join(repr(float(v)) for v in x) for x in targets)
+    body = CONFIG_TEMPLATE.replace("n_t = 12\nn_phi = 24", "n_t = 20\nn_phi = 40").replace(
+        "points = 1.5, 0, 0; 0, 0, 1.3", f"points = {points}"
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_OK
+    rows = read_rows(tmp_path / "out.csv")
+    assert [r["error"] for r in rows] == [
+        "",
+        "a quadrature node coincides with the target point",  # not the estimate's message
+        "target [nan, 0.0, 0.0] is not finite",
+        "d R^2 / d t vanishes at the root",
+    ]
+    for x, row in zip(targets, rows):
+        assert [row[c] for c in ("x", "y", "z")] == [f"{v:.17g}" for v in x.tolist()]
+        assert row["runtime_us"] == "0"
+    kept = {"x", "y", "z", "runtime_us", "error"}
+    for row in rows[1:]:
+        assert all(row[c] == "" for c in cli.CSV_COLUMNS if c not in kept)
+    eq = measured_error(s, harmonic_single(), unit_density(), g, targets[0])
+    bd = full_estimate(s, harmonic_single(), unit_density(), g, targets[0])
+    assert rows[0] == {
+        **{c: rows[0][c] for c in kept},
+        "distance_to_grid": cli._fmt(float(bd.grid_distance)),
+        "E_Q": cli._fmt(eq),
+        "E_EST": cli._fmt(float(bd.total)),
+        "E_TZ": cli._fmt(float(bd.e_tz)),
+        "E_GL": cli._fmt(float(bd.e_gl)),
+        "tz_skipped": "false",
+        "t_star": cli._fmt(float(bd.t_star)),
+        "phi_star": cli._fmt(float(bd.phi_star)),
+    }
+    assert not bd.tz_skipped
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_on_axis_blob_target_gets_finite_row(tmp_path):
     # the azimuthal anchor falls back to a tangent root far off the real
     # axis, where the blob's evaluation overflows: the trapezoidal part is
@@ -640,7 +684,7 @@ def test_radial_sweep_targets(tmp_path):
 
 
 def test_readme_config_block_loads(tmp_path):
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    readme = Path(__file__).parent.parent.joinpath("README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
     path = tmp_path / "readme.ini"

@@ -488,23 +488,42 @@ def test_block_matches_its_batches_of_one():
                                       [0.1, 0.2, 0.3], [math.nan, 1, 1]]),
         (Spheroid(1.0, 3.0), grid(16, 32), [[1.2, 0.1, 2.0], [0.5, -0.6, -3.1], [0.0, 0.0, 0.0]]),
     ]
+    fields = ("e_tz", "e_gl", "total", "tz_skipped", "phi0", "t0", "t_star", "phi_star",
+              "grid_distance")
     errors = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for surface, g, xs in blocks:
             for kernel in (harmonic_single(), harmonic_double(), mod_helmholtz_single(3.0)):
                 block = full_estimate(surface, kernel, paper_density(), g, np.array(xs))
-                assert len(block) == len(xs)
-                for x, got in zip(xs, block):
+                assert len(block.errors) == len(xs)
+                assert all(getattr(block, f).shape == (len(xs),) for f in fields)
+                assert np.array_equal(block.total, block.e_tz + block.e_gl, equal_nan=True)
+                for i, x in enumerate(xs):
+                    got = {f: getattr(block, f)[i] for f in fields}
                     try:
                         want = full_estimate(surface, kernel, paper_density(), g, np.array(x))
                     except LayerrError as exc:
-                        assert type(got) is type(exc) and str(got) == str(exc)
+                        error = block.errors[i]
+                        assert type(error) is type(exc) and str(error) == str(exc)
+                        assert not got.pop("tz_skipped")
+                        assert all(np.isnan(v) for v in got.values())
                         errors += 1
                         continue
-                    assert got.tz_skipped == want.tz_skipped
-                    assert got.e_tz == pytest.approx(want.e_tz, rel=1e-12, abs=0.0)
-                    assert got.e_gl == pytest.approx(want.e_gl, rel=1e-12, abs=0.0)
+                    assert block.errors[i] is None and want.errors == (None,)
+                    assert all(getattr(want, f).shape == () for f in fields)
+                    assert want.total == want.e_tz + want.e_gl
+                    assert got["tz_skipped"] == want.tz_skipped
+                    assert got["e_tz"] == pytest.approx(want.e_tz, rel=1e-12, abs=0.0)
+                    assert got["e_gl"] == pytest.approx(want.e_gl, rel=1e-12, abs=0.0)
+                    for f in ("t_star", "phi_star", "grid_distance"):
+                        assert got[f].tobytes() == getattr(want, f).tobytes()
+                    for f in ("phi0", "t0"):
+                        if np.isnan(getattr(want, f)):
+                            assert np.isnan(got[f])
+                        else:
+                            assert complex(got[f]) == pytest.approx(
+                                complex(getattr(want, f)), rel=1e-12, abs=0.0)
     # the pole, on-surface and NaN targets fail with every kernel
     assert errors >= 4 * 3
 
@@ -524,7 +543,7 @@ def test_each_nearest_node_is_evaluated_once(surface, monkeypatch):
     monkeypatch.setattr(surface, "eval_t", counted)
     xs = np.array([[1.3, 0.1, 0.2], [-0.4, 0.9, 0.5]])
     block = full_estimate(surface, harmonic_single(), paper_density(), grid(12, 24), xs)
-    assert not any(isinstance(bd, LayerrError) for bd in block)
+    assert block.errors == (None, None)
     assert calls == [(2,)]
 
 
@@ -571,7 +590,8 @@ def test_block_error_classes_and_messages():
     ]
     for kernel in (harmonic_single(), harmonic_double(), mod_helmholtz_single(2.0)):
         block = full_estimate(SPHERE, kernel, unit_density(), g, xs)
-        for (cls, message), got in zip(expected, block):
+        for (cls, message), got in zip(expected, block.errors):
             assert type(got) is cls and str(got) == message
-        for got in block[len(expected):]:
-            assert math.isfinite(got.total) and got.total > 0.0
+        assert block.errors[len(expected):] == (None, None)
+        for total in block.total[len(expected):]:
+            assert math.isfinite(total) and total > 0.0

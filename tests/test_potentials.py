@@ -462,7 +462,13 @@ def test_malformed_target_arrays_are_evaluation_errors(f, shape):
 
 @pytest.mark.parametrize("f", [potential_quadrature, measured_error, full_estimate])
 def test_empty_block_has_no_outcomes(f):
-    assert f(SPHERE, harmonic_single(), unit_density(), G_SPHERE, np.empty((0, 3))) == []
+    out = f(SPHERE, harmonic_single(), unit_density(), G_SPHERE, np.empty((0, 3)))
+    if f is full_estimate:
+        # no errors, and every array of the estimates is empty
+        assert out.errors == ()
+        assert all(np.shape(v) == (0,) for name, v in vars(out).items() if name != "errors")
+    else:
+        assert out == []
 
 
 # ------------------------------------------------------------- grid lookups
@@ -574,7 +580,7 @@ def test_grid_table_build_holds_no_whole_table_temporary():
 def test_locate_builds_eval_point():
     x = np.array([1.3, 0.2, -0.4])
     frame = _build_frame(SPHERE, harmonic_single(), unit_density(), G_SPHERE, x)
-    assert frame.outcomes == [0]
+    assert frame.located.tolist() == [True] and frame.errors == [None]
     assert np.array_equal(frame.x, [x])
     _, _, t_star, phi_star, dist = nearest_grid_node(SPHERE, G_SPHERE, x)
     assert (frame.t_star[0], frame.phi_star[0]) == (t_star, phi_star)
@@ -595,11 +601,11 @@ def test_estimate_rejects_targets_it_cannot_locate():
     bad = np.array([1.3, np.nan, -0.4])
     out = full_estimate(SPHERE, harmonic_single(), unit_density(), G_SPHERE,
                         np.array([[1.3, 0.2, -0.4], node, bad]))
-    assert out[0].grid_distance > 0
-    assert isinstance(out[1], EvaluationError)
-    assert str(out[1]) == f"target {node.tolist()} coincides with a surface grid node"
-    assert isinstance(out[2], EvaluationError)
-    assert str(out[2]) == f"target {bad.tolist()} is not finite"
+    assert out.grid_distance[0] > 0 and out.errors[0] is None
+    assert isinstance(out.errors[1], EvaluationError)
+    assert str(out.errors[1]) == f"target {node.tolist()} coincides with a surface grid node"
+    assert isinstance(out.errors[2], EvaluationError)
+    assert str(out.errors[2]) == f"target {bad.tolist()} is not finite"
 
 
 _FAR = np.array([[1e200, 0.0, 0.0], [1e155, 0.0, 0.0], [0.0, -9.5e153, 9.5e153]])
@@ -613,14 +619,18 @@ def test_far_targets_get_one_typed_error_from_sums_and_frame(kernel):
     block = np.vstack([_FAR, ordinary])
     sums = potential_quadrature(SPHERE, kernel, unit_density(), G_SPHERE, block)
     estimates = full_estimate(SPHERE, kernel, unit_density(), G_SPHERE, block)
-    for x, s, e in zip(_FAR, sums, estimates):
+    for x, s, e in zip(_FAR, sums, estimates.errors):
         want = f"target {x.tolist()} is too far away: its squared distance overflows"
         assert isinstance(s, EvaluationError) and isinstance(e, EvaluationError)
         assert str(s) == str(e) == want
-    for x, s, e in zip(ordinary, sums[3:], estimates[3:]):
-        assert math.isfinite(s) and math.isfinite(e.total) and math.isfinite(e.grid_distance)
+    for i, (x, s) in enumerate(zip(ordinary, sums[3:]), start=3):
+        e = {f: v[i] for f, v in vars(estimates).items() if f != "errors"}
+        assert estimates.errors[i] is None
+        assert math.isfinite(s) and math.isfinite(e["total"]) and math.isfinite(e["grid_distance"])
         assert s == potential_quadrature(SPHERE, kernel, unit_density(), G_SPHERE, x)
-        assert e == full_estimate(SPHERE, kernel, unit_density(), G_SPHERE, x)
+        one = full_estimate(SPHERE, kernel, unit_density(), G_SPHERE, x)
+        assert one.errors == (None,)
+        assert all(np.array_equal(v, getattr(one, f), equal_nan=True) for f, v in e.items())
     assert nearest_grid_node(SPHERE, G_SPHERE, _FAR[0])[4] == math.inf
 
 
