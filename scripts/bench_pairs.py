@@ -14,8 +14,9 @@ runs every workload, then pair 2, and so on, so drift of the host's speed
 spreads over all workloads. Every run record that run.py writes is copied
 unmodified into ``records``; ``summary`` gives, per workload and end-to-end
 metric, the median and quartiles of each side (as perfbench/stats.py computes
-them) and in how many pairs the change was strictly better. Standard library
-only.
+them), in how many pairs the change was strictly better, and
+``gain_claimable``: at least 9 of 10 pairs won, and the medians apart in the
+better direction by more than the parent's q3 - q1. Standard library only.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from perfbench.stats import summary  # noqa: E402
 
 SIDES = ("parent", "change")
 PAIRS = 10
+# a gain is claimable when the change wins CLAIM_WINS of every PAIRS pairs
+CLAIM_WINS = 9
 
 
 def _git(*args) -> str:
@@ -71,7 +74,10 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
 
 def summarize(records: dict, metrics: list) -> dict:
     """Per workload: run and failed-row counts, and for each end-to-end metric
-    both sides' median and quartiles and the pairs the change won."""
+    both sides' median and quartiles, the pairs the change won, and whether a
+    gain is claimable: the change won at least CLAIM_WINS of every PAIRS
+    pairs, and its median is better than the parent's by more than the
+    parent's interquartile range q3 - q1."""
     out = {}
     for workload, sides in records.items():
         entry = {
@@ -87,6 +93,12 @@ def summarize(records: dict, metrics: list) -> dict:
             )
             entry[name] = {side: summary(values[side]) for side in SIDES}
             entry[name]["change_better_in_pairs"] = f"{won} of {len(values['change'])}"
+            parent, change = entry[name]["parent"], entry[name]["change"]
+            gap = (parent["median"] - change["median"]) * (1 if lower else -1)
+            entry[name]["gain_claimable"] = (
+                won >= CLAIM_WINS * len(values["change"]) / PAIRS
+                and gap > parent["q3"] - parent["q1"]
+            )
         out[workload] = entry
     return out
 
@@ -138,7 +150,9 @@ def main(argv=None) -> int:
         "summary": summarize(records, spec["end_to_end"]),
         "summary_note": "Derived from the records: per-run end_to_end values, median and "
         "quartiles as perfbench/stats.summary computes them; change_better_in_pairs counts "
-        "the pairs in which the change was strictly better.",
+        "the pairs in which the change was strictly better; gain_claimable is true when it "
+        "was better in at least 9 of 10 pairs and its median beats the parent's by more "
+        "than the parent's q3 - q1.",
         "records": records,
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")

@@ -29,6 +29,37 @@ def test_summary_counts_strict_wins_in_the_better_direction():
     assert out["wall_s"]["change"]["median"] == 2.0
 
 
+
+def _claimable(parent, change):
+    """gain_claimable of wall_s (lower is better) and of points_per_s (higher
+    is better) for pairs with these values of both metrics."""
+    records = {
+        "w": {
+            "parent": [_record(v, v) for v in parent],
+            "change": [_record(v, v) for v in change],
+        }
+    }
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "points_per_s", "better": "higher"}]
+    out = bench_pairs.summarize(records, metrics)["w"]
+    return out["wall_s"]["gain_claimable"], out["points_per_s"]["gain_claimable"]
+
+
+def test_gain_is_claimable_only_past_nine_wins_and_the_parent_spread():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # q3 - q1 = 5.5
+    # 10 of 10 pairs lower, medians 6 apart: a gain for wall_s, a loss for points_per_s
+    assert _claimable(parent, [v - 6.0 for v in parent]) == (True, False)
+    assert _claimable(parent, [v + 6.0 for v in parent]) == (False, True)
+    # 10 of 10 pairs won, but the medians are only 1 apart, inside the parent's spread
+    assert _claimable(parent, [v - 1.0 for v in parent]) == (False, False)
+    assert _claimable(parent, [v + 1.0 for v in parent]) == (False, False)
+    # 9 of 10 pairs won past the spread is enough; 8 of 10 is not
+    nine = [v - 20.0 for v in parent[:9]] + [parent[9] + 1.0]
+    eight = [v - 20.0 for v in parent[:8]] + [v + 1.0 for v in parent[8:]]
+    assert _claimable(parent, nine) == (True, False)
+    assert _claimable(parent, eight) == (False, False)
+    # a tie is not a win
+    assert _claimable(parent, parent) == (False, False)
+
 def test_main_runs_the_declared_workloads_for_ten_alternating_pairs(tmp_path, monkeypatch):
     import json
 

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,53 @@ def test_random_targets_match_the_one_at_a_time_draw():
     want = _draw_one_at_a_time(cfg.surface, cfg.n_t, cfg.n_phi, 300, (1.02, 2.0), 7)
     assert cfg.targets.shape == (300, 3)
     assert cfg.targets.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("radius, res", [(1.46, 24), (1.46, 16), (0.7, 7), (2.0, 1)])
+def test_shell_targets_match_the_per_point_formula(radius, res):
+    # the shell generator's loop before it built the shell from outer products
+    want = np.array([
+        radius * _unit_direction(
+            math.acos(1.0 - 2.0 * (i + 0.5) / res), 2.0 * math.pi * (j + 0.5) / (2 * res)
+        )
+        for i in range(res)
+        for j in range(2 * res)
+    ])
+    sec = {"generator": "shell", "radius": radius, "resolution": res}
+    targets = cli._generate_targets(paper_blob(), 8, 16, sec)
+    assert targets.shape == (2 * res * res, 3)
+    assert targets.tobytes() == want.tobytes()
+
+
+def test_run_peak_is_its_larger_phase(tmp_path):
+    # blob-shell on a 20x40 grid: the estimate's working set is freed before
+    # the measured error builds the 5x table, so a run's traced peak is that
+    # of its larger phase, not the two stacked; each phase starts uncached
+    preset = preset_config("blob-shell")
+    cfg = cli.ExperimentConfig(
+        preset.surface, preset.kernel, preset.density, 20, 40, preset.targets
+    )
+    g = grid(cfg.n_t, cfg.n_phi)
+    args = (cfg.surface, cfg.kernel, cfg.density, g, cfg.targets)
+
+    def traced_peak(call):
+        potentials._grid_tables.cache_clear()
+        potentials._sum_weights.cache_clear()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    estimate = traced_peak(lambda: full_estimate(*args))
+    measured = traced_peak(lambda: measured_error(*args))
+    run = traced_peak(lambda: run_experiment(cfg, str(tmp_path / "out.csv")))
+    assert run <= 1.1 * max(estimate, measured)
 
 
 def test_random_targets_redraw_rejected_candidates_in_rounds(tmp_path, monkeypatch):
