@@ -208,19 +208,18 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
             (radius * np.outer(sin_t, sin_p)).ravel(),
             np.repeat(radius * cos_t, 2 * res),
         ])
-    if gen == "explicit":
-        pts = []
-        for i, chunk in enumerate(sec.get("points", "").split(";")):
-            if not chunk.strip():
-                continue
-            vals = _floats(chunk, f"[targets] points entry {i + 1}")
-            if len(vals) != 3:
-                raise ConfigError(f"[targets] points entry {i + 1} is not an x,y,z triple")
-            pts.append(vals)
-        if not pts:
-            raise ConfigError("[targets] explicit generator needs a points list")
-        return np.array(pts)
-    raise ConfigError(f"[targets] unknown generator {gen!r}")
+    # explicit, the one generator left: _build_config has checked the name
+    pts = []
+    for i, chunk in enumerate(sec.get("points", "").split(";")):
+        if not chunk.strip():
+            continue
+        vals = _floats(chunk, f"[targets] points entry {i + 1}")
+        if len(vals) != 3:
+            raise ConfigError(f"[targets] points entry {i + 1} is not an x,y,z triple")
+        pts.append(vals)
+    if not pts:
+        raise ConfigError("[targets] explicit generator needs a points list")
+    return np.array(pts)
 
 
 # every section and key that _build_config reads; any other is a typo
@@ -229,9 +228,15 @@ _CONFIG_KEYS = {
     "kernel": {"kind", "omega"},
     "density": {"kind"},
     "grid": {"n_t", "n_phi"},
-    "targets": {"generator", "axis", "offset", "extent", "resolution", "distances", "angles",
-                "count", "shell", "seed", "radius", "points"},
     "output": {"path"},
+}
+# the [targets] keys that each generator reads besides generator itself
+_TARGET_KEYS = {
+    "plane": {"axis", "offset", "extent", "resolution"},
+    "radial-sweep": {"distances", "angles"},
+    "random": {"count", "shell", "seed"},
+    "shell": {"radius", "resolution"},
+    "explicit": {"points"},
 }
 
 
@@ -244,8 +249,11 @@ def _build_config(sections: dict) -> ExperimentConfig:
     """
     if "cone" in sections:
         raise ConfigError("[cone] is not configurable: the cone constants are fixed")
-    unknown = [f"[{name}]" for name in sections if name not in _CONFIG_KEYS]
-    unknown += [f"[{name}] {key}" for name, keys in _CONFIG_KEYS.items()
+    gen = sections.get("targets", {}).get("generator", "plane")
+    gen_keys = _lookup(_TARGET_KEYS, gen, "[targets] unknown generator {!r}")
+    known = {**_CONFIG_KEYS, "targets": {"generator", *gen_keys}}
+    unknown = [f"[{name}]" for name in sections if name not in known]
+    unknown += [f"[{name}] {key}" for name, keys in known.items()
                 for key in sections.get(name, {}) if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config entries: {', '.join(unknown)}")

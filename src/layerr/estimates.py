@@ -298,20 +298,23 @@ def _in_cone(frame: _Frame, cone: ConeParams):
     return rho / cone.A < (cone.K_c * math.pi / frame.grid.n_t) * frame.grid_distance
 
 
-def _log_sweep_integral(log_kernel_at, width, tail_n: int):
+def _log_sweep_integral(node, start, width, tail_n: int):
     """log of width times the Gauss-Laguerre sum of the kernel over both half
     lines, with log(w_i) + x_i + log kernel(x_i) per node.
 
-    log_kernel_at(offsets) takes the offsets of one node in both directions,
-    shape (2, 1), and returns the log kernel there, shape (2, lanes). It is
-    called in ascending node order, so that it can warm-start root chains
-    from the previous node of the same direction.
+    node(offsets, chain) takes the offsets of one node in both directions,
+    shape (2, 1), and each direction's warm start, shape (2, lanes), and
+    returns its roots there, NaN where it found none, and the log kernel, both
+    of that shape. Nodes run in ascending order; a direction's chain starts at
+    the anchor roots start and keeps the latest root each lane found.
     """
     rule = gauss_laguerre(tail_n)
     signs = np.array([[1.0], [-1.0]])
-    terms = [
-        log_kernel_at(signs * xi) + xi + math.log(wi) for xi, wi in zip(rule.nodes, rule.weights)
-    ]
+    chain, terms = np.array([start, start]), []
+    for xi, wi in zip(rule.nodes, rule.weights):
+        root, log_kernel = node(signs * xi, chain)
+        chain = np.where(np.isnan(root), chain, root)
+        terms.append(log_kernel + xi + math.log(wi))
     # the positive direction first, each in node order
     return np.log(width) + _logsumexp(np.swapaxes(np.array(terms), 0, 1).reshape(2 * tail_n, -1))
 
@@ -329,10 +332,8 @@ def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
     width = 1.0 / (g.n_phi * frame.kappa)
-    chain = np.array([phi0, phi0])
 
-    def log_kernel(offset):
-        nonlocal chain
+    def node(offset, chain):
         t_s = frame.t_star + offset * width
         inside = (-1.0 < t_s) & (t_s < 1.0)
         model_phi0 = model.model_root(t_s, phi0)
@@ -340,15 +341,15 @@ def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
         theta_s = surf.theta_map.theta(np.where(inside, t_s, 0.0))
         root = _phi_root(frame, theta_s, np.where(inside, chain, np.nan))
         found = inside & ~np.isnan(root)
-        chain = np.where(found, root, chain)
         log_fg = _log_fg(frame, theta_s, root, polar=False)
         val = np.where(log_fg == np.inf, -np.inf, log_fg + log_est_tz(np.abs(root.imag), g.n_phi, p))
         # a closed form without a root contributes nothing; a failed Newton
         # solve falls back to the model
         missed = from_model if not surf.axisymmetric else -np.inf
-        return np.where(found, val, np.where(inside, missed, from_model))
+        val = np.where(found, val, np.where(inside, missed, from_model))
+        return np.where(found, root, np.nan), val
 
-    return _log_sweep_integral(log_kernel, width, tail_n)
+    return _log_sweep_integral(node, phi0, width, tail_n)
 
 
 def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
@@ -437,11 +438,9 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
     p = frame.kernel.p
     width = frame.kappa / (2.0 * g.n_t)
     sweeps = ~np.isnan(theta0)
-    chain = np.array([theta0, theta0])
-    first_undefined = np.full(chain.shape, np.nan, dtype=complex)
+    first_undefined = np.full((2,) + theta0.shape, np.nan, dtype=complex)
 
-    def log_kernel(offset):
-        nonlocal chain
+    def node(offset, chain):
         dphi = offset * width
         # each direction owns a quarter turn: beyond it the sweep enters the
         # basin of the antipodal twin, which is covered by the full-circle
@@ -450,7 +449,6 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
         phi_s = frame.phi_star + dphi
         root = _theta_root(frame, phi_s, np.where(live, chain, np.nan))
         found = live & ~np.isnan(root)
-        chain = np.where(found, root, chain)
         log_fg = _log_fg(frame, root, phi_s, polar=True)
         t_s = surf.theta_map.t(root)
         fallback = live & ~found & (model is not None)
@@ -461,9 +459,9 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
         used = (found & (log_fg != np.inf)) | fallback
         first = used & undefined & np.isnan(first_undefined)
         first_undefined[first] = t_s[first]
-        return np.where(used, log_fg + log_k, -np.inf)
+        return np.where(found, root, np.nan), np.where(used, log_fg + log_k, -np.inf)
 
-    log_val = _log_sweep_integral(log_kernel, width, tail_n)
+    log_val = _log_sweep_integral(node, theta0, width, tail_n)
     plus, minus = first_undefined
     return log_val, np.where(np.isnan(plus), minus, plus)
 

@@ -158,9 +158,9 @@ def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
     return _closed_form(root, residual, lam, message)
 
 
-def _newton(line, w, x, scale2: float, active):
-    """Masked Newton iterations from the starts w; returns the iterates and
-    |R^2| at them, NaN where an entry did not converge.
+def _newton(line, w, x, scale2: float):
+    """Masked Newton iterations from the finite entries of w; returns the
+    iterates and |R^2| at them, NaN where an entry did not converge.
 
     The convergence threshold scales with the magnitude of the summed
     squares: far off the real axis the individual terms grow like
@@ -170,6 +170,7 @@ def _newton(line, w, x, scale2: float, active):
     """
     residual = np.full(w.shape, np.nan)
     w = w.copy()
+    active = np.isfinite(w)
     xs = np.broadcast_to(x, (3,) + w.shape)
     for _ in range(_NEWTON_MAX_ITER):
         live = active.copy()
@@ -211,12 +212,11 @@ def newton_root(
     scale plus the magnitude of the summed squares at the iterate). If the
     supplied initial guess fails, retries with an escalating ladder of
     imaginary parts above the real part of the initial guess. With
-    nearest=True all distinct starting points are tried (the initial guess
-    only where it is not the ladder's first rung) and the converged root
-    closest to the real axis is returned (the first in ladder order on a
-    tie); the error-decay theory wants the root pair nearest the interval,
-    and a single start can land on a farther branch. A single initial guess
-    that finds no root raises NonConvergence.
+    nearest=True only the seven rungs of that ladder are tried, and the
+    converged root closest to the real axis is returned (the first in ladder
+    order on a tie); the error-decay theory wants the root pair nearest the
+    interval, and a single start can land on a farther branch. A single
+    initial guess that finds no root raises NonConvergence.
     """
     w0 = np.asarray(initial, dtype=complex)
     xs = _coords(x)[:, None]
@@ -224,17 +224,13 @@ def newton_root(
     scale2 = scale * scale
     with np.errstate(all="ignore"):
         if nearest:
-            # a start bitwise the ladder's first rung (a zero's sign included)
-            # would repeat that rung's iterates: the rung alone runs them
-            rung = (w0 == ladder[0]) & (np.signbit(w0.real) == np.signbit(ladder[0].real))
-            starts = np.concatenate([np.where(rung, np.nan, w0)[None], ladder])
-            w, residual = _newton(line, starts, xs, scale2, np.isfinite(starts))
+            w, residual = _newton(line, ladder, xs, scale2)
         else:
-            w, residual = _newton(line, w0[None], xs, scale2, np.isfinite(w0[None]))
+            w, residual = _newton(line, w0[None], xs, scale2)
             # the ladder keeps the start's real part: none without a finite one
             retry = np.isnan(residual[0]) & np.isfinite(w0.real)
             if retry.any():
-                w_l, residual_l = _newton(line, ladder, xs, scale2, retry & np.isfinite(ladder))
+                w_l, residual_l = _newton(line, np.where(retry, ladder, np.nan), xs, scale2)
                 w, residual = np.concatenate([w, w_l]), np.concatenate([residual, residual_l])
     found = ~np.isnan(residual)
     # per lane: the smallest |Im| (nearest) or the first converged start

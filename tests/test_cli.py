@@ -3,6 +3,8 @@ import csv
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -700,6 +702,59 @@ def test_unknown_config_entries_exit_one(tmp_path, capsys, section, line, named)
     assert not (tmp_path / "out.csv").exists()
 
 
+EXPLICIT = "generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3"
+
+
+@pytest.mark.parametrize(
+    "targets, named",
+    [
+        ("generator = plane\nseed = 3\ncount = 5\nradius = 9",
+         ["[targets] seed", "[targets] count", "[targets] radius"]),
+        ("resolution = 4\nseed = 3", ["[targets] seed"]),
+        ("generator = radial-sweep\nshell = 1.1, 2.0", ["[targets] shell"]),
+        ("generator = random\nseed = 1\nresolution = 4", ["[targets] resolution"]),
+        ("generator = shell\naxis = x", ["[targets] axis"]),
+        (EXPLICIT + "\nangles = 6", ["[targets] angles"]),
+    ],
+    ids=["plane", "default-plane", "radial-sweep", "random", "shell", "explicit"],
+)
+def test_keys_of_other_generators_exit_one(tmp_path, capsys, targets, named):
+    # each generator reads only its own keys: plane with a seed used to run
+    body = CONFIG_TEMPLATE.replace(EXPLICIT, targets)
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(entry in err for entry in named), err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("shape = sphere", "shape = torus", "[surface] unknown shape 'torus'"),
+        ("kind = harmonic_single", "kind = stokes", "[kernel] unknown kind 'stokes'"),
+        ("kind = unit", "kind = gaussian", "[density] unknown kind 'gaussian'"),
+        ("0, 0, 1.3", "0, 0, z", "could not parse '[targets] points entry 2'"),
+        (EXPLICIT, "generator = plane\naxis = w", "[targets] axis must be x, y or z, got 'w'"),
+        (EXPLICIT, "generator = random\ncount = 5", "[targets] random generator requires a seed"),
+        ("0, 0, 1.3", "0, 1.3", "[targets] points entry 2 is not an x,y,z triple"),
+        (EXPLICIT, "generator = explicit", "[targets] explicit generator needs a points list"),
+        # the empty chunk is skipped, and the entries keep their places
+        ("; 0, 0, 1.3", ";; 0, 1.3", "[targets] points entry 3 is not an x,y,z triple"),
+        ("[grid]\nn_t = 12\nn_phi = 24\n", "", "missing config section 'grid'"),
+        ("[targets]\n" + EXPLICIT, "", "missing config section 'targets'"),
+        ("n_t = 12", "n_t = 12.5", "invalid config value: invalid literal for int()"),
+    ],
+    ids=["shape", "kernel", "density", "float-list", "axis", "seed", "triple", "no-points",
+         "empty-chunk", "no-grid", "no-targets", "n_t-float"],
+)
+def test_config_errors_exit_one(tmp_path, capsys, old, new, message):
+    assert old in CONFIG_TEMPLATE
+    body = CONFIG_TEMPLATE.replace(old, new)
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("name", sorted(_PRESETS))
 def test_preset_round_trips_through_a_config_file(tmp_path, name):
     parser = configparser.ConfigParser()
@@ -741,6 +796,17 @@ def test_readme_config_block_loads(tmp_path):
     assert cfg.kernel.kind == "harmonic_double" and cfg.density.kind == "paper"
     assert (cfg.surface.a, cfg.surface.b, cfg.n_t, cfg.n_phi) == (1.0, 3.0, 40, 80)
     assert len(cfg.targets) == 300 and cfg.out_path == "out.csv"
+
+
+def test_readme_quickstart_runs(tmp_path):
+    root = Path(__file__).parent.parent
+    blocks = re.findall(r"```python\n(.*?)```", root.joinpath("README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[0]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "EvaluationError" in done.stdout
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from layerr.errors import EvaluationError, InfiniteGeometryFactor, LayerrError, NoRootExists
+from layerr import estimates
 from layerr.estimates import (
     ConeParams,
     _build_frame,
@@ -473,6 +474,42 @@ def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, sto
     for name in stood_in:
         assert np.isnan(solved[name]).all()
         assert getattr(bd, name) == anchors[name]
+
+
+# ------------------------------------------------------ root-solve names
+
+
+@pytest.mark.parametrize(
+    "surface, want",
+    [
+        (SPHERE, {"sphere_theta_root": 9, "axisym_phi_root": 9}),
+        (Spheroid(1.0, 3.0), {"axisym_phi_root": 9, "newton_root nearest": 1, "newton_root": 8}),
+        (paper_blob(), {"newton_root nearest": 2, "newton_root": 16}),
+    ],
+    ids=["sphere", "spheroid", "blob"],
+)
+def test_root_solves_go_through_the_module_names(monkeypatch, surface, want):
+    # a per-layer tracer counts root solves by wrapping these three names of
+    # layerr.estimates and reading nearest by keyword: one anchor solve and 8
+    # sweep nodes per direction, whatever the block's size, and no solve that
+    # bypasses them
+    calls = {}
+
+    def counted(name, solve):
+        def wrapper(*args, **kwargs):
+            key = f"{name} nearest" if kwargs.get("nearest") else name
+            calls[key] = calls.get(key, 0) + 1
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("newton_root", "axisym_phi_root", "sphere_theta_root"):
+        monkeypatch.setattr(estimates, name, counted(name, getattr(estimates, name)))
+    theta, phi = np.array([0.7, 1.6, 2.4]), np.array([0.3, 2.0, 4.5])
+    x = 1.2 * np.real(surface.position(theta, phi)).T
+    bd = full_estimate(surface, KER, DEN, grid(12, 24), x)
+    assert bd.errors == (None,) * 3 and np.isfinite(bd.total).all()
+    assert calls == want
 
 
 # ------------------------------------------------------- batched estimates

@@ -227,8 +227,8 @@ def _blob_shell_block():
 
 @pytest.mark.parametrize("direction", [VAR_THETA, VAR_PHI])
 def test_newton_evaluates_only_live_entries(direction):
-    # the anchor solve of the estimate, nearest=True: its start, Im 0.1, is
-    # bitwise the ladder's first rung, so 7 distinct starts x 40 lanes
+    # the anchor solve of the estimate, nearest=True: the ladder's 7 rungs,
+    # the first of them at the start's Im 0.1, x 40 lanes
     blob = paper_blob()
     x, theta, phi = _blob_shell_block()
     make, fixed, start = (theta_line, phi, theta) if direction == VAR_THETA else (phi_line, theta, phi)
@@ -236,7 +236,7 @@ def test_newton_evaluates_only_live_entries(direction):
     spy, calls = _spied(make(blob, fixed))
     root = newton_root(spy, direction, fixed, x, w0, 1.2, nearest=True)
     assert not np.isnan(root.value).any()
-    assert np.isnan(calls[0][0]).all() and int((~np.isnan(calls[0])).sum()) == 7 * x.shape[0]
+    assert calls[0].shape == (7, x.shape[0]) and not np.isnan(calls[0]).any()
     # an entry that stopped stays stopped: NaN in every later call
     stopped = [np.isnan(w) for w in calls]
     assert all((earlier <= later).all() for earlier, later in zip(stopped, stopped[1:]))
@@ -255,8 +255,7 @@ def test_newton_evaluates_only_live_entries(direction):
     starts = np.concatenate([w0[None], w0.real + 1j * np.reshape(_RETRY_IMAG, (-1, 1))])
     assert (starts[0] == starts[1]).all()
     with np.errstate(all="ignore"):
-        w, residual = _newton(lockstep_line, starts, np.moveaxis(x, -1, 0)[:, None], 1.2 * 1.2,
-                              np.isfinite(starts))
+        w, residual = _newton(lockstep_line, starts, np.moveaxis(x, -1, 0)[:, None], 1.2 * 1.2)
     found = ~np.isnan(residual)
     pick = np.argmin(np.where(found, np.abs(w.imag), np.inf), 0)
     lanes = np.arange(x.shape[0])
