@@ -97,6 +97,14 @@ def _lookup(table: dict, name: str, message: str):
     return table[key]
 
 
+def _finite(value, name: str) -> float:
+    """float(value) if it is finite, else ConfigError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _positive(value, name: str) -> float:
     """float(value) if it is finite and positive, else ConfigError."""
     value = float(value)
@@ -155,8 +163,8 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
         axis = sec.get("axis", "y").lower()
         if axis not in ("x", "y", "z"):
             raise ConfigError(f"[targets] axis must be x, y or z, got {axis!r}")
-        offset = float(sec.get("offset", 0.0))
-        extent = float(sec.get("extent", 2.0))
+        offset = _finite(sec.get("offset", 0.0), "[targets] offset")
+        extent = _finite(sec.get("extent", 2.0), "[targets] extent")
         res = _count(sec, "resolution", 20, 2)
         us = np.linspace(-extent, extent, res)
         # the first in-plane coordinate varies slowest
@@ -164,7 +172,8 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
         cols.insert("xyz".index(axis), np.full(res * res, offset))
         return np.column_stack(cols)
     if gen == "radial-sweep":
-        distances = _floats(sec.get("distances", "0.1"), "[targets] distances")
+        distances = [_finite(d, "[targets] distances")
+                     for d in _floats(sec.get("distances", "0.1"), "[targets] distances")]
         angles = _count(sec, "angles", 24, 1)
         pts = []
         for d in distances:
@@ -196,7 +205,7 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
             pts.extend(candidates[dist > 1e-3 * scale])
         return np.array(pts)
     if gen == "shell":
-        radius = float(sec.get("radius", 1.46))
+        radius = _finite(sec.get("radius", 1.46), "[targets] radius")
         res = _count(sec, "resolution", 16, 1)
         # libm's functions once per distinct angle; theta varies slowest
         thetas = [math.acos(1.0 - 2.0 * (i + 0.5) / res) for i in range(res)]

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import EvaluationError, LayerrError
 from .quadrature import QuadratureGrid, grid
-from .rounding import cmul
 from .surfaces import Surface
 
 HARMONIC_SINGLE = "harmonic_single"
@@ -103,15 +102,15 @@ def paper_density() -> DensitySpec:
 
 def _dot_c(u, v):
     """Bilinear (unconjugated) dot product, valid for complex vectors."""
-    return cmul(u[0], v[0]) + cmul(u[1], v[1]) + cmul(u[2], v[2])
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _cross_c(u, v):
     return np.array(
         [
-            cmul(u[1], v[2]) - cmul(u[2], v[1]),
-            cmul(u[2], v[0]) - cmul(u[0], v[2]),
-            cmul(u[0], v[1]) - cmul(u[1], v[0]),
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
         ]
     )
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import NoRootExists, NonConvergence
-from .rounding import cdiv, dot3, entrywise
+from .rounding import cdiv, entrywise
 from .surfaces import VAR_PHI, VAR_THETA, Spheroid, Surface
 
 _NEWTON_MAX_ITER = 30
@@ -147,9 +147,9 @@ def sphere_theta_root(a: float, phi_bar, x: np.ndarray) -> RootResult:
     x0, x1, x2 = _coords(x)
     cp, sp = np.cos(phi_bar), np.sin(phi_bar)
     u = x0 * cp + x1 * sp
-    rho_t = entrywise(math.hypot, u, x2)
+    rho_t = np.hypot(u, x2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (a * a + dot3(x, x)) / (2.0 * a * rho_t)
+        lam = (a * a + (x0 * x0 + x1 * x1 + x2 * x2)) / (2.0 * a * rho_t)
         root = np.where(rho_t == 0.0, np.nan, entrywise(math.atan2, u, x2) + 1j * _log_beta(lam))
         root = _canonical(root)
         st, ct = np.sin(root), np.cos(root)
@@ -267,7 +267,7 @@ class RootModel:
         self.slice_at = slice_at
         _, g = slice_at(v_star)
         # both slices keep |g| fixed, so the anchor's norm scales every root
-        self.gg = dot3(g, g)
+        self.gg = np.sum(g * g, axis=-1)
         self.anchor = self.linear_root(v_star)
         self.degenerate = np.isnan(self.anchor)
 
@@ -275,8 +275,8 @@ class RootModel:
         """Root (Im >= 0) of the model R^2 at secondary coordinate v; a real
         double root is NaN at the anchor and real elsewhere."""
         r, g = self.slice_at(v)
-        a = dot3(r, r)
-        b = 2.0 * dot3(r, g)
+        a = np.sum(r * r, axis=-1)
+        b = 2.0 * np.sum(r * g, axis=-1)
         disc = 4.0 * a * self.gg - b * b
         im = np.sqrt(np.maximum(disc, 0.0)) / (2.0 * self.gg)
         im = np.where((disc <= 0.0) & (v == self.v_star), np.nan, im)

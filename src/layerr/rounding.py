@@ -1,19 +1,19 @@
-"""Array arithmetic that keeps the stored reference bits.
+"""Scalar rounding for the array operations whose stored values need it.
 
-numpy's vectorized complex products use fused multiply-adds where the CPU has
-them, its vectorized exp/log/acos/atan2/hypot and powers are not the C
-library's, a 3-vector np.dot is a fused BLAS chain, and Python divides complex
-numbers its own way. Estimates evaluate exp(-omega sqrt(R^2)) and n . (y - x)
-at roots where these cancel to rounding level, so a last-bit change in a root
-moves blob-shell's screened-kernel estimates by up to ~1e-7. These helpers keep
-the bits stored in perfbench/reference/ and tests/estimate_corpus.json, and give
-each target of a block the bits of a block of one, until exact numerators at
-roots retire them. power runs the scalar power once per distinct value of a
-real array, not once per entry.
+tests/estimate_corpus.json (rtol 1e-10) and perfbench/reference/ (rtol 1e-8)
+store estimates at roots where R^2 and n . (y - x) cancel to rounding level.
+Each helper serves one module, where plain numpy was measured to move them:
+- entrywise: math.log and math.atan2 of the closed-form roots (roots.py); numpy's
+  differ between its AVX512 and AVX2 paths, by 3.1e-9 in corpus case 38's e_gl.
+- cdiv: Python's complex division in the Newton step (roots._newton); numpy's
+  moves 3 blob-shell rows past 1e-8, by up to 3.1e-8.
+- cmul: the blob's complex products without fused multiply-adds
+  (surfaces.Blob._eval); numpy's move 32 blob-shell rows, by up to 3.2e-8.
+- dot3: np.dot for the grid anisotropy kappa (estimates._build_frame); a plain
+  sum moves 1 blob-shell row, by 1.06e-8.
+Exact numerators at roots would retire them, with one refresh of the stored values.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,18 +31,6 @@ def cmul(a, b):
         return a * b
     # einsum's elementwise complex product has no fused multiply-add
     return np.einsum("...,...->...", a, b)
-
-
-def power(x, n: int):
-    """x ** n for n = 2 or 3, rounded as the scalar power."""
-    if not isinstance(x, np.ndarray):
-        return x**n
-    if x.dtype.kind == "c":
-        return cmul(x, x) if n == 2 else x**n
-    # one math.pow per distinct bit pattern, so -0.0 and each NaN keep their own
-    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
-    bits, inverse = np.unique(bits, return_inverse=True)
-    return entrywise(math.pow, bits.view(float), float(n))[inverse].reshape(x.shape)[()]
 
 
 def cdiv(a, b):

@@ -16,18 +16,18 @@ both partials, evaluated with numpy ufuncs; for real arrays each entry equals
 the scalar call bitwise. eval_line returns the position and the one partial a
 root line along theta or phi reads; the Blob then skips the other partial's
 formulas, which it shares with eval_sph, so both give the same bits.
-The ThetaMap methods run one numpy path for scalars and arrays; only the
-arccosine goes entry by entry, as numpy's does not round as the C library's.
+The ThetaMap methods run one numpy path for scalars and arrays; only the real
+arccosine on [-1, 1] goes entry by entry through the C library, as numpy's real
+arccos rounds differently under its AVX512 and AVX2 code paths.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rounding import cdiv, cmul, power
+from .rounding import cmul
 
 LINEAR = "linear"
 COSINE = "cosine"
@@ -39,7 +39,7 @@ VAR_PHI = "phi"
 @dataclass(frozen=True)
 class ThetaMap:
     """Bijection between t in [-1, 1] and the polar angle theta in [0, pi]: one
-    numpy path for scalars and arrays, only the arccosine is libm's, entrywise."""
+    numpy path for scalars and arrays; only the real arccosine is libm's, entrywise."""
 
     kind: str
 
@@ -51,7 +51,7 @@ class ThetaMap:
         libm = (np.abs(t) <= 1.0) & (t.dtype.kind != "c")
         acos = np.empty(t.shape, float if libm.all() else complex)
         acos[libm] = [math.acos(v) for v in t[libm].tolist()]
-        acos[~libm] = [cmath.acos(v) for v in t[~libm].astype(complex).tolist()]
+        acos[~libm] = np.arccos(t[~libm].astype(complex))
         return math.pi - acos
 
     def t(self, theta):
@@ -61,7 +61,7 @@ class ThetaMap:
         if real and not np.all((0.0 <= theta) & (theta <= math.pi)):
             raise ValueError(f"real theta must lie in [0, pi], got {theta}")
         if self.kind == LINEAR:
-            return -1.0 + (2.0 * theta / math.pi if real else cdiv(2.0 * theta, math.pi))
+            return -1.0 + 2.0 * theta / math.pi
         return -np.cos(theta)
 
     def dtheta_dt_at(self, theta):
@@ -76,7 +76,8 @@ class ThetaMap:
         s = np.sin(theta)
         pole = s == 0.0
         s = np.where(pole, 1.0, s)
-        return np.where(pole, math.inf, cdiv(1.0, s) if s.dtype.kind == "c" else 1.0 / s)[()]
+        with np.errstate(invalid="ignore"):  # numpy flags a complex NaN divisor
+            return np.where(pole, math.inf, 1.0 / s)[()]
 
 
 LINEAR_MAP = ThetaMap(LINEAR)
@@ -176,13 +177,13 @@ class Blob(Surface):
         sp, cp = np.sin(phi), np.cos(phi)
         # rho = 0.8 + e; estimates depend on every bit, so keep the operand order
         c_cos2 = _Y32_AMPL * np.cos(2.0 * phi)
-        st2 = power(st, 2)
+        st2 = cmul(st, st)
         e = 0.2 * np.exp(-3.0 * cmul(c_cos2 * st2, ct))
         r, u = 0.8 + e, np.array([cp * st, sp * st, ct])
         out = [r * u]
         for var in partials:
             if var == VAR_THETA:
-                dg = cmul(c_cos2, cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
+                dg = cmul(c_cos2, cmul(cmul(2.0 * st, ct), ct) - cmul(st2, st))
                 du = np.array([cp * ct, sp * ct, -st])
             else:
                 dg = cmul(cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), st2), ct)

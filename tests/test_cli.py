@@ -743,9 +743,16 @@ def test_keys_of_other_generators_exit_one(tmp_path, capsys, targets, named):
         ("[grid]\nn_t = 12\nn_phi = 24\n", "", "missing config section 'grid'"),
         ("[targets]\n" + EXPLICIT, "", "missing config section 'targets'"),
         ("n_t = 12", "n_t = 12.5", "invalid config value: invalid literal for int()"),
+        # a non-finite generator parameter is a config error, not a CSV of error rows
+        (EXPLICIT, "generator = plane\noffset = nan", "[targets] offset must be finite, got nan"),
+        (EXPLICIT, "generator = plane\nextent = inf", "[targets] extent must be finite, got inf"),
+        (EXPLICIT, "generator = radial-sweep\ndistances = 0.1, inf",
+         "[targets] distances must be finite, got inf"),
+        (EXPLICIT, "generator = shell\nradius = -inf", "[targets] radius must be finite, got -inf"),
     ],
     ids=["shape", "kernel", "density", "float-list", "axis", "seed", "triple", "no-points",
-         "empty-chunk", "no-grid", "no-targets", "n_t-float"],
+         "empty-chunk", "no-grid", "no-targets", "n_t-float", "offset-nan", "extent-inf",
+         "distances-inf", "radius-inf"],
 )
 def test_config_errors_exit_one(tmp_path, capsys, old, new, message):
     assert old in CONFIG_TEMPLATE

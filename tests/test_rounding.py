@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from layerr import rounding
-from layerr.rounding import cdiv, dot3, entrywise, power
+from layerr.rounding import cdiv, dot3
 
 
 def _per_lane_dot(u, v):
@@ -87,38 +86,3 @@ def test_cdiv_of_scalars_is_a_scalar():
         got = cdiv(a, b)
         assert np.ndim(got) == 0
         assert np.array(got).tobytes() == np.array(complex(a) / b).tobytes()
-
-
-_R = np.random.default_rng(5)
-_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
-                     2.2e-308, 1e-160, -1e-160, 1e100, 0.5, -0.5])
-
-
-@pytest.mark.parametrize(
-    "x",
-    [
-        np.repeat(_R.standard_normal(7), 40).reshape(10, 28),  # repeats, 2-d
-        np.concatenate([_SPECIAL, _SPECIAL[::-1], _R.standard_normal(20)]),
-        np.sin(np.full((3, 5), 0.7)),  # one distinct value, as along a line in phi
-        np.moveaxis(_R.standard_normal((4, 3, 2)), 0, -1)[:, ::2],  # strided
-        np.array(-0.0),  # 0-d
-        np.empty((0, 3)),
-    ],
-    ids=["repeats", "special", "constant", "strided", "0-d", "empty"],
-)
-@pytest.mark.parametrize("n", [2, 3])
-def test_power_of_a_real_array_calls_math_pow_once_per_distinct_value(x, n, monkeypatch):
-    want = np.asarray(entrywise(math.pow, x, float(n)), dtype=float)
-    calls = []
-
-    def pow_(a, b):
-        calls.append(a)
-        return math_pow(a, b)
-
-    math_pow = math.pow
-    monkeypatch.setattr(rounding.math, "pow", pow_)
-    got = np.asarray(power(x, n))
-    assert got.shape == x.shape
-    assert got.tobytes() == want.tobytes()
-    distinct = {v.tobytes() for v in np.ascontiguousarray(x).ravel()}
-    assert len(calls) == len(distinct)

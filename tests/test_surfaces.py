@@ -11,7 +11,7 @@ from layerr.estimates import _build_frame
 from layerr.potentials import _grid_tables, harmonic_single, unit_density
 from layerr.quadrature import grid
 from layerr.roots import VAR_PHI, VAR_THETA, newton_root, phi_line, theta_line
-from layerr.rounding import cmul, power
+from layerr.rounding import cmul
 from layerr.surfaces import (
     COSINE_MAP,
     LINEAR_MAP,
@@ -100,16 +100,24 @@ def _jacobian_oracle(kind, theta):
 
 
 def _assert_matches_oracle(got, oracle, kind, args):
-    """got equals oracle applied to each entry of args: same shape, real or
-    complex alike, and the same bits in each part (any NaN equals any NaN)."""
+    """got matches oracle applied to each entry of args: same shape, real or
+    complex alike, and NaN in the same parts. A real entry of a real argument
+    or an infinite entry has the same bits in each part; any other complex
+    entry, which numpy's complex arithmetic computes, lies within 16 eps of the
+    oracle relative to its modulus."""
     want = np.array([oracle(kind, v) for v in args.ravel().tolist()]).reshape(args.shape)
     got = np.asarray(got)
     assert got.shape == want.shape
     if want.size:
         assert got.dtype == want.dtype
+    got, want = got.ravel(), want.ravel()
     for part in (np.real, np.imag):
-        a, b = (np.ascontiguousarray(part(v), dtype=float) for v in (got, want))
-        assert ((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))).all()
+        assert (np.isnan(part(got)) == np.isnan(part(want))).all()
+    real = (args.dtype.kind != "c") & (np.imag(want) == 0.0)
+    exact = ~np.isnan(want) & (real | np.isinf(want))
+    assert (got[exact].view(np.uint64) == want[exact].view(np.uint64)).all()
+    g, w = got[np.isfinite(want) & ~exact], want[np.isfinite(want) & ~exact]
+    assert (np.abs(g - w) <= 16 * np.finfo(float).eps * np.abs(w)).all()
 
 
 _RNG = np.random.default_rng(12)
@@ -364,18 +372,21 @@ _Y32_AMPL = 0.25 * math.sqrt(105.0 / (2.0 * math.pi))
 
 def blob_reference(theta, phi):
     def g(theta, phi):
-        return cmul(_Y32_AMPL * np.cos(2.0 * phi) * power(np.sin(theta), 2), np.cos(theta))
+        st = np.sin(theta)
+        return cmul(_Y32_AMPL * np.cos(2.0 * phi) * cmul(st, st), np.cos(theta))
 
     def rho(theta, phi):
         return 0.8 + 0.2 * np.exp(-3.0 * g(theta, phi))
 
     def rho_th(theta, phi):
         st, ct = np.sin(theta), np.cos(theta)
-        dg = cmul(_Y32_AMPL * np.cos(2.0 * phi), cmul(cmul(2.0 * st, ct), ct) - power(st, 3))
+        cube = cmul(cmul(st, st), st)
+        dg = cmul(_Y32_AMPL * np.cos(2.0 * phi), cmul(cmul(2.0 * st, ct), ct) - cube)
         return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
 
     def rho_ph(theta, phi):
-        dg = cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), power(np.sin(theta), 2))
+        st = np.sin(theta)
+        dg = cmul(_Y32_AMPL * (-2.0 * np.sin(2.0 * phi)), cmul(st, st))
         dg = cmul(dg, np.cos(theta))
         return cmul(0.2 * np.exp(-3.0 * g(theta, phi)), -3.0 * dg)
 
