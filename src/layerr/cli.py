@@ -330,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig, out_path=None, timing: bool = False) -
     estimate's, and leaves its result columns blank.
 
     The estimate runs first: it needs only the base grid, and its working set
-    is freed before the measured error builds the 5x reference table, so the
+    is freed before the measured error streams the 5x reference grid, so the
     run's peak is that of its larger phase rather than their sum. The rows are
     formatted one at a time as the CSV writer asks for them."""
     g = grid(cfg.n_t, cfg.n_phi)

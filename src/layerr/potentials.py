@@ -7,13 +7,18 @@ element, which this module can evaluate at one complex parameter using the
 analytic continuation sqrt(sum of squares) of the norms involved.
 
 The measured quadrature error compares the base grid against the same
-quadrature on a grid upsampled five-fold in both directions.
+quadrature on a grid upsampled five-fold in both directions. That grid has
+25 times the base nodes, so the sums never build a whole node table: they
+stream the nodes through slabs of a few node tiles. Whole tables, cached,
+are built for the base grids of the nearest-node scan and the surface scale
+only.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -138,7 +143,7 @@ def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d
 
 @dataclass(frozen=True, eq=False)
 class _GridTables:
-    """Per-(surface, grid) precomputed node data for fast potential sums.
+    """Per-(surface, grid) node data for the nearest-node scan and the scale.
 
     Node tables are coordinate first, node index k * n_phi + l last, so each
     coordinate is one contiguous row."""
@@ -152,26 +157,23 @@ class _GridTables:
     scale: float
 
 
-@lru_cache(maxsize=64)
-def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
-    # One array evaluation per block of whole Gauss-Legendre rows, of about
-    # _TILE_NODES nodes: theta and the map's Jacobian are constant along a
-    # row, phi runs along it. Each block's positions, unit normals, weights
-    # and largest |gamma| go straight into the final tables, so no temporary
-    # is larger than a block.
-    ts = g.t_rule.nodes
-    phis = g.phi_rule.nodes
-    n_t, n_phi = g.n_t, g.n_phi
-    positions = np.empty((3, n_t * n_phi))
-    normals = np.empty((3, n_t * n_phi))
-    weights = np.empty(n_t * n_phi)
-    thetas = surface.theta_map.theta(ts)
-    jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
-    scale = 0.0
+def _fill_rows(surface, g, thetas, jacobians, r0, r1, positions, normals, weights):
+    """Fill the nodes of the Gauss-Legendre rows r0 to r1 of grid g into the
+    node tables positions, normals and weights, from their first node on,
+    and return the largest |gamma| among them; thetas and jacobians are the
+    polar angle and the map's Jacobian at every row.
+
+    One array evaluation per block of whole rows, of about _TILE_NODES nodes:
+    theta and the Jacobian are constant along a row, phi runs along it. Each
+    block's positions, unit normals and weights w_t * w_phi * area element go
+    straight into the tables, so no temporary is larger than a block.
+    """
+    phis, n_phi = g.phi_rule.nodes, g.n_phi
     block_rows = max(1, _TILE_NODES // n_phi)
-    for start in range(0, n_t, block_rows):
-        rows = slice(start, min(start + block_rows, n_t))
-        nodes = slice(start * n_phi, rows.stop * n_phi)
+    scale = 0.0
+    for start in range(r0, r1, block_rows):
+        rows = slice(start, min(start + block_rows, r1))
+        nodes = slice((start - r0) * n_phi, (rows.stop - r0) * n_phi)
         pos, d_theta, d_phi = surface.eval_sph(np.repeat(thetas[rows], n_phi),
                                                np.tile(phis, rows.stop - start))
         d_t = d_theta * np.repeat(jacobians[rows], n_phi)
@@ -183,15 +185,27 @@ def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
         np.multiply(np.outer(g.t_rule.weights[rows], g.phi_rule.weights).ravel(), areas,
                     out=weights[nodes])
         scale = max(scale, float(np.max(np.linalg.norm(position, axis=0))))
-    return _GridTables(thetas, ts, phis, positions, normals, weights, scale)
+    return scale
+
+
+def _row_angles(surface, g):
+    """The polar angle theta and the map's Jacobian dtheta/dt at every
+    Gauss-Legendre row of grid g."""
+    thetas = surface.theta_map.theta(g.t_rule.nodes)
+    return thetas, np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
 
 
 @lru_cache(maxsize=64)
-def _sum_weights(surface: Surface, g: QuadratureGrid, density: DensitySpec) -> np.ndarray:
-    """base_weights * sigma at the grid nodes: the weights of the potential sums."""
-    tab = _grid_tables(surface, g)
-    sigma = density.value(tab.thetas[:, None], tab.phis)
-    return (tab.base_weights.reshape(g.n_t, g.n_phi) * np.asarray(sigma, dtype=float)).ravel()
+def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
+    """The whole node tables of a base grid, for the nearest-node scan and the
+    surface scale; the potential sums stream their nodes instead."""
+    n_nodes = g.n_t * g.n_phi
+    positions, normals = np.empty((3, n_nodes)), np.empty((3, n_nodes))
+    weights = np.empty(n_nodes)
+    thetas, jacobians = _row_angles(surface, g)
+    scale = _fill_rows(surface, g, thetas, jacobians, 0, g.n_t, positions, normals, weights)
+    return _GridTables(thetas, g.t_rule.nodes, g.phi_rule.nodes, positions, normals, weights,
+                       scale)
 
 
 def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
@@ -234,6 +248,8 @@ def _not_located(x) -> EvaluationError:
 # tile buffers, two of them (three for the double layer).
 _TILE_TARGETS = 16
 _TILE_NODES = 4096
+# A sum fills the node tables of this many nodes at a time, eight node tiles.
+_SLAB_NODES = 8 * _TILE_NODES
 
 
 def _coordinate_sum(out, scratch, positions, xs, factors=None):
@@ -312,10 +328,13 @@ def _affinity_cpus() -> list:
     return sorted(os.sched_getaffinity(0))
 
 
-def _sum_tiles(kernel, tab, weights, block, tiles, sums, nearest, cpu=None):
-    """One worker of a sum: takes target tiles from the shared iterator tiles
-    until it is exhausted, and adds each tile's terms into its rows of sums
-    and nearest, node tile by node tile in node order.
+def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest, buffers,
+               cpu=None):
+    """One worker of a sum over one slab of nodes: takes target tiles from the
+    shared iterator tiles until it is exhausted, and adds each tile's terms
+    into its rows of sums and nearest, node tile by node tile in node order.
+    The node tables of the slab are coordinate first; buffers, of shape
+    (3, _TILE_TARGETS * _TILE_NODES), are this worker's own.
 
     A worker on a thread of its own first pins that thread to cpu (on Linux,
     sched_setaffinity(0) sets the calling thread's mask only): two unpinned
@@ -326,7 +345,6 @@ def _sum_tiles(kernel, tab, weights, block, tiles, sums, nearest, cpu=None):
     """
     if cpu is not None:
         os.sched_setaffinity(0, {cpu})
-    buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
     # a target on a node divides by zero, one that is not finite makes NaN
     # terms, and one whose R^2 overflows makes inf: their sums are discarded.
     # Where only a double-layer R^3 overflows, the term underflows to zero.
@@ -338,7 +356,7 @@ def _sum_tiles(kernel, tab, weights, block, tiles, sums, nearest, cpu=None):
             for j in range(0, len(weights), _TILE_NODES):
                 nodes = slice(j, j + _TILE_NODES)
                 s, d = _tile_sums(
-                    kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes],
+                    kernel, positions[:, nodes], normals[:, nodes], weights[nodes],
                     block[rows], buffers,
                 )
                 sums[rows] += s
@@ -358,33 +376,59 @@ def potential_quadrature(
     x of shape (3,) returns the sum or raises its EvaluationError. x of shape
     (M, 3) returns M outcomes, each a sum or the EvaluationError of that
     target: not finite, too far away (R^2 overflows), or a node within
-    1e-14 * scale of it. A target's terms are added tile by tile in node
-    order, so its sum is the same in any block and with any number of workers.
+    1e-14 * scale of it, scale being the largest |gamma| over the nodes. A
+    target's terms are added tile by tile in node order, so its sum is the
+    same in any block and with any number of workers.
 
-    The target tiles are shared out to one worker thread per CPU the process
-    may run on, each pinned to its CPU, and never more workers than tiles; a
-    block of one tile, or a process on one CPU, runs its one worker inline.
+    The nodes stream through slabs of _SLAB_NODES, whose starts are multiples
+    of _TILE_NODES, so no table of the whole grid is built. For each slab the
+    calling thread fills the Gauss-Legendre rows that cover it into one set
+    of slab tables, reused by every slab, with the weights times sigma, and
+    updates the running scale. Then the target tiles are shared out to one
+    worker thread per CPU the process may run on, each pinned to its CPU,
+    and never more workers than tiles; a block of one tile, or a process on
+    one CPU, runs its one worker inline. The next slab is filled once every
+    worker has finished this one.
     """
     block = target_block(x)
-    tab = _grid_tables(surface, g)
-    weights = _sum_weights(surface, g, density)
+    n_phi, n_nodes = g.n_phi, g.n_t * g.n_phi
+    thetas, jacobians = _row_angles(surface, g)
+    # rows that can cover one slab, however its start falls in a row
+    slab_rows = min(g.n_t, -(-_SLAB_NODES // n_phi) + 1)
+    positions, normals = np.empty((2, 3, slab_rows * n_phi))
+    weights = np.empty(slab_rows * n_phi)
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
     starts = range(0, len(block), _TILE_TARGETS)
     cpus = _affinity_cpus()[: len(starts)]
-    args = (kernel, tab, weights, block, iter(starts), sums, nearest)
-    if len(cpus) < 2:
-        _sum_tiles(*args)
-    else:
-        with ThreadPoolExecutor(len(cpus)) as pool:
-            workers = [pool.submit(_sum_tiles, *args, cpu=cpu) for cpu in cpus]
-        for worker in workers:
-            worker.result()
+    buffers = np.empty((max(1, len(cpus)), 3, _TILE_TARGETS * _TILE_NODES))
+    scale = 0.0
+    with ExitStack() as stack:
+        # one thread per CPU for the whole sum: a thread of a shared pool could
+        # take another CPU's worker in the next slab, and a thread that moved to
+        # a CPU still running the other worker started a scheduler slice late
+        pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in cpus] if len(cpus) > 1 else []
+        for start in range(0, n_nodes, _SLAB_NODES):
+            r0, r1 = start // n_phi, min(g.n_t, -(-(start + _SLAB_NODES) // n_phi))
+            scale = max(scale, _fill_rows(surface, g, thetas, jacobians, r0, r1,
+                                          positions, normals, weights))
+            row_weights = weights[: (r1 - r0) * n_phi].reshape(r1 - r0, n_phi)
+            row_weights *= density.value(thetas[r0:r1, None], g.phi_rule.nodes)
+            nodes = slice(start - r0 * n_phi, min(start + _SLAB_NODES, n_nodes) - r0 * n_phi)
+            args = (kernel, positions[:, nodes], normals[:, nodes], weights[nodes], block,
+                    iter(starts), sums, nearest)
+            if pools:
+                workers = [pool.submit(_sum_tiles, *args, b, cpu=cpu)
+                           for pool, b, cpu in zip(pools, buffers, cpus)]
+                for worker in workers:
+                    worker.result()
+            else:
+                _sum_tiles(*args, buffers[0])
     outcomes = []
     for xi, s, d in zip(block, sums, nearest):
         if not d < math.inf:
             outcomes.append(_not_located(xi))
-        elif d < 1e-14 * tab.scale:
+        elif d < 1e-14 * scale:
             outcomes.append(EvaluationError("a quadrature node coincides with the target point"))
         else:
             outcomes.append(float(s))

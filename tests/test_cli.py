@@ -160,7 +160,6 @@ def test_run_peak_is_its_larger_phase(tmp_path):
 
     def traced_peak(call):
         potentials._grid_tables.cache_clear()
-        potentials._sum_weights.cache_clear()
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -176,6 +175,29 @@ def test_run_peak_is_its_larger_phase(tmp_path):
     measured = traced_peak(lambda: measured_error(*args))
     run = traced_peak(lambda: run_experiment(cfg, str(tmp_path / "out.csv")))
     assert run <= 1.1 * max(estimate, measured)
+
+
+def test_run_caches_the_base_grid_tables_only(tmp_path):
+    # the sums stream the 5x reference grid, so after a run the one cached
+    # node table is the base grid's, and the run keeps a fifth of what a
+    # table of the reference grid, 25x the base table, would take
+    cfg = preset_config("sphere-cosine")
+    g = grid(cfg.n_t, cfg.n_phi)
+    potentials._grid_tables.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_experiment(cfg, str(tmp_path / "out.csv"))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    cached = potentials._grid_tables.cache_info()
+    tab = potentials._grid_tables(cfg.surface, g)
+    assert cached.currsize == 1
+    assert potentials._grid_tables.cache_info().hits == cached.hits + 1
+    assert held < 5 * sum(a.nbytes for a in vars(tab).values() if isinstance(a, np.ndarray))
 
 
 def test_random_targets_redraw_rejected_candidates_in_rounds(tmp_path, monkeypatch):

@@ -14,10 +14,10 @@ from layerr.errors import EvaluationError
 from layerr.potentials import (
     DensitySpec,
     KernelSpec,
+    _SLAB_NODES,
     _TILE_NODES,
     _TILE_TARGETS,
     _grid_tables,
-    _sum_weights,
     _tile_sums,
     harmonic_double,
     harmonic_single,
@@ -36,6 +36,20 @@ from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
 
 SPHERE = Sphere(1.0)
 G_SPHERE = grid(30, 60)
+
+
+def _streamed_tables(surface, g, density):
+    """The node tables a sum streams, slab by slab, joined: positions, normals
+    and the weights times sigma, recorded from one inline sum at one target."""
+    slabs = []
+
+    def recorded(kernel, positions, normals, weights, *args, cpu=None):
+        slabs.append((positions.copy(), normals.copy(), weights.copy()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potentials, "_sum_tiles", recorded)
+        potential_quadrature(surface, harmonic_single(), density, g, [[9.0, 0.0, 0.0]])
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*slabs))
 
 
 # ----------------------------------------------------------- smooth factors
@@ -83,15 +97,16 @@ def test_estimator_numerator_is_the_quadrature_integrand(kernel):
     blob, g, density = paper_blob(), grid(12, 24), paper_density()
     xs = np.array([[1.3, 0.1, 0.2], [0.1, -0.2, 0.3]])
     tab = _grid_tables(blob, g)
+    positions, normals, weights = _streamed_tables(blob, g, density)
     theta = np.repeat(tab.thetas, g.n_phi)[:, None]
     phi = np.tile(tab.phis, g.n_t)[:, None]
     f = _root_terms(_build_frame(blob, kernel, density, g, xs), theta, phi)[0]
     rule_weights = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
-    area_sigma = _sum_weights(blob, g, density) / rule_weights
-    diff = tab.positions.T[:, None, :] - xs
+    area_sigma = weights / rule_weights
+    diff = positions.T[:, None, :] - xs
     factor = {
         "harmonic_single": np.ones(diff.shape[:2]),
-        "harmonic_double": np.einsum("kc,kmc->km", tab.normals.T, diff),
+        "harmonic_double": np.einsum("kc,kmc->km", normals.T, diff),
         "mod_helmholtz_single": np.exp(-2.0 * np.linalg.norm(diff, axis=-1)),
     }[kernel.kind]
     expected = area_sigma[:, None] * factor
@@ -330,12 +345,10 @@ def _expression_tile_sums(kernel, positions, normals, weights, xs):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
-    fine = grid(65, 135)
-    tab = _grid_tables(BLOB, fine)
-    weights = _sum_weights(BLOB, fine, paper_density())
+    positions, normals, weights = _streamed_tables(BLOB, grid(65, 135), paper_density())
     xs = _blob_targets()
-    on_node, nan, far = tab.positions[:, 8200], [0.3, math.nan, 0.1], [1e200, 0.0, 0.0]
-    full = np.vstack([xs[: _TILE_TARGETS - 3], [nan, far, tab.positions[:, 100]]])
+    on_node, nan, far = positions[:, 8200], [0.3, math.nan, 0.1], [1e200, 0.0, 0.0]
+    full = np.vstack([xs[: _TILE_TARGETS - 3], [nan, far, positions[:, 100]]])
     partial = np.vstack([on_node, xs[5:7], far, nan])
     # buffers left full of NaN and reused by the next tile, as in a sum
     buffers = np.full((3, _TILE_TARGETS * _TILE_NODES), np.nan)
@@ -344,7 +357,7 @@ def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
     assert 0 < len(weights[tiles[1][1]]) < _TILE_NODES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block, nodes in tiles:
-            args = (kernel, tab.positions[:, nodes], tab.normals[:, nodes], weights[nodes], block)
+            args = (kernel, positions[:, nodes], normals[:, nodes], weights[nodes], block)
             sums, nearest = _tile_sums(*args, buffers)
             want_sums, want_nearest = _expression_tile_sums(*args)
             assert np.array_equal(sums, want_sums, equal_nan=True)
@@ -417,6 +430,84 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
     # one inline worker per one-worker sum; a pinned thread per CPU otherwise
     assert calls[:2] == [(True, None)] * 2
     assert sorted(calls[2:]) == sorted([(False, cpu) for cpu in listed[workers]] * 2)
+    assert os.sched_getaffinity(0) == set(cpus)
+
+
+# three slabs; 375 divides neither a node tile nor a slab, so rows straddle both
+G_SLABS = grid(200, 375)
+
+
+def _whole_table_sums(surface, kernel, density, g, block):
+    """The outcomes in the order of the sums before they streamed: every
+    target tile against the whole cached tables of g, node tile by node tile,
+    with the weights base_weights * sigma over the whole table."""
+    tab = _grid_tables(surface, g)
+    sigma = density.value(tab.thetas[:, None], tab.phis)
+    weights = (tab.base_weights.reshape(g.n_t, g.n_phi) * np.asarray(sigma, dtype=float)).ravel()
+    sums, nearest = np.zeros(len(block)), np.full(len(block), np.inf)
+    buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, len(block), _TILE_TARGETS):
+            rows = slice(i, i + _TILE_TARGETS)
+            for j in range(0, len(weights), _TILE_NODES):
+                nodes = slice(j, j + _TILE_NODES)
+                s, d = _tile_sums(kernel, tab.positions[:, nodes], tab.normals[:, nodes],
+                                  weights[nodes], block[rows], buffers)
+                sums[rows] += s
+                nearest[rows] = np.minimum(nearest[rows], d)
+    return [
+        potentials._not_located(xi) if not d < math.inf
+        else EvaluationError("a quadrature node coincides with the target point")
+        if d < 1e-14 * tab.scale else float(s)
+        for xi, s, d in zip(block, sums, nearest)
+    ]
+
+
+@needs_affinity
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypatch):
+    g, d = G_SLABS, paper_density()
+    n_nodes = g.n_t * g.n_phi
+    slabs = math.ceil(n_nodes / _SLAB_NODES)
+    assert slabs >= 3 and _TILE_NODES % g.n_phi and _SLAB_NODES % g.n_phi
+    # a NaN target, an overflowing one and a node of the last slab among 71
+    last_slab_node = _grid_tables(BLOB, g).positions[:, n_nodes - 700]
+    assert n_nodes - 700 >= (slabs - 1) * _SLAB_NODES
+    ordinary = np.random.default_rng(9).uniform(-2.0, 2.0, (68, 3))
+    bad = [[0.3, math.nan, 0.1], [1e200, 0.0, 0.0], last_slab_node]
+    block = np.vstack([ordinary[:20], bad[:2], ordinary[20:50], bad[2:], ordinary[50:]])
+    cpus = sorted(os.sched_getaffinity(0))
+    listed = [cpus[i % len(cpus)] for i in range(workers)]
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: listed)
+    sum_tiles, calls = potentials._sum_tiles, []
+
+    def recorded(*args, cpu=None):
+        calls.append((threading.current_thread() is threading.main_thread(), cpu))
+        sum_tiles(*args, cpu=cpu)
+
+    monkeypatch.setattr(potentials, "_sum_tiles", recorded)
+    # workers interleave at every bytecode; a warning of a worker is an error
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome_bits(potential_quadrature(BLOB, kernel, d, g, block))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == _outcome_bits(_whole_table_sums(BLOB, kernel, d, g, block))
+    assert [str(o[1]) for o in got[20:22]] == [
+        "target [0.3, nan, 0.1] is not finite",
+        "target [1e+200, 0.0, 0.0] is too far away: its squared distance overflows",
+    ]
+    assert got[52] == (EvaluationError, "a quadrature node coincides with the target point")
+    # every slab goes to every worker: inline for one, a pinned thread per CPU
+    # otherwise
+    if workers == 1:
+        assert calls == [(True, None)] * slabs
+    else:
+        assert sorted(calls) == sorted([(False, cpu) for cpu in listed] * slabs)
     assert os.sched_getaffinity(0) == set(cpus)
 
 
@@ -551,16 +642,20 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     assert tab.scale == scale
     assert np.max(np.abs(tab.base_weights - weights) / np.abs(weights)) <= 1e-15
     assert np.max(np.abs(tab.normals - normals.T)) <= 1e-15
+    # the sums' streamed tables are the cached ones, their weights times sigma
     for density in (unit_density(), paper_density()):
         sigma = [density.value(theta, phi) for theta in tab.thetas for phi in tab.phis]
         want = tab.base_weights * np.array(sigma, dtype=float)
-        assert _sum_weights(surface, g, density).tobytes() == want.tobytes()
+        streamed = _streamed_tables(surface, g, density)
+        assert streamed[0].tobytes() == tab.positions.tobytes()
+        assert streamed[1].tobytes() == tab.normals.tobytes()
+        assert streamed[2].tobytes() == want.tobytes()
 
 
 def test_grid_table_build_holds_no_whole_table_temporary():
-    # the tables and sum weights of a fresh surface on a 180k-node grid, the
-    # size of spheroid-random's reference grid: the build's peak of traced
-    # memory stays within 1.25x of what it keeps
+    # the tables of a fresh surface on a 180k-node grid, the size of
+    # spheroid-random's reference grid: the build's peak of traced memory
+    # stays within 1.25x of what it keeps
     surface, g = Spheroid(1.0, 2.0), grid(300, 600)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -568,13 +663,44 @@ def test_grid_table_build_holds_no_whole_table_temporary():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         tab = _grid_tables(surface, g)
-        weights = _sum_weights(surface, g, paper_density())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    kept = [tab.thetas, tab.positions, tab.normals, tab.base_weights, weights]
+    kept = [tab.thetas, tab.positions, tab.normals, tab.base_weights]
     assert peak <= 1.25 * sum(a.nbytes for a in kept)
+
+
+def test_measured_error_builds_no_whole_reference_table(monkeypatch):
+    # spheroid-random's grids, 60x120 and the 5x 300x600 of 180k nodes, on a
+    # fresh surface, with at most two workers: measured_error's peak of traced
+    # memory is one set of slab tables and each worker's tile buffers, with
+    # room the size of the base grid's table for the row blocks' and sigma's
+    # temporaries, and it keeps nothing
+    surface, g = Spheroid(1.0, 3.0), grid(60, 120)
+    block = np.random.default_rng(4).uniform(-2.0, 2.0, (300, 3))
+    cpus = potentials._affinity_cpus()[:2]
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: cpus)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        errors = measured_error(surface, harmonic_single(), paper_density(), g, block)
+        held, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert all(isinstance(e, float) for e in errors)
+    fine_nodes, n_phi = 25 * g.n_t * g.n_phi, 5 * g.n_phi
+    slab_tables = 7 * 8 * (math.ceil(_SLAB_NODES / n_phi) + 1) * n_phi
+    tile_buffers = max(1, len(cpus)) * 3 * 8 * _TILE_TARGETS * _TILE_NODES
+    base_table = 7 * 8 * g.n_t * g.n_phi
+    bound = 1.25 * (slab_tables + tile_buffers + base_table)
+    # positions, normals, weights and sum weights of the whole reference grid
+    assert bound < 0.6 * 8 * 8 * fine_nodes
+    assert peak <= bound
+    assert held < base_table
 
 
 def test_locate_builds_eval_point():
