@@ -385,10 +385,10 @@ def potential_quadrature(
     calling thread fills the Gauss-Legendre rows that cover it into one set
     of slab tables, reused by every slab, with the weights times sigma, and
     updates the running scale. Then the target tiles are shared out to one
-    worker thread per CPU the process may run on, each pinned to its CPU,
-    and never more workers than tiles; a block of one tile, or a process on
-    one CPU, runs its one worker inline. The next slab is filled once every
-    worker has finished this one.
+    worker thread per CPU the process may run on, each pinned to its CPU and
+    kept for the whole sum, and never more workers than tiles; a block of one
+    tile, or a process on one CPU, runs its one worker inline. The next slab
+    is filled once every worker has finished this one.
     """
     block = target_block(x)
     n_phi, n_nodes = g.n_phi, g.n_t * g.n_phi

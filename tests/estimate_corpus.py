@@ -142,7 +142,8 @@ def main(argv) -> int:
                 fixed["fixed_from"] = entry["outcome"]["unfixed"]
                 entry["outcome"] = fixed
     elif not argv:
-        stored = {json.dumps(e["case"]): e["outcome"] for e in json.loads(CORPUS.read_text())}
+        entries = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
+        stored = {json.dumps(e["case"]): e["outcome"] for e in entries}
         entries = []
         for case in make_cases():
             new, old = outcome(case), stored.get(json.dumps(case))

@@ -480,10 +480,12 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
     cpus = sorted(os.sched_getaffinity(0))
     listed = [cpus[i % len(cpus)] for i in range(workers)]
     monkeypatch.setattr(potentials, "_affinity_cpus", lambda: listed)
-    sum_tiles, calls = potentials._sum_tiles, []
+    sum_tiles, calls, threads = potentials._sum_tiles, [], {}
 
     def recorded(*args, cpu=None):
         calls.append((threading.current_thread() is threading.main_thread(), cpu))
+        # the threads that ran with each worker's tile buffers, the last argument
+        threads.setdefault(args[-1].ctypes.data, set()).add(threading.get_ident())
         sum_tiles(*args, cpu=cpu)
 
     monkeypatch.setattr(potentials, "_sum_tiles", recorded)
@@ -508,6 +510,8 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
         assert calls == [(True, None)] * slabs
     else:
         assert sorted(calls) == sorted([(False, cpu) for cpu in listed] * slabs)
+    # and each worker keeps one thread and its buffers for the whole sum
+    assert len(threads) == workers and all(len(t) == 1 for t in threads.values())
     assert os.sched_getaffinity(0) == set(cpus)
 
 
