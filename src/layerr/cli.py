@@ -231,14 +231,15 @@ def _generate_targets(surface: Surface, n_t: int, n_phi: int, sec: dict) -> np.n
     return np.array(pts)
 
 
-# every section and key that _build_config reads; any other is a typo
+# every other section and key that _build_config reads; any other is a typo
 _CONFIG_KEYS = {
-    "surface": {"shape", "a", "b", "theta_map"},
     "kernel": {"kind", "omega"},
     "density": {"kind"},
     "grid": {"n_t", "n_phi"},
     "output": {"path"},
 }
+# the [surface] keys that each shape reads besides shape and theta_map
+_SHAPE_KEYS = {"sphere": {"a"}, "spheroid": {"a", "b"}, "blob": set()}
 # the [targets] keys that each generator reads besides generator itself
 _TARGET_KEYS = {
     "plane": {"axis", "offset", "extent", "resolution"},
@@ -258,9 +259,14 @@ def _build_config(sections: dict) -> ExperimentConfig:
     """
     if "cone" in sections:
         raise ConfigError("[cone] is not configurable: the cone constants are fixed")
+    shape = sections.get("surface", {}).get("shape", "sphere")
+    shape_keys = _lookup(
+        _SHAPE_KEYS, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob"
+    )
     gen = sections.get("targets", {}).get("generator", "plane")
     gen_keys = _lookup(_TARGET_KEYS, gen, "[targets] unknown generator {!r}")
-    known = {**_CONFIG_KEYS, "targets": {"generator", *gen_keys}}
+    known = {"surface": {"shape", "theta_map", *shape_keys}, **_CONFIG_KEYS,
+             "targets": {"generator", *gen_keys}}
     unknown = [f"[{name}]" for name in sections if name not in known]
     unknown += [f"[{name}] {key}" for name, keys in known.items()
                 for key in sections.get(name, {}) if key not in keys]
@@ -272,12 +278,8 @@ def _build_config(sections: dict) -> ExperimentConfig:
             tmap = theta_map_by_name(surf.get("theta_map", "cosine"))
         except ValueError as exc:
             raise ConfigError(f"[surface] {exc}")
-        shape = surf.get("shape", "sphere")
-        make = _lookup(
-            _SURFACES, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob"
-        )
         a, b = (_positive(surf.get(key, 1.0), f"[surface] {key}") for key in ("a", "b"))
-        surface = make(a, b, tmap)
+        surface = _SURFACES[shape.lower()](a, b, tmap)
         kern = sections.get("kernel", {})
         make = _lookup(_KERNELS, kern.get("kind", "harmonic_single"), "[kernel] unknown kind {!r}")
         kernel = make(_positive(kern.get("omega", 1.0), "[kernel] omega"))

@@ -359,8 +359,7 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     live = ~_in_cone(frame, cone) if surf.axisymmetric else np.ones(frame.t_star.shape, bool)
     model = linear_root_model(frame.t_star, frame.phi_star, frame.position, frame.d_t,
                               frame.d_phi, frame.x)
-    initial = np.where(live, frame.phi_star + 0.1j, np.nan)
-    phi0 = _phi_root(frame, frame.theta_star, initial, nearest=True)
+    phi0 = _phi_root(frame, frame.theta_star, frame.phi_star + 0.1j, nearest=True)
     if not surf.axisymmetric:
         # the tangent-plane root stands in for a failed Newton solve
         phi0 = np.where(np.isnan(phi0), model.anchor, phi0)

@@ -9,9 +9,9 @@ analytic continuation sqrt(sum of squares) of the norms involved.
 The measured quadrature error compares the base grid against the same
 quadrature on a grid upsampled five-fold in both directions. That grid has
 25 times the base nodes, so the sums never build a whole node table: they
-stream the nodes through slabs of a few node tiles. Whole tables, cached,
-are built for the base grids of the nearest-node scan and the surface scale
-only.
+stream the nodes through slabs of a few node tiles. What is cached per
+base grid is what the nearest-node scan and the surface scale read, the node
+positions and their largest |gamma|; no normals or weights are kept.
 """
 from __future__ import annotations
 
@@ -143,23 +143,17 @@ def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d
 
 @dataclass(frozen=True, eq=False)
 class _GridTables:
-    """Per-(surface, grid) node data for the nearest-node scan and the scale.
+    """What the nearest-node scan and the scale read of a base grid: its node
+    positions, coordinate first with node index k * n_phi + l last, and their
+    largest |gamma|. The sums fill their own normals and weights slab by slab."""
 
-    Node tables are coordinate first, node index k * n_phi + l last, so each
-    coordinate is one contiguous row."""
-
-    thetas: np.ndarray  # (n_t,)
-    ts: np.ndarray  # (n_t,)
-    phis: np.ndarray  # (n_phi,)
     positions: np.ndarray  # (3, N)
-    normals: np.ndarray  # (3, N) outward unit normals
-    base_weights: np.ndarray  # (N,) w_t * w_phi * area element
     scale: float
 
 
 def _fill_rows(surface, g, thetas, jacobians, r0, r1, positions, normals, weights):
-    """Fill the nodes of the Gauss-Legendre rows r0 to r1 of grid g into the
-    node tables positions, normals and weights, from their first node on,
+    """Fill the nodes of the Gauss-Legendre rows r0 to r1 of grid g into a
+    sum's slab tables positions, normals and weights, from their first node on,
     and return the largest |gamma| among them; thetas and jacobians are the
     polar angle and the map's Jacobian at every row.
 
@@ -188,24 +182,22 @@ def _fill_rows(surface, g, thetas, jacobians, r0, r1, positions, normals, weight
     return scale
 
 
-def _row_angles(surface, g):
-    """The polar angle theta and the map's Jacobian dtheta/dt at every
-    Gauss-Legendre row of grid g."""
-    thetas = surface.theta_map.theta(g.t_rule.nodes)
-    return thetas, np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
-
-
 @lru_cache(maxsize=64)
 def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
-    """The whole node tables of a base grid, for the nearest-node scan and the
-    surface scale; the potential sums stream their nodes instead."""
-    n_nodes = g.n_t * g.n_phi
-    positions, normals = np.empty((3, n_nodes)), np.empty((3, n_nodes))
-    weights = np.empty(n_nodes)
-    thetas, jacobians = _row_angles(surface, g)
-    scale = _fill_rows(surface, g, thetas, jacobians, 0, g.n_t, positions, normals, weights)
-    return _GridTables(thetas, g.t_rule.nodes, g.phi_rule.nodes, positions, normals, weights,
-                       scale)
+    """The _GridTables of a base grid, filled a block of whole rows at a time
+    as _fill_rows fills them, with the scale a running max over the blocks:
+    a norm over the whole table would take 1.3x the table it measures."""
+    thetas, phis, n_phi = surface.theta_map.theta(g.t_rule.nodes), g.phi_rule.nodes, g.n_phi
+    positions = np.empty((3, g.n_t * n_phi))
+    block_rows = max(1, _TILE_NODES // n_phi)
+    scale = 0.0
+    for start in range(0, g.n_t, block_rows):
+        row_thetas = thetas[start : start + block_rows]
+        block = positions[:, start * n_phi : (start + len(row_thetas)) * n_phi]
+        block[...] = np.real(surface.position(np.repeat(row_thetas, n_phi),
+                                              np.tile(phis, len(row_thetas))))
+        scale = max(scale, float(np.max(np.linalg.norm(block, axis=0))))
+    return _GridTables(positions, scale)
 
 
 def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
@@ -274,18 +266,18 @@ def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
     a target that is too far away (its R^2 overflows) or not finite.
     """
     block = target_block(x)
-    tab = _grid_tables(surface, g)
-    chunk = max(1, _TILE_TARGETS * _TILE_NODES // len(tab.base_weights))
-    buffers = np.empty((2, min(chunk, len(block)), len(tab.base_weights)))
+    positions = _grid_tables(surface, g).positions
+    chunk = max(1, _TILE_TARGETS * _TILE_NODES // positions.shape[1])
+    buffers = np.empty((2, min(chunk, len(block)), positions.shape[1]))
     idx, d2 = np.empty(len(block), dtype=np.intp), np.empty(len(block))
     with np.errstate(over="ignore"):
         for i in range(0, len(block), chunk):
             r2, scratch = buffers[:, : len(block[i : i + chunk])]
-            _coordinate_sum(r2, scratch, tab.positions, block[i : i + chunk])
+            _coordinate_sum(r2, scratch, positions, block[i : i + chunk])
             np.argmin(r2, axis=1, out=idx[i : i + chunk])
             np.min(r2, axis=1, out=d2[i : i + chunk])
     k, l = np.divmod(idx, g.n_phi)
-    found = (k, l, tab.ts[k], tab.phis[l], np.sqrt(d2))
+    found = (k, l, g.t_rule.nodes[k], g.phi_rule.nodes[l], np.sqrt(d2))
     return found if np.ndim(x) > 1 else tuple(v[0].item() for v in found)
 
 
@@ -392,7 +384,8 @@ def potential_quadrature(
     """
     block = target_block(x)
     n_phi, n_nodes = g.n_phi, g.n_t * g.n_phi
-    thetas, jacobians = _row_angles(surface, g)
+    thetas = surface.theta_map.theta(g.t_rule.nodes)
+    jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
     # rows that can cover one slab, however its start falls in a row
     slab_rows = min(g.n_t, -(-_SLAB_NODES // n_phi) + 1)
     positions, normals = np.empty((2, 3, slab_rows * n_phi))

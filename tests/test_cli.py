@@ -179,8 +179,8 @@ def test_run_peak_is_its_larger_phase(tmp_path):
 
 def test_run_caches_the_base_grid_tables_only(tmp_path):
     # the sums stream the 5x reference grid, so after a run the one cached
-    # node table is the base grid's, and the run keeps a fifth of what a
-    # table of the reference grid, 25x the base table, would take
+    # table is the base grid's node positions, and the run keeps less than
+    # five times those
     cfg = preset_config("sphere-cosine")
     g = grid(cfg.n_t, cfg.n_phi)
     potentials._grid_tables.cache_clear()
@@ -645,7 +645,7 @@ def test_on_axis_blob_target_gets_finite_row(tmp_path):
     # axis, where the blob's evaluation overflows: the trapezoidal part is
     # skipped instead of turning the row into NaN
     body = (
-        CONFIG_TEMPLATE.replace("shape = sphere", "shape = blob")
+        CONFIG_TEMPLATE.replace("shape = sphere\na = 1.0", "shape = blob")
         .replace("n_t = 12\nn_phi = 24", "n_t = 25\nn_phi = 25")
         .replace("points = 1.5, 0, 0; 0, 0, 1.3", "points = 0, 0, -2.785283509481811; 1.5, 0, 0")
     )
@@ -721,6 +721,24 @@ def test_unknown_config_entries_exit_one(tmp_path, capsys, section, line, named)
     body = "".join(f"[{name}]\n{text}\n" for name, text in sections.items())
     assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "surface, named",
+    [
+        ("shape = sphere\na = 1.0\nb = 3.0", ["[surface] b"]),
+        ("shape = spheroid\na = 1.0\nb = 3.0\nc = 2.0", ["[surface] c"]),
+        ("shape = blob\na = 2.0\nb = 3.0", ["[surface] a", "[surface] b"]),
+    ],
+    ids=["sphere", "spheroid", "blob"],
+)
+def test_keys_the_shape_does_not_read_exit_one(tmp_path, capsys, surface, named):
+    # each shape reads only its own keys: a blob with a = 2.0 used to run the unit blob
+    body = CONFIG_TEMPLATE.replace("shape = sphere\na = 1.0", surface)
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"unknown config entries: {', '.join(named)}" in err, err
     assert not (tmp_path / "out.csv").exists()
 
 

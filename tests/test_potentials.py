@@ -52,6 +52,19 @@ def _streamed_tables(surface, g, density):
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*slabs))
 
 
+def _whole_tables(surface, g):
+    """The node tables of the whole grid g, filled by _fill_rows over all its
+    rows into full-size arrays: the polar angle of each row, the positions,
+    normals and weights w_t * w_phi * area element of each node, and the scale."""
+    n_nodes = g.n_t * g.n_phi
+    positions, normals, weights = np.empty((3, n_nodes)), np.empty((3, n_nodes)), np.empty(n_nodes)
+    thetas = surface.theta_map.theta(g.t_rule.nodes)
+    jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
+    scale = potentials._fill_rows(surface, g, thetas, jacobians, 0, g.n_t,
+                                  positions, normals, weights)
+    return thetas, positions, normals, weights, scale
+
+
 # ----------------------------------------------------------- smooth factors
 
 
@@ -96,10 +109,9 @@ def test_estimator_numerator_is_the_quadrature_integrand(kernel):
     # weight over the rule weights, times 1, n.(y - x) or exp(-omega R)
     blob, g, density = paper_blob(), grid(12, 24), paper_density()
     xs = np.array([[1.3, 0.1, 0.2], [0.1, -0.2, 0.3]])
-    tab = _grid_tables(blob, g)
     positions, normals, weights = _streamed_tables(blob, g, density)
-    theta = np.repeat(tab.thetas, g.n_phi)[:, None]
-    phi = np.tile(tab.phis, g.n_t)[:, None]
+    theta = np.repeat(blob.theta_map.theta(g.t_rule.nodes), g.n_phi)[:, None]
+    phi = np.tile(g.phi_rule.nodes, g.n_t)[:, None]
     f = _root_terms(_build_frame(blob, kernel, density, g, xs), theta, phi)[0]
     rule_weights = np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
     area_sigma = weights / rule_weights
@@ -301,9 +313,9 @@ def test_failing_targets_are_their_own_outcomes_in_a_block(kernel):
 def _per_target_sum(surface, kernel, density, g, x):
     """The quadrature sum at x from (N, 3) node tables, one target at a time,
     and the sum of its terms' magnitudes."""
-    tab = _grid_tables(surface, g)
-    positions, normals = tab.positions.T, tab.normals.T
-    sigma = density.value(np.repeat(tab.thetas, g.n_phi), np.tile(tab.phis, g.n_t))
+    thetas, positions, normals, weights, _ = _whole_tables(surface, g)
+    positions, normals = positions.T, normals.T
+    sigma = density.value(np.repeat(thetas, g.n_phi), np.tile(g.phi_rule.nodes, g.n_t))
     diff = positions - x
     r2 = np.einsum("ij,ij->i", diff, diff)
     dist = np.sqrt(r2)
@@ -313,7 +325,7 @@ def _per_target_sum(surface, kernel, density, g, x):
         kv = np.exp(-kernel.omega * dist)
     else:
         kv = 1.0
-    terms = tab.base_weights * sigma * kv / (dist if kernel.p == 0.5 else r2 * dist)
+    terms = weights * sigma * kv / (dist if kernel.p == 0.5 else r2 * dist)
     return np.sum(terms), np.sum(np.abs(terms))
 
 
@@ -439,11 +451,11 @@ G_SLABS = grid(200, 375)
 
 def _whole_table_sums(surface, kernel, density, g, block):
     """The outcomes in the order of the sums before they streamed: every
-    target tile against the whole cached tables of g, node tile by node tile,
-    with the weights base_weights * sigma over the whole table."""
-    tab = _grid_tables(surface, g)
-    sigma = density.value(tab.thetas[:, None], tab.phis)
-    weights = (tab.base_weights.reshape(g.n_t, g.n_phi) * np.asarray(sigma, dtype=float)).ravel()
+    target tile against the whole tables of g, node tile by node tile, with
+    the weights times sigma over the whole table."""
+    thetas, positions, normals, weights, scale = _whole_tables(surface, g)
+    sigma = density.value(thetas[:, None], g.phi_rule.nodes)
+    weights = (weights.reshape(g.n_t, g.n_phi) * np.asarray(sigma, dtype=float)).ravel()
     sums, nearest = np.zeros(len(block)), np.full(len(block), np.inf)
     buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -451,14 +463,14 @@ def _whole_table_sums(surface, kernel, density, g, block):
             rows = slice(i, i + _TILE_TARGETS)
             for j in range(0, len(weights), _TILE_NODES):
                 nodes = slice(j, j + _TILE_NODES)
-                s, d = _tile_sums(kernel, tab.positions[:, nodes], tab.normals[:, nodes],
+                s, d = _tile_sums(kernel, positions[:, nodes], normals[:, nodes],
                                   weights[nodes], block[rows], buffers)
                 sums[rows] += s
                 nearest[rows] = np.minimum(nearest[rows], d)
     return [
         potentials._not_located(xi) if not d < math.inf
         else EvaluationError("a quadrature node coincides with the target point")
-        if d < 1e-14 * tab.scale else float(s)
+        if d < 1e-14 * scale else float(s)
         for xi, s, d in zip(block, sums, nearest)
     ]
 
@@ -644,20 +656,21 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     # the tables are coordinate first: (3, N) against the per-node (N, 3)
     assert np.array_equal(tab.positions, positions.T)
     assert tab.scale == scale
-    assert np.max(np.abs(tab.base_weights - weights) / np.abs(weights)) <= 1e-15
-    assert np.max(np.abs(tab.normals - normals.T)) <= 1e-15
-    # the sums' streamed tables are the cached ones, their weights times sigma
+    # the sums' streamed positions are the cached ones, their normals and
+    # weights times sigma those of the per-node build
+    thetas = surface.theta_map.theta(g.t_rule.nodes)
     for density in (unit_density(), paper_density()):
-        sigma = [density.value(theta, phi) for theta in tab.thetas for phi in tab.phis]
-        want = tab.base_weights * np.array(sigma, dtype=float)
+        sigma = [density.value(theta, phi) for theta in thetas for phi in g.phi_rule.nodes]
+        want = weights * np.array(sigma, dtype=float)
         streamed = _streamed_tables(surface, g, density)
         assert streamed[0].tobytes() == tab.positions.tobytes()
-        assert streamed[1].tobytes() == tab.normals.tobytes()
-        assert streamed[2].tobytes() == want.tobytes()
+        assert np.max(np.abs(streamed[1] - normals.T)) <= 1e-15
+        # the paper density is 0 at some nodes, where both products are 0
+        assert np.all(np.abs(streamed[2] - want) <= 1e-15 * np.abs(want))
 
 
 def test_grid_table_build_holds_no_whole_table_temporary():
-    # the tables of a fresh surface on a 180k-node grid, the size of
+    # the positions of a fresh surface on a 180k-node grid, the size of
     # spheroid-random's reference grid: the build's peak of traced memory
     # stays within 1.25x of what it keeps
     surface, g = Spheroid(1.0, 2.0), grid(300, 600)
@@ -671,8 +684,7 @@ def test_grid_table_build_holds_no_whole_table_temporary():
     finally:
         if not tracing:
             tracemalloc.stop()
-    kept = [tab.thetas, tab.positions, tab.normals, tab.base_weights]
-    assert peak <= 1.25 * sum(a.nbytes for a in kept)
+    assert peak <= 1.25 * tab.positions.nbytes
 
 
 def test_measured_error_builds_no_whole_reference_table(monkeypatch):

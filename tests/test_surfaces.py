@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 
 from layerr.errors import NonConvergence
 from layerr.estimates import _build_frame
-from layerr.potentials import _grid_tables, harmonic_single, unit_density
+from layerr.potentials import _fill_rows, harmonic_single, unit_density
 from layerr.quadrature import grid
 from layerr.roots import VAR_PHI, VAR_THETA, newton_root, phi_line, theta_line
 from layerr.rounding import cmul
@@ -231,9 +231,16 @@ def test_eval_t_linear_jacobian():
 
 
 def areas(s, g):
-    """The area element at each node of the grid g, as the quadrature sums use it."""
-    tab = _grid_tables(s, g)
-    return tab.base_weights / np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
+    """The area element at each node of the grid g, as the quadrature sums use
+    it: the weights of the whole grid's tables, filled by _fill_rows over all
+    rows, over the rule weights."""
+    n_nodes = g.n_t * g.n_phi
+    weights = np.empty(n_nodes)
+    thetas = s.theta_map.theta(g.t_rule.nodes)
+    jacobians = np.broadcast_to(s.theta_map.dtheta_dt_at(thetas), thetas.shape)
+    _fill_rows(s, g, thetas, jacobians, 0, g.n_t, np.empty((3, n_nodes)), np.empty((3, n_nodes)),
+               weights)
+    return weights / np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
 
 
 def test_area_element_sphere_cosine_constant():
