@@ -48,7 +48,7 @@ from .roots import (
     VAR_THETA,
     phi_line,
 )
-from .surfaces import Sphere, Spheroid, Surface, paper_blob, theta_map_by_name
+from .surfaces import Blob, Sphere, Spheroid, Surface, paper_blob, theta_map_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -76,11 +76,8 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-_SURFACES = {
-    "sphere": lambda a, b, tmap: Sphere(a, tmap),
-    "spheroid": Spheroid,
-    "blob": lambda a, b, tmap: paper_blob(tmap),
-}
+# each shape's class and the [surface] sizes it reads, besides shape and theta_map
+_SHAPES = {"sphere": (Sphere, ("a",)), "spheroid": (Spheroid, ("a", "b")), "blob": (Blob, ())}
 _KERNELS = {
     "harmonic_single": lambda omega: harmonic_single(),
     "harmonic_double": lambda omega: harmonic_double(),
@@ -238,8 +235,6 @@ _CONFIG_KEYS = {
     "grid": {"n_t", "n_phi"},
     "output": {"path"},
 }
-# the [surface] keys that each shape reads besides shape and theta_map
-_SHAPE_KEYS = {"sphere": {"a"}, "spheroid": {"a", "b"}, "blob": set()}
 # the [targets] keys that each generator reads besides generator itself
 _TARGET_KEYS = {
     "plane": {"axis", "offset", "extent", "resolution"},
@@ -260,8 +255,8 @@ def _build_config(sections: dict) -> ExperimentConfig:
     if "cone" in sections:
         raise ConfigError("[cone] is not configurable: the cone constants are fixed")
     shape = sections.get("surface", {}).get("shape", "sphere")
-    shape_keys = _lookup(
-        _SHAPE_KEYS, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob"
+    cls, shape_keys = _lookup(
+        _SHAPES, shape, "[surface] unknown shape {!r}; use sphere, spheroid or blob"
     )
     gen = sections.get("targets", {}).get("generator", "plane")
     gen_keys = _lookup(_TARGET_KEYS, gen, "[targets] unknown generator {!r}")
@@ -278,8 +273,8 @@ def _build_config(sections: dict) -> ExperimentConfig:
             tmap = theta_map_by_name(surf.get("theta_map", "cosine"))
         except ValueError as exc:
             raise ConfigError(f"[surface] {exc}")
-        a, b = (_positive(surf.get(key, 1.0), f"[surface] {key}") for key in ("a", "b"))
-        surface = _SURFACES[shape.lower()](a, b, tmap)
+        sizes = [_positive(surf.get(key, 1.0), f"[surface] {key}") for key in shape_keys]
+        surface = cls(*sizes, tmap)
         kern = sections.get("kernel", {})
         make = _lookup(_KERNELS, kern.get("kind", "harmonic_single"), "[kernel] unknown kind {!r}")
         kernel = make(_positive(kern.get("omega", 1.0), "[kernel] omega"))

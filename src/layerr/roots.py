@@ -11,8 +11,8 @@ fixed polar angle (a circle in a plane is the equator case) and for the
 polar root of a sphere at fixed azimuth. Everything else goes through a
 one-dimensional complex Newton iteration on the analytic parametrization,
 evaluated along a line: each iteration passes the (start, lane) entries that
-have stopped as NaN, and the line evaluates the position and the one partial
-Newton reads only at the others, returned in C order as they come.
+have stopped as NaN, and Surface.evaluate gives the position and the one
+partial Newton reads only at the others, in C order as they come.
 
 The closed forms, Newton and the root models take one target or a block of
 them: x of shape (3,) or (*lanes, 3), with one root per lane. On lanes a
@@ -92,15 +92,15 @@ LineEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 def _line(surface: Surface, var: str, fixed) -> LineEvaluator:
-    """surface.eval_line along var at the live entries of w, the other
-    coordinate fixed; the trailing axes of w are fixed's lanes."""
+    """surface.evaluate's position and partial along var at the live entries
+    of w, the other coordinate fixed; the trailing axes of w are fixed's lanes."""
 
     def line(w):
         w = np.asarray(w)
         live = ~np.isnan(w)
         other = np.broadcast_to(fixed, w.shape)[live]
         theta, phi = (w[live], other) if var == VAR_THETA else (other, w[live])
-        return surface.eval_line(theta, phi, var)
+        return surface.evaluate(theta, phi, (var,))
 
     return line
 
@@ -136,7 +136,7 @@ def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
         b_t = surface.b * np.cos(theta_bar)
         lam = (a_t * a_t + rho2 + (b_t - x2) ** 2) / (2.0 * a_t * np.sqrt(rho2))
         root = _canonical(np.where(none, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam)))
-        pos, _, _ = surface.eval_sph(np.broadcast_to(theta_bar, root.shape), root)
+        pos = surface.position(np.broadcast_to(theta_bar, root.shape), root)
         residual = np.abs((pos[0] - x0) ** 2 + (pos[1] - x1) ** 2 + (pos[2] - x2) ** 2)
     message = "R^2 is independent of phi here"
     return _closed_form(root, residual, lam, message)

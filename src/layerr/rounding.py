@@ -8,7 +8,7 @@ Each helper serves one module, where plain numpy was measured to move them:
 - cdiv: Python's complex division in the Newton step (roots._newton); numpy's
   moves 3 blob-shell rows past 1e-8, by up to 3.1e-8.
 - cmul: the blob's complex products without fused multiply-adds
-  (surfaces.Blob._eval); numpy's move 32 blob-shell rows, by up to 3.2e-8.
+  (surfaces.Blob.evaluate); numpy's move 32 blob-shell rows, by up to 3.2e-8.
 - dot3: np.dot for the grid anisotropy kappa (estimates._build_frame); a plain
   sum moves 1 blob-shell row, by 1.06e-8.
 Exact numerators at roots would retire them, with one refresh of the stored values.

@@ -8,14 +8,14 @@ A ThetaMap connects the Gauss-Legendre variable t in [-1, 1] to theta,
 either linearly or through theta = pi - arccos(t); the latter places the
 quadrature nodes so that a sphere has a constant area element.
 
-All evaluators accept one complex argument (theta or phi, never both) and
-continue the parametrization analytically; for real arguments the results
-are real. theta and phi may also be arrays of one shape, with the coordinate
-on the first axis of each returned vector. eval_sph returns the position and
-both partials, evaluated with numpy ufuncs; for real arrays each entry equals
-the scalar call bitwise. eval_line returns the position and the one partial a
-root line along theta or phi reads; the Blob then skips the other partial's
-formulas, which it shares with eval_sph, so both give the same bits.
+Each surface implements one evaluator, evaluate(theta, phi, partials): the
+position, then the partials named in partials (VAR_THETA, VAR_PHI), each with
+the same bits whatever else is asked for. eval_sph asks for both, position for
+none, a root line for its one. It accepts one complex argument (theta or phi,
+never both) and continues the parametrization analytically; for real
+arguments the results are real. theta and phi may also be arrays of one shape,
+with the coordinate on the first axis of each returned vector; for real arrays
+each entry equals the scalar call bitwise.
 The ThetaMap methods run one numpy path for scalars and arrays; only the real
 arccosine on [-1, 1] goes entry by entry through the C library, as numpy's real
 arccos rounds differently under its AVX512 and AVX2 code paths.
@@ -94,23 +94,23 @@ def theta_map_by_name(name: str) -> ThetaMap:
 class Surface:
     """Base class: analytic parametrization with first partials.
 
-    Subclasses implement eval_sph(theta, phi) returning the position and
-    the two partial derivatives, valid for one complex argument.
+    Subclasses implement evaluate(theta, phi, partials), returning the
+    position and then the partials named in partials (VAR_THETA, VAR_PHI)
+    in that order, valid for one complex argument.
     """
 
     theta_map: ThetaMap
     axisymmetric = False
 
-    def eval_sph(self, theta, phi):
+    def evaluate(self, theta, phi, partials):
         raise NotImplementedError
 
-    def eval_line(self, theta, phi, var: str):
-        """Position and the partial along var (VAR_THETA or VAR_PHI)."""
-        pos, d_theta, d_phi = self.eval_sph(theta, phi)
-        return pos, d_theta if var == VAR_THETA else d_phi
+    def eval_sph(self, theta, phi):
+        """Position and both partials."""
+        return self.evaluate(theta, phi, (VAR_THETA, VAR_PHI))
 
     def position(self, theta, phi):
-        return self.eval_sph(theta, phi)[0]
+        return self.evaluate(theta, phi, ())[0]
 
     def eval_t(self, t, phi):
         """Position and partials in the (t, phi) parametrization."""
@@ -132,14 +132,17 @@ class Spheroid(Surface):
         self.b = float(b)
         self.theta_map = theta_map
 
-    def eval_sph(self, theta, phi):
+    def evaluate(self, theta, phi, partials):
         a, b = self.a, self.b
         st, ct = np.sin(theta), np.cos(theta)
         sp, cp = np.sin(phi), np.cos(phi)
-        pos = np.array([a * st * cp, a * st * sp, b * ct])
-        d_theta = np.array([a * ct * cp, a * ct * sp, -b * st])
-        d_phi = np.array([-a * st * sp, a * st * cp, 0.0 * sp])
-        return pos, d_theta, d_phi
+        out = [np.array([a * st * cp, a * st * sp, b * ct])]
+        for var in partials:
+            if var == VAR_THETA:
+                out.append(np.array([a * ct * cp, a * ct * sp, -b * st]))
+            else:
+                out.append(np.array([-a * st * sp, a * st * cp, 0.0 * sp]))
+        return tuple(out)
 
 
 class Sphere(Spheroid):
@@ -165,14 +168,7 @@ class Blob(Surface):
     def __init__(self, theta_map: ThetaMap = COSINE_MAP):
         self.theta_map = theta_map
 
-    def eval_sph(self, theta, phi):
-        return self._eval(theta, phi, (VAR_THETA, VAR_PHI))
-
-    def eval_line(self, theta, phi, var: str):
-        return self._eval(theta, phi, (var,))
-
-    def _eval(self, theta, phi, partials):
-        """The position and the partials named in partials, in that order."""
+    def evaluate(self, theta, phi, partials):
         st, ct = np.sin(theta), np.cos(theta)
         sp, cp = np.sin(phi), np.cos(phi)
         # rho = 0.8 + e; estimates depend on every bit, so keep the operand order

@@ -6,15 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from layerr.cli import _build_config
 from layerr.errors import NonConvergence
 from layerr.estimates import _build_frame
-from layerr.potentials import _fill_rows, harmonic_single, unit_density
+from layerr.potentials import _fill_rows, _grid_tables, harmonic_single, unit_density
 from layerr.quadrature import grid
-from layerr.roots import VAR_PHI, VAR_THETA, newton_root, phi_line, theta_line
+from layerr.roots import (
+    VAR_PHI,
+    VAR_THETA,
+    axisym_phi_root,
+    newton_root,
+    phi_line,
+    theta_line,
+)
 from layerr.rounding import cmul
 from layerr.surfaces import (
     COSINE_MAP,
     LINEAR_MAP,
+    Blob,
     Sphere,
     Spheroid,
     paper_blob,
@@ -335,18 +344,42 @@ _imag = hst.floats(-800.0, 800.0, allow_nan=False)  # beyond |Im| ~ 710 sin and 
 @settings(max_examples=60, deadline=None)
 @given(hst.lists(hst.tuples(_parts, _imag, _parts), min_size=1, max_size=12),
        hst.sampled_from([VAR_THETA, VAR_PHI]))
-def test_blob_line_evaluation_is_eval_sph_bitwise(entries, var):
-    # the line along var: var complex, the other coordinate real
+def test_evaluate_is_eval_sph_bitwise(entries, var):
+    # the line along var: var complex, the other coordinate real; each request
+    # gives the bits of eval_sph's matching entries
     w = np.array([complex(re, im) for re, im, _ in entries])
     other = np.array([v for _, _, v in entries])
     theta, phi = (w, other) if var == VAR_THETA else (other, w)
-    b = paper_blob()
-    with np.errstate(all="ignore"):
-        pos, d_var = b.eval_line(theta, phi, var)
-        full = b.eval_sph(theta, phi)
-    want = full[1] if var == VAR_THETA else full[2]
-    assert pos.tobytes() == full[0].tobytes() and pos.dtype == full[0].dtype
-    assert d_var.tobytes() == want.tobytes() and d_var.dtype == want.dtype
+    for name, s in surfaces_under_test():
+        with np.errstate(all="ignore"):
+            pos, d_theta, d_phi = s.eval_sph(theta, phi)
+            for partials, want in (((), [pos]), ((VAR_THETA,), [pos, d_theta]),
+                                   ((VAR_PHI,), [pos, d_phi])):
+                got = s.evaluate(theta, phi, partials)
+                assert len(got) == len(want), (name, partials)
+                for g, wv in zip(got, want):
+                    assert g.tobytes() == wv.tobytes() and g.dtype == wv.dtype, (name, partials)
+
+
+def test_position_only_callers_ask_for_no_partials(monkeypatch):
+    asked = []
+    for cls in (Spheroid, Blob):
+        def recorded(self, theta, phi, partials, evaluate=cls.evaluate):
+            asked.append(tuple(partials))
+            return evaluate(self, theta, phi, partials)
+
+        monkeypatch.setattr(cls, "evaluate", recorded)
+    # fresh surfaces, so the cached base grids are built here
+    for surface in (Spheroid(1.0, 3.0), paper_blob()):
+        _grid_tables(surface, grid(8, 16))
+    x = np.array([[1.5, 0.2, 0.3], [0.1, 2.0, -0.4]])
+    axisym_phi_root(Spheroid(1.0, 3.0), np.array([0.7, 1.9]), x)
+    calls = len(asked)
+    _build_config({"surface": {"shape": "spheroid", "a": 1.0, "b": 2.0},
+                   "grid": {"n_t": 10, "n_phi": 20},
+                   "targets": {"generator": "random", "count": 5, "seed": 3}})
+    assert calls >= 3 and len(asked) > calls
+    assert set(asked) == {()}
 
 
 # Reference formulas: the generic evaluators the three surfaces replaced. A
