@@ -119,7 +119,7 @@ def _unit_direction(theta: float, phi: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """A fully validated experiment description."""
+    """An experiment description, as _build_config validates it."""
 
     surface: Surface
     kernel: KernelSpec
@@ -129,10 +129,6 @@ class ExperimentConfig:
     targets: np.ndarray
     out_path: str = "layerr_out.csv"
     cone: ConeParams = ConeParams()
-
-    def __post_init__(self):
-        if self.n_t < 4 or self.n_phi < 4:
-            raise ConfigError("[grid] n_t and n_phi must be at least 4")
 
 
 def _floats(text, field: str):
@@ -285,6 +281,9 @@ def _build_config(sections: dict) -> ExperimentConfig:
             if key not in grid_sec:
                 raise ConfigError(f"[grid] missing {key}")
         n_t, n_phi = int(grid_sec["n_t"]), int(grid_sec["n_phi"])
+        # before the targets: their generators read the grid
+        if n_t < 4 or n_phi < 4:
+            raise ConfigError("[grid] n_t and n_phi must be at least 4")
         targets = _generate_targets(surface, n_t, n_phi, sections["targets"])
         out_path = sections.get("output", {}).get("path", "layerr_out.csv")
     except KeyError as exc:

@@ -110,16 +110,6 @@ def _dot_c(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cross_c(u, v):
-    return np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
-    )
-
-
 def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d_t, d_phi):
     """f at evaluated points: diff = gamma - x and the (t, phi) partials,
     coordinate first; theta and phi may be arrays.
@@ -130,7 +120,7 @@ def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d
     the area element, leaving sigma * (cross . (gamma - x)), which is
     entire and needs no branch choice.
     """
-    cross = _cross_c(d_t, d_phi)
+    cross = np.cross(d_t, d_phi, axis=0)
     sigma = density.value(theta, phi)
     if kernel.kind == HARMONIC_DOUBLE:
         return sigma * _dot_c(cross, diff)
@@ -151,33 +141,34 @@ class _GridTables:
     scale: float
 
 
-def _fill_rows(surface, g, thetas, jacobians, r0, r1, positions, normals, weights):
+def _fill_rows(surface, density, g, r0, r1, positions, normals, weights):
     """Fill the nodes of the Gauss-Legendre rows r0 to r1 of grid g into a
     sum's slab tables positions, normals and weights, from their first node on,
-    and return the largest |gamma| among them; thetas and jacobians are the
-    polar angle and the map's Jacobian at every row.
+    and return the largest |gamma| among them.
 
-    One array evaluation per block of whole rows, of about _TILE_NODES nodes:
-    theta and the Jacobian are constant along a row, phi runs along it. Each
-    block's positions, unit normals and weights w_t * w_phi * area element go
-    straight into the tables, so no temporary is larger than a block.
+    One array evaluation per block of whole rows, of about _TILE_NODES nodes,
+    the rows' theta a column against the phi row, so theta, its Jacobian and
+    their sines run once per row. Each block's positions, unit normals and
+    weights w_t * w_phi * area element * sigma go straight into the tables,
+    so no temporary is larger than a block.
     """
-    phis, n_phi = g.phi_rule.nodes, g.n_phi
+    theta_map, phis, n_phi = surface.theta_map, g.phi_rule.nodes, g.n_phi
     block_rows = max(1, _TILE_NODES // n_phi)
     scale = 0.0
     for start in range(r0, r1, block_rows):
         rows = slice(start, min(start + block_rows, r1))
         nodes = slice((start - r0) * n_phi, (rows.stop - r0) * n_phi)
-        pos, d_theta, d_phi = surface.eval_sph(np.repeat(thetas[rows], n_phi),
-                                               np.tile(phis, rows.stop - start))
-        d_t = d_theta * np.repeat(jacobians[rows], n_phi)
-        position, normal = positions[:, nodes], normals[:, nodes]
+        thetas = theta_map.theta(g.t_rule.nodes[rows, None])
+        pos, d_theta, d_phi = surface.eval_sph(thetas, phis)
+        d_t = d_theta * theta_map.dtheta_dt_at(thetas)
+        position, normal = (table[:, nodes].reshape(pos.shape) for table in (positions, normals))
         position[...] = np.real(pos)
         normal[...] = np.cross(np.real(d_t), np.real(d_phi), axis=0)
         areas = np.linalg.norm(normal, axis=0)
         normal /= areas
-        np.multiply(np.outer(g.t_rule.weights[rows], g.phi_rule.weights).ravel(), areas,
-                    out=weights[nodes])
+        weight = np.multiply(np.outer(g.t_rule.weights[rows], g.phi_rule.weights), areas,
+                             out=weights[nodes].reshape(areas.shape))
+        weight *= density.value(thetas, phis)
         scale = max(scale, float(np.max(np.linalg.norm(position, axis=0))))
     return scale
 
@@ -187,17 +178,15 @@ def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
     """The _GridTables of a base grid, filled a block of whole rows at a time
     as _fill_rows fills them, with the scale a running max over the blocks:
     a norm over the whole table would take 1.3x the table it measures."""
-    thetas, phis, n_phi = surface.theta_map.theta(g.t_rule.nodes), g.phi_rule.nodes, g.n_phi
-    positions = np.empty((3, g.n_t * n_phi))
-    block_rows = max(1, _TILE_NODES // n_phi)
+    thetas, phis = surface.theta_map.theta(g.t_rule.nodes), g.phi_rule.nodes
+    positions = np.empty((3, g.n_t, g.n_phi))
+    block_rows = max(1, _TILE_NODES // g.n_phi)
     scale = 0.0
     for start in range(0, g.n_t, block_rows):
-        row_thetas = thetas[start : start + block_rows]
-        block = positions[:, start * n_phi : (start + len(row_thetas)) * n_phi]
-        block[...] = np.real(surface.position(np.repeat(row_thetas, n_phi),
-                                              np.tile(phis, len(row_thetas))))
+        block = positions[:, start : start + block_rows]
+        block[...] = np.real(surface.position(thetas[start : start + block_rows, None], phis))
         scale = max(scale, float(np.max(np.linalg.norm(block, axis=0))))
-    return _GridTables(positions, scale)
+    return _GridTables(positions.reshape(3, -1), scale)
 
 
 def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
@@ -374,9 +363,9 @@ def potential_quadrature(
 
     The nodes stream through slabs of _SLAB_NODES, whose starts are multiples
     of _TILE_NODES, so no table of the whole grid is built. For each slab the
-    calling thread fills the Gauss-Legendre rows that cover it into one set
-    of slab tables, reused by every slab, with the weights times sigma, and
-    updates the running scale. Then the target tiles are shared out to one
+    calling thread's _fill_rows fills the Gauss-Legendre rows that cover it,
+    weights times sigma, into one set of slab tables, reused by every slab,
+    and updates the running scale. Then the target tiles are shared out to one
     worker thread per CPU the process may run on, each pinned to its CPU and
     kept for the whole sum, and never more workers than tiles; a block of one
     tile, or a process on one CPU, runs its one worker inline. The next slab
@@ -384,8 +373,6 @@ def potential_quadrature(
     """
     block = target_block(x)
     n_phi, n_nodes = g.n_phi, g.n_t * g.n_phi
-    thetas = surface.theta_map.theta(g.t_rule.nodes)
-    jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
     # rows that can cover one slab, however its start falls in a row
     slab_rows = min(g.n_t, -(-_SLAB_NODES // n_phi) + 1)
     positions, normals = np.empty((2, 3, slab_rows * n_phi))
@@ -403,10 +390,8 @@ def potential_quadrature(
         pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in cpus] if len(cpus) > 1 else []
         for start in range(0, n_nodes, _SLAB_NODES):
             r0, r1 = start // n_phi, min(g.n_t, -(-(start + _SLAB_NODES) // n_phi))
-            scale = max(scale, _fill_rows(surface, g, thetas, jacobians, r0, r1,
+            scale = max(scale, _fill_rows(surface, density, g, r0, r1,
                                           positions, normals, weights))
-            row_weights = weights[: (r1 - r0) * n_phi].reshape(r1 - r0, n_phi)
-            row_weights *= density.value(thetas[r0:r1, None], g.phi_rule.nodes)
             nodes = slice(start - r0 * n_phi, min(start + _SLAB_NODES, n_nodes) - r0 * n_phi)
             args = (kernel, positions[:, nodes], normals[:, nodes], weights[nodes], block,
                     iter(starts), sums, nearest)

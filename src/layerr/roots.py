@@ -136,7 +136,7 @@ def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
         b_t = surface.b * np.cos(theta_bar)
         lam = (a_t * a_t + rho2 + (b_t - x2) ** 2) / (2.0 * a_t * np.sqrt(rho2))
         root = _canonical(np.where(none, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam)))
-        pos = surface.position(np.broadcast_to(theta_bar, root.shape), root)
+        pos = surface.position(theta_bar, root)
         residual = np.abs((pos[0] - x0) ** 2 + (pos[1] - x1) ** 2 + (pos[2] - x2) ** 2)
     message = "R^2 is independent of phi here"
     return _closed_form(root, residual, lam, message)

@@ -311,6 +311,24 @@ def test_small_grid_rejected(tmp_path):
     assert main(["run", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("grid_lines", ["n_t = 12\nn_phi = 0", "n_t = 0\nn_phi = 24"],
+                         ids=["n_phi", "n_t"])
+@pytest.mark.parametrize("targets", [
+    "generator = plane\nresolution = 3",
+    "generator = radial-sweep\ndistances = 0.1",
+    "generator = random\ncount = 3",
+    "generator = shell\nresolution = 2",
+    "generator = explicit\npoints = 1.5, 0, 0",
+], ids=lambda t: t.split("\n")[0].split()[-1])
+def test_grid_is_checked_before_the_targets(tmp_path, capsys, grid_lines, targets):
+    # every generator reads the grid, so a grid below 4 x 4 is reported as such
+    body = CONFIG_TEMPLATE.replace("n_t = 12\nn_phi = 24", grid_lines).replace(
+        "generator = explicit\npoints = 1.5, 0, 0; 0, 0, 1.3", targets
+    )
+    assert main(["run", write_config(tmp_path, body)]) == EXIT_CONFIG
+    assert "[grid] n_t and n_phi must be at least 4" in capsys.readouterr().err
+
+
 def test_nodes_command(capsys):
     assert main(["nodes", "--rule", "tz", "--n", "4"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -54,15 +54,14 @@ def _streamed_tables(surface, g, density):
 
 def _whole_tables(surface, g):
     """The node tables of the whole grid g, filled by _fill_rows over all its
-    rows into full-size arrays: the polar angle of each row, the positions,
-    normals and weights w_t * w_phi * area element of each node, and the scale."""
+    rows into full-size arrays with unit sigma, exactly 1.0: the polar angle of
+    each row, the positions, normals and weights w_t * w_phi * area element of
+    each node, and the scale."""
     n_nodes = g.n_t * g.n_phi
     positions, normals, weights = np.empty((3, n_nodes)), np.empty((3, n_nodes)), np.empty(n_nodes)
-    thetas = surface.theta_map.theta(g.t_rule.nodes)
-    jacobians = np.broadcast_to(surface.theta_map.dtheta_dt_at(thetas), thetas.shape)
-    scale = potentials._fill_rows(surface, g, thetas, jacobians, 0, g.n_t,
+    scale = potentials._fill_rows(surface, unit_density(), g, 0, g.n_t,
                                   positions, normals, weights)
-    return thetas, positions, normals, weights, scale
+    return surface.theta_map.theta(g.t_rule.nodes), positions, normals, weights, scale
 
 
 # ----------------------------------------------------------- smooth factors

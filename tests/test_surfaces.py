@@ -242,12 +242,10 @@ def test_eval_t_linear_jacobian():
 def areas(s, g):
     """The area element at each node of the grid g, as the quadrature sums use
     it: the weights of the whole grid's tables, filled by _fill_rows over all
-    rows, over the rule weights."""
+    rows with unit sigma, exactly 1.0, over the rule weights."""
     n_nodes = g.n_t * g.n_phi
     weights = np.empty(n_nodes)
-    thetas = s.theta_map.theta(g.t_rule.nodes)
-    jacobians = np.broadcast_to(s.theta_map.dtheta_dt_at(thetas), thetas.shape)
-    _fill_rows(s, g, thetas, jacobians, 0, g.n_t, np.empty((3, n_nodes)), np.empty((3, n_nodes)),
+    _fill_rows(s, unit_density(), g, 0, g.n_t, np.empty((3, n_nodes)), np.empty((3, n_nodes)),
                weights)
     return weights / np.outer(g.t_rule.weights, g.phi_rule.weights).ravel()
 
@@ -359,6 +357,32 @@ def test_evaluate_is_eval_sph_bitwise(entries, var):
                 assert len(got) == len(want), (name, partials)
                 for g, wv in zip(got, want):
                     assert g.tobytes() == wv.tobytes() and g.dtype == wv.dtype, (name, partials)
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()],
+    ids=["sphere-cosine", "sphere-linear", "spheroid", "blob"],
+)
+@pytest.mark.parametrize("imag", [0.0, 0.7], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "partials", [(), (VAR_THETA,), (VAR_PHI,), (VAR_THETA, VAR_PHI)],
+    ids=["position", "theta", "phi", "both"],
+)
+def test_evaluate_broadcasts_a_theta_column_against_a_phi_row_bitwise(surface, imag, partials):
+    # The sums fill a tensor grid's rows from the polar angles as a column and
+    # the azimuths as a row; each vector must hold the bits and dtype of the
+    # call on the grid flattened by np.repeat and np.tile, shaped (3, n_t, n_phi).
+    g = grid(13, 37)
+    theta = surface.theta_map.theta(g.t_rule.nodes)
+    theta = theta + 1j * imag * np.linspace(-1.0, 1.0, g.n_t) if imag else theta
+    phi = g.phi_rule.nodes
+    got = surface.evaluate(theta[:, None], phi, partials)
+    want = surface.evaluate(np.repeat(theta, g.n_phi), np.tile(phi, g.n_t), partials)
+    assert len(got) == len(want) == 1 + len(partials)
+    for gv, wv in zip(got, want):
+        assert gv.shape == (3, g.n_t, g.n_phi) and gv.dtype == wv.dtype
+        assert gv.tobytes() == wv.tobytes()
 
 
 def test_position_only_callers_ask_for_no_partials(monkeypatch):
