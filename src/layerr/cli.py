@@ -508,7 +508,7 @@ def roots_check(surface_name: str, samples: int, seed: int, a: float = 1.0, b: f
         raise ConfigError(f"unknown surface {surface_name!r} for roots-check")
     fixed, x, guess = (np.array(v) for v in zip(*(draw() for _ in range(samples))))
     ana = closed_form(fixed, x) if closed_form else None
-    start = (guess if ana is None else ana.value.real) + 0.1j
+    start = guess if ana is None else ana.value.real
     newt = newton_root(line(surface, fixed), variable, fixed, x, start, scale, nearest=True)
     max_dev = 0.0 if ana is None else np.max(np.abs(ana.value - newt.value))
     max_res = np.max(newt.residual if ana is None else [newt.residual, ana.residual])

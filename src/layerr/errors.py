@@ -14,7 +14,7 @@ class NoRootExists(LayerrError):
 
 
 class NonConvergence(LayerrError):
-    """Newton iteration failed to converge after the retry ladder."""
+    """Newton iteration converged from none of its starts."""
 
 
 class InfiniteGeometryFactor(LayerrError):

@@ -359,7 +359,7 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     live = ~_in_cone(frame, cone) if surf.axisymmetric else np.ones(frame.t_star.shape, bool)
     model = linear_root_model(frame.t_star, frame.phi_star, frame.position, frame.d_t,
                               frame.d_phi, frame.x)
-    phi0 = _phi_root(frame, frame.theta_star, frame.phi_star + 0.1j, nearest=True)
+    phi0 = _phi_root(frame, frame.theta_star, frame.phi_star, nearest=True)
     if not surf.axisymmetric:
         # the tangent-plane root stands in for a failed Newton solve
         phi0 = np.where(np.isnan(phi0), model.anchor, phi0)
@@ -387,7 +387,7 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     model = None if isinstance(surf, Sphere) else azimuthal_sweep_model(
         frame.t_star, frame.phi_star, frame.position, frame.d_t, frame.x
     )
-    theta0 = _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True)
+    theta0 = _theta_root(frame, frame.phi_star, frame.theta_star, nearest=True)
     t0 = surf.theta_map.t(theta0)
     if model is not None:
         # the tangent-plane root stands in for a failed Newton solve

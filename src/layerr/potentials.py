@@ -359,7 +359,8 @@ def potential_quadrature(
     target: not finite, too far away (R^2 overflows), or a node within
     1e-14 * scale of it, scale being the largest |gamma| over the nodes. A
     target's terms are added tile by tile in node order, so its sum is the
-    same in any block and with any number of workers.
+    same in any block and with any number of workers. An empty block (0, 3)
+    returns [] and fills no slab.
 
     The nodes stream through slabs of _SLAB_NODES, whose starts are multiples
     of _TILE_NODES, so no table of the whole grid is built. For each slab the
@@ -372,6 +373,8 @@ def potential_quadrature(
     is filled once every worker has finished this one.
     """
     block = target_block(x)
+    if not len(block):
+        return []
     n_phi, n_nodes = g.n_phi, g.n_t * g.n_phi
     # rows that can cover one slab, however its start falls in a row
     slab_rows = min(g.n_t, -(-_SLAB_NODES // n_phi) + 1)

@@ -40,8 +40,9 @@ from .rounding import cdiv, entrywise
 from .surfaces import VAR_PHI, VAR_THETA, Spheroid, Surface
 
 _NEWTON_MAX_ITER = 30
-# escalating imaginary parts for retries; slices far from the target
-# (small circles near the poles) carry roots several units off the axis
+# escalating imaginary parts of the starts of a nearest=True solve; slices far
+# from the target (small circles near the poles) carry roots several units off
+# the axis
 _RETRY_IMAG = (0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
@@ -209,32 +210,22 @@ def newton_root(
     the other entries only, in C order. A NaN start is never iterated.
 
     Converges when |R^2| drops to 1e-13 of the problem size (the square of
-    scale plus the magnitude of the summed squares at the iterate). If the
-    supplied initial guess fails, retries with an escalating ladder of
-    imaginary parts above the real part of the initial guess. With
-    nearest=True only the seven rungs of that ladder are tried, and the
+    scale plus the magnitude of the summed squares at the iterate). Without
+    nearest, each lane iterates its start once and gets NaN where that start
+    fails. With nearest=True the start's imaginary part is not read: the seven
+    rungs of _RETRY_IMAG above its real part iterate instead, and the
     converged root closest to the real axis is returned (the first in ladder
     order on a tie); the error-decay theory wants the root pair nearest the
     interval, and a single start can land on a farther branch. A single
     initial guess that finds no root raises NonConvergence.
     """
     w0 = np.asarray(initial, dtype=complex)
-    xs = _coords(x)[:, None]
-    ladder = w0.real + 1j * np.reshape(_RETRY_IMAG, (-1,) + (1,) * w0.ndim)
-    scale2 = scale * scale
+    starts = w0.real + 1j * np.reshape(_RETRY_IMAG, (-1,) + (1,) * w0.ndim) if nearest else w0[None]
     with np.errstate(all="ignore"):
-        if nearest:
-            w, residual = _newton(line, ladder, xs, scale2)
-        else:
-            w, residual = _newton(line, w0[None], xs, scale2)
-            # the ladder keeps the start's real part: none without a finite one
-            retry = np.isnan(residual[0]) & np.isfinite(w0.real)
-            if retry.any():
-                w_l, residual_l = _newton(line, np.where(retry, ladder, np.nan), xs, scale2)
-                w, residual = np.concatenate([w, w_l]), np.concatenate([residual, residual_l])
+        w, residual = _newton(line, starts, _coords(x)[:, None], scale * scale)
     found = ~np.isnan(residual)
-    # per lane: the smallest |Im| (nearest) or the first converged start
-    pick = np.argmin(np.where(found, np.abs(w.imag), np.inf), 0) if nearest else np.argmax(found, 0)
+    # per lane: the converged start with the smallest |Im|, the first on a tie
+    pick = np.argmin(np.where(found, np.abs(w.imag), np.inf), 0)
     value = np.take_along_axis(w, pick[None], 0)[0]
     residual = np.take_along_axis(residual, pick[None], 0)[0]
     value = np.where(found.any(0), _canonical(value), np.nan)

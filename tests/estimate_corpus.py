@@ -16,10 +16,11 @@ tests/test_estimate_corpus.py compares the current code against them.
 
 The first form records what the importable layerr computes, but keeps a
 stored outcome, with its "fixed_from", wherever the new one still matches it
-by matches(), so that a rewrite changes only the cases that really moved; an
-outcome that is NaN or an exception other than LayerrError is stored as
-"unfixed". The second form recomputes only the unfixed outcomes with the
-importable code and keeps what they were under "fixed_from".
+by matches(), so that a rewrite changes only the cases that really moved, and
+prints each case whose stored outcome it replaced with the old and the new
+outcome; an outcome that is NaN or an exception other than LayerrError is
+stored as "unfixed". The second form recomputes only the unfixed outcomes
+with the importable code and keeps what they were under "fixed_from".
 """
 from __future__ import annotations
 
@@ -145,9 +146,13 @@ def main(argv) -> int:
         entries = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
         stored = {json.dumps(e["case"]): e["outcome"] for e in entries}
         entries = []
-        for case in make_cases():
+        for i, case in enumerate(make_cases()):
             new, old = outcome(case), stored.get(json.dumps(case))
-            entries.append({"case": case, "outcome": old if old and matches(new, old) else new})
+            if old and matches(new, old):
+                new = old
+            elif old:
+                print(f"case {i} replaced: {json.dumps(old)} -> {json.dumps(new)}")
+            entries.append({"case": case, "outcome": new})
     else:
         print(__doc__, file=sys.stderr)
         return 1

@@ -23,10 +23,10 @@ def test_full_estimate_matches_stored_corpus():
     assert not mismatches
 
 
-def test_full_rewrite_keeps_the_outcomes_that_still_match(tmp_path, monkeypatch):
+def test_full_rewrite_keeps_the_outcomes_that_still_match(tmp_path, monkeypatch, capsys):
     # a rewrite with the current code changes no byte of the committed corpus,
     # not even where a stored value is 1e-12 off or has a fixed_from, since
-    # those outcomes still match
+    # those outcomes still match, and names no case as replaced
     lines = CORPUS.read_text().split("\n")
     # the first two entries with values, on lines that end in a comma
     off, marked = [i for i, entry in enumerate(ENTRIES, start=1) if "e_tz" in entry["outcome"]][:2]
@@ -38,5 +38,27 @@ def test_full_rewrite_keeps_the_outcomes_that_still_match(tmp_path, monkeypatch)
     copy = tmp_path / CORPUS.name
     copy.write_text("\n".join(lines))
     monkeypatch.setattr(estimate_corpus, "CORPUS", copy)
+    capsys.readouterr()
     assert main([]) == 0
     assert copy.read_text() == "\n".join(lines)
+    assert capsys.readouterr().out == f"wrote {copy} ({len(ENTRIES)} cases, 0 unfixed)\n"
+
+
+def test_full_rewrite_names_each_case_it_replaced(tmp_path, monkeypatch, capsys):
+    # over the first three cases, the second stored 1e-6 off: the rewrite
+    # replaces that outcome only, and prints it with its old and new outcome
+    entries = [dict(entry, outcome=dict(entry["outcome"])) for entry in ENTRIES[:3]]
+    moved = entries[1]["outcome"]
+    key = "e_tz" if moved.get("e_tz") else "e_gl"
+    moved[key] *= 1.0 + 1e-6
+    copy = tmp_path / CORPUS.name
+    copy.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    monkeypatch.setattr(estimate_corpus, "CORPUS", copy)
+    monkeypatch.setattr(estimate_corpus, "make_cases", lambda: [e["case"] for e in entries])
+    capsys.readouterr()
+    assert main([]) == 0
+    new = json.loads(copy.read_text())[1]["outcome"]
+    assert matches(new, ENTRIES[1]["outcome"]) and not matches(new, moved)
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        f"case 1 replaced: {json.dumps(moved)} -> {json.dumps(new)}"
+    ]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from layerr.errors import EvaluationError, InfiniteGeometryFactor, LayerrError, NoRootExists
-from layerr import estimates
+from layerr import estimates, roots
+from layerr.cli import preset_config
 from layerr.estimates import (
     ConeParams,
     _build_frame,
@@ -462,8 +463,8 @@ def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, sto
     frame = _build_frame(surface, kernel, paper_density(), g, x)
     with np.errstate(all="ignore"):
         solved = {
-            "phi0": _phi_root(frame, frame.theta_star, frame.phi_star + 0.1j, nearest=True),
-            "t0": _theta_root(frame, frame.phi_star, frame.theta_star + 0.1j, nearest=True),
+            "phi0": _phi_root(frame, frame.theta_star, frame.phi_star, nearest=True),
+            "t0": _theta_root(frame, frame.phi_star, frame.theta_star, nearest=True),
         }
     bd = full_estimate(surface, kernel, paper_density(), g, x)
     pos, d_t, d_phi = (np.real(v) for v in surface.eval_t(bd.t_star, bd.phi_star))
@@ -510,6 +511,28 @@ def test_root_solves_go_through_the_module_names(monkeypatch, surface, want):
     bd = full_estimate(surface, KER, DEN, grid(12, 24), x)
     assert bd.errors == (None,) * 3 and np.isfinite(bd.total).all()
     assert calls == want
+
+
+def test_blob_shell_estimate_makes_one_newton_run_per_solve(monkeypatch):
+    # blob-shell's 1152 targets on half its grid, where 128 warm starts of the
+    # sweep nodes fail: each direction runs its anchor's 7 ladder rungs, then
+    # one run per sweep node from the chain's starts alone, and a lane whose
+    # start fails takes the root model's value with no second run
+    cfg = preset_config("blob-shell")
+    runs, failed = [], []
+    newton = roots._newton
+
+    def counted(line, w, *args):
+        out = newton(line, w, *args)
+        runs.append(w.shape[0])
+        failed.append(int((np.isfinite(w) & np.isnan(out[1])).sum()) if w.shape[0] == 1 else 0)
+        return out
+
+    monkeypatch.setattr(roots, "_newton", counted)
+    bd = full_estimate(cfg.surface, cfg.kernel, cfg.density, grid(20, 40), cfg.targets)
+    assert bd.errors == (None,) * len(cfg.targets)
+    assert runs == ([7] + [1] * 8) * 2
+    assert sum(failed) == 128
 
 
 # ------------------------------------------------------- batched estimates

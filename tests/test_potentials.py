@@ -567,7 +567,10 @@ def test_malformed_target_arrays_are_evaluation_errors(f, shape):
 
 
 @pytest.mark.parametrize("f", [potential_quadrature, measured_error, full_estimate])
-def test_empty_block_has_no_outcomes(f):
+def test_empty_block_has_no_outcomes(f, monkeypatch):
+    # a sum over no targets returns before it fills any slab of its grid
+    fills = []
+    monkeypatch.setattr(potentials, "_fill_rows", lambda *args: fills.append(args))
     out = f(SPHERE, harmonic_single(), unit_density(), G_SPHERE, np.empty((0, 3)))
     if f is full_estimate:
         # no errors, and every array of the estimates is empty
@@ -575,6 +578,7 @@ def test_empty_block_has_no_outcomes(f):
         assert all(np.shape(v) == (0,) for name, v in vars(out).items() if name != "errors")
     else:
         assert out == []
+    assert fills == []
 
 
 # ------------------------------------------------------------- grid lookups

@@ -264,9 +264,10 @@ def test_newton_evaluates_only_live_entries(direction):
     np.testing.assert_array_equal(residual[pick, lanes], root.residual)
 
 
-def test_newton_without_nearest_skips_the_ladder_of_nan_starts(monkeypatch):
-    # lanes 0 and 2 start at NaN, lane 1 converges from its start: the
-    # retry ladder has nothing to iterate, so it does not run
+def test_newton_without_nearest_makes_one_run_from_its_starts(monkeypatch):
+    # lanes 0 and 2 start at NaN, lane 1 converges from its start, and lane
+    # 3's finite start fails, since the blob's position overflows at Im 800:
+    # one _newton run from the starts alone, and no other start for lane 3
     blob = paper_blob()
     x, theta, phi = _blob_shell_block()
     runs = []
@@ -276,10 +277,10 @@ def test_newton_without_nearest_skips_the_ladder_of_nan_starts(monkeypatch):
         return _newton(line, w, *args)
 
     monkeypatch.setattr(roots, "_newton", counted)
-    start = np.array([np.nan, theta[1] + 0.1j, np.nan])
-    root = newton_root(theta_line(blob, phi[:3]), VAR_THETA, phi[:3], x[:3], start, 1.2)
-    assert np.isfinite(root.value[1]) and np.isnan(root.value[[0, 2]]).all()
-    assert runs == [(1, 3)]
+    start = np.array([np.nan, theta[1] + 0.1j, np.nan, theta[3] + 800j])
+    root = newton_root(theta_line(blob, phi[:4]), VAR_THETA, phi[:4], x[:4], start, 1.2)
+    assert np.isfinite(root.value[1]) and np.isnan(root.value[[0, 2, 3]]).all()
+    assert runs == [(1, 4)]
 
 
 @pytest.mark.parametrize("nearest", [False, True])
