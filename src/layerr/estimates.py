@@ -9,15 +9,16 @@ integrated along the other direction.
 
 The kernels decay exponentially away from the grid point closest to x, so
 the line integrals are mapped to the half line and evaluated with a small
-Gauss-Laguerre rule. One root function per direction serves the anchor
-solve at the nearest node and every sweep node: the closed form where one
-exists (azimuthal roots of surfaces of revolution, polar roots of spheres),
-else a Newton solve warm-started from the previous node. Where Newton
-fails, one RootModel per direction, built once at the nearest node, stands
-in: its anchor root for the anchor solve, and its variation, shifted onto
-the anchor's root, for a sweep node. One surface evaluation per root gives
-f and the geometry factors. All magnitude combinations happen in log space
-so that estimates remain meaningful down to the underflow threshold.
+Gauss-Laguerre rule. One root function serves the anchor solve at the
+nearest node and every sweep node in both directions: the closed form where
+the geometry gives one (azimuthal roots of every surface of revolution, polar
+roots where it also has a == b, a sphere whatever class built it), else a
+Newton solve warm-started from the previous node. Where Newton fails, one
+RootModel per direction, built once at the nearest node, stands in: its
+anchor root for the anchor solve, and its variation, shifted onto the
+anchor's root, for a sweep node. One surface evaluation per root gives f and
+the geometry factors. All magnitude combinations happen in log space so that
+estimates remain meaningful down to the underflow threshold.
 
 A block of targets is estimated as arrays with one lane per target: each
 anchor solve, and each sweep node in both directions, is one masked array
@@ -27,9 +28,10 @@ the masks decide each lane's outcome; full_estimate scatters the lanes back
 to their targets, into one array per field, NaN at a target that failed.
 
 Near the symmetry axis of an axisymmetric surface the azimuthal root does
-not exist; a cone criterion detects that region, where the trapezoidal
-part is negligible and the Gauss-Legendre part is nearly independent of
-the azimuth and is integrated in closed form around the full circle.
+not exist; a cone criterion, tested once for both directions, detects that
+region, where the trapezoidal part is negligible and the Gauss-Legendre part
+is nearly independent of the azimuth and is integrated in closed form around
+the full circle.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ from .roots import (
     theta_line,
 )
 from .rounding import dot3
-from .surfaces import COSINE, Sphere, Surface
+from .surfaces import COSINE, Surface
 
 _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -237,26 +239,24 @@ def _targets(frame: _Frame, shape) -> np.ndarray:
     return np.broadcast_to(frame.x, tuple(shape) + (3,))
 
 
-def _theta_root(frame: _Frame, phi, initial, nearest: bool = False):
-    """Polar roots at phi, NaN where there is none: closed form on a sphere,
-    else Newton on theta_line from initial."""
-    surf = frame.surface
-    x = _targets(frame, np.shape(initial))
-    if isinstance(surf, Sphere):
-        return sphere_theta_root(surf.a, phi, x).value
-    line = theta_line(surf, phi)
-    return newton_root(line, VAR_THETA, phi, x, initial, frame.scale, nearest=nearest).value
+def _closed_form(surface: Surface, var: str) -> bool:
+    """Whether the roots in var have a closed form on surface: azimuthal roots
+    on every surface of revolution, polar roots where it is also a sphere."""
+    return surface.axisymmetric and (var == VAR_PHI or surface.a == surface.b)
 
 
-def _phi_root(frame: _Frame, theta, initial, nearest: bool = False):
-    """Azimuthal roots at theta, NaN where there is none: closed form on an
-    axisymmetric surface, else Newton on phi_line from initial."""
+def _root(frame: _Frame, var: str, fixed, initial, nearest: bool = False):
+    """Roots in var (VAR_THETA or VAR_PHI) with the other coordinate fixed,
+    NaN where there is none: the closed form where the geometry has one, else
+    Newton along the line from initial."""
     surf = frame.surface
     x = _targets(frame, np.shape(initial))
-    if surf.axisymmetric:
-        return axisym_phi_root(surf, theta, x).value
-    line = phi_line(surf, theta)
-    return newton_root(line, VAR_PHI, theta, x, initial, frame.scale, nearest=nearest).value
+    if not _closed_form(surf, var):
+        line = (theta_line if var == VAR_THETA else phi_line)(surf, fixed)
+        return newton_root(line, var, fixed, x, initial, frame.scale, nearest=nearest).value
+    if var == VAR_THETA:
+        return sphere_theta_root(surf.a, fixed, x).value
+    return axisym_phi_root(surf, fixed, x).value
 
 
 def _root_terms(frame: _Frame, theta, phi):
@@ -323,7 +323,7 @@ def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
     """log of the integral of |f G2^p| est along the polar sweep of the
     azimuthal roots phi0 (NaN on lanes that do not sweep).
 
-    Each in-range sweep node takes its root from _phi_root, warm-started
+    Each in-range sweep node takes its root from _root, warm-started
     from the previous node in the same direction, and re-evaluates the
     smooth and geometry factors there. The linearized model with the
     anchor weight covers the (negligible) tail beyond the parameter
@@ -339,31 +339,30 @@ def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
         model_phi0 = model.model_root(t_s, phi0)
         from_model = log_fg_anchor + log_est_tz(np.abs(model_phi0.imag), g.n_phi, p)
         theta_s = surf.theta_map.theta(np.where(inside, t_s, 0.0))
-        root = _phi_root(frame, theta_s, np.where(inside, chain, np.nan))
+        root = _root(frame, VAR_PHI, theta_s, np.where(inside, chain, np.nan))
         found = inside & ~np.isnan(root)
         log_fg = _log_fg(frame, theta_s, root, polar=False)
         val = np.where(log_fg == np.inf, -np.inf, log_fg + log_est_tz(np.abs(root.imag), g.n_phi, p))
         # a closed form without a root contributes nothing; a failed Newton
         # solve falls back to the model
-        missed = from_model if not surf.axisymmetric else -np.inf
+        missed = -np.inf if _closed_form(surf, VAR_PHI) else from_model
         val = np.where(found, val, np.where(inside, missed, from_model))
         return np.where(found, root, np.nan), val
 
     return _log_sweep_integral(node, phi0, width, tail_n)
 
 
-def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
+def _tz_internal(frame: _Frame, near_axis, tail_n: int):
     """Trapezoidal contribution per lane: (value, skipped, phi0 or NaN)."""
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
-    live = ~_in_cone(frame, cone) if surf.axisymmetric else np.ones(frame.t_star.shape, bool)
     model = linear_root_model(frame.t_star, frame.phi_star, frame.position, frame.d_t,
                               frame.d_phi, frame.x)
-    phi0 = _phi_root(frame, frame.theta_star, frame.phi_star, nearest=True)
-    if not surf.axisymmetric:
+    phi0 = _root(frame, VAR_PHI, frame.theta_star, frame.phi_star, nearest=True)
+    if not _closed_form(surf, VAR_PHI):
         # the tangent-plane root stands in for a failed Newton solve
         phi0 = np.where(np.isnan(phi0), model.anchor, phi0)
-    phi0 = np.where(live, phi0, np.nan)
+    phi0 = np.where(near_axis, np.nan, phi0)
     # geometry factor at the root; huge values signal a near-axis target
     f_val, _, den = _root_terms(frame, frame.theta_star, phi0)
     sweeps = ~np.isnan(phi0) & (np.abs(den) >= _G2_SKIP_EPS * frame.scale)
@@ -379,15 +378,16 @@ def _tz_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     return np.where(sweeps, np.exp(log_val), 0.0), ~sweeps, phi0
 
 
-def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
+def _gl_internal(frame: _Frame, near_axis, tail_n: int):
     """Gauss-Legendre contribution per lane: (value, t0 or NaN, infinite, bad_t),
     with bad_t the anchor's or a sweep node's root on [-1, 1], else NaN."""
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
-    model = None if isinstance(surf, Sphere) else azimuthal_sweep_model(
+    closed = _closed_form(surf, VAR_THETA)
+    model = None if closed else azimuthal_sweep_model(
         frame.t_star, frame.phi_star, frame.position, frame.d_t, frame.x
     )
-    theta0 = _theta_root(frame, frame.phi_star, frame.theta_star, nearest=True)
+    theta0 = _root(frame, VAR_THETA, frame.phi_star, frame.theta_star, nearest=True)
     t0 = surf.theta_map.t(theta0)
     if model is not None:
         # the tangent-plane root stands in for a failed Newton solve
@@ -401,22 +401,21 @@ def _gl_internal(frame: _Frame, cone: ConeParams, tail_n: int):
     log_flat = log_fg + log_kernel
     # near the axis the polar root barely depends on the azimuth: integrate
     # the flat kernel around the full circle
-    circle = surf.axisymmetric & _in_cone(frame, cone)
-    sweeps = found & ~circle & ~infinite & ~undefined
+    sweeps = found & ~near_axis & ~infinite & ~undefined
     degenerate = np.zeros(t0.shape, bool) if model is None else model.degenerate
     chain = np.where(sweeps & ~degenerate, theta0, np.nan)
     log_val, bad_t = _log_gl_sweep(frame, chain, t0, log_fg, model, tail_n)
     bad_t = np.where(found & ~infinite & undefined, t0, bad_t)
     # coarse fallback for a degenerate model: flat kernel over one azimuthal cell
     log_val = np.where(degenerate, math.log(2.0 * math.pi / g.n_phi) + log_flat, log_val)
-    if isinstance(surf, Sphere) and surf.theta_map.kind == COSINE:
+    if closed and surf.theta_map.kind == COSINE:
         # Full-circle convention: the closed forms for a cosine-mapped
         # sphere account the polar-root kernel profile around the whole
         # azimuthal circle with both of its symmetric peaks; double the
         # swept value so sphere results stay comparable with them.
         log_val = log_val + _LOG_2
     # azimuthal measure can never exceed the full circle at the anchor value
-    log_val = np.where(circle, _LOG_2PI + log_flat, np.minimum(log_val, _LOG_2PI + log_flat))
+    log_val = np.where(near_axis, _LOG_2PI + log_flat, np.minimum(log_val, _LOG_2PI + log_flat))
     return np.where(found, np.exp(log_val), 0.0), t0, infinite, bad_t
 
 
@@ -425,12 +424,12 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
     polar roots theta0 (NaN on lanes that do not sweep), whose t-values are
     t0, and bad_t.
 
-    Each sweep node takes its root from _theta_root, warm-started from the
+    Each sweep node takes its root from _root, warm-started from the
     previous node in the same direction, and re-evaluates the smooth and
     geometry factors there. The rotated-slice model with the anchor
     weight, whose chord growth stays faithful at large azimuthal offsets,
-    backs up any node where Newton fails; spheres, whose roots come in
-    closed form, need none. bad_t is a lane's first sweep root on [-1, 1]
+    backs up any node where Newton fails; polar roots in closed form need
+    none. bad_t is a lane's first sweep root on [-1, 1]
     in the positive direction, else in the negative one, else NaN.
     """
     surf, g = frame.surface, frame.grid
@@ -446,7 +445,7 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
         # convention instead
         live = sweeps & (np.abs(dphi) <= math.pi / 2.0)
         phi_s = frame.phi_star + dphi
-        root = _theta_root(frame, phi_s, np.where(live, chain, np.nan))
+        root = _root(frame, VAR_THETA, phi_s, np.where(live, chain, np.nan))
         found = live & ~np.isnan(root)
         log_fg = _log_fg(frame, root, phi_s, polar=True)
         t_s = surf.theta_map.t(root)
@@ -483,8 +482,9 @@ def full_estimate(
     """
     frame = _build_frame(surface, kernel, density, g, x)
     with np.errstate(all="ignore"):
-        e_tz, skipped, phi0 = _tz_internal(frame, cone, tail_n)
-        e_gl, t0, infinite, bad_t = _gl_internal(frame, cone, tail_n)
+        near_axis = surface.axisymmetric & _in_cone(frame, cone)
+        e_tz, skipped, phi0 = _tz_internal(frame, near_axis, tail_n)
+        e_gl, t0, infinite, bad_t = _gl_internal(frame, near_axis, tail_n)
     errors, lanes = frame.errors, np.flatnonzero(frame.located)
     good_lane = ~infinite & np.isnan(bad_t)
     for j in np.flatnonzero(~good_lane):

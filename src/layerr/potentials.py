@@ -233,6 +233,18 @@ _TILE_NODES = 4096
 _SLAB_NODES = 8 * _TILE_NODES
 
 
+def _work_buffers(count: int, shape) -> np.ndarray:
+    """count uninitialised float buffers of shape, as one array (count, *shape)
+    in which each buffer starts on a 64-byte boundary, so that the speed of the
+    kernels working in them does not depend on where the heap puts them."""
+    size = math.prod(shape)
+    stride = -(-size // 8) * 8
+    raw = np.empty(count * stride + 7)
+    start = -raw.ctypes.data % 64 // 8
+    buffers = raw[start : start + count * stride].reshape(count, stride)
+    return buffers[:, :size].reshape(count, *shape)
+
+
 def _coordinate_sum(out, scratch, positions, xs, factors=None):
     """out = (d0 f0 + d1 f1) + d2 f2, with d_c = positions[c] - xs[:, c] and
     f_c = factors[c], or f_c = d_c (R^2) where factors is None."""
@@ -257,7 +269,7 @@ def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
     block = target_block(x)
     positions = _grid_tables(surface, g).positions
     chunk = max(1, _TILE_TARGETS * _TILE_NODES // positions.shape[1])
-    buffers = np.empty((2, min(chunk, len(block)), positions.shape[1]))
+    buffers = _work_buffers(2, (min(chunk, len(block)), positions.shape[1]))
     idx, d2 = np.empty(len(block), dtype=np.intp), np.empty(len(block))
     with np.errstate(over="ignore"):
         for i in range(0, len(block), chunk):
@@ -384,7 +396,7 @@ def potential_quadrature(
     nearest = np.full(len(block), np.inf)
     starts = range(0, len(block), _TILE_TARGETS)
     cpus = _affinity_cpus()[: len(starts)]
-    buffers = np.empty((max(1, len(cpus)), 3, _TILE_TARGETS * _TILE_NODES))
+    buffers = _work_buffers(max(1, len(cpus)), (3, _TILE_TARGETS * _TILE_NODES))
     scale = 0.0
     with ExitStack() as stack:
         # one thread per CPU for the whole sum: a thread of a shared pool could

@@ -293,12 +293,11 @@ def azimuthal_sweep_model(t_star, phi_star, position, d_t, x) -> RootModel:
     of following the tangent line in phi. The chord growth this produces
     matches the way surfaces of spherical topology wrap around the axis, so
     the root trajectory stays faithful out to large azimuthal offsets where
-    the linearized model decays far too slowly. Offsets are clamped at half
-    a turn; beyond that the sweep would re-enter the antipodal region.
+    the linearized model decays far too slowly.
     """
 
     def rotated(phi):
-        dphi = np.clip(phi - phi_star, -math.pi, math.pi)
+        dphi = phi - phi_star
         return _turn(position, dphi) - x, _turn(d_t, dphi)
 
     return RootModel(t_star, phi_star, rotated)

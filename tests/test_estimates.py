@@ -13,9 +13,8 @@ from layerr.estimates import (
     _build_frame,
     _in_cone,
     _log_fg,
-    _phi_root,
+    _root,
     _root_terms,
-    _theta_root,
     e_fac_tz_analytic,
     full_estimate,
     log_est_gl,
@@ -33,6 +32,8 @@ from layerr.potentials import (
 )
 from layerr.quadrature import grid
 from layerr.roots import (
+    VAR_PHI,
+    VAR_THETA,
     axisym_phi_root,
     azimuthal_sweep_model,
     linear_root_model,
@@ -463,8 +464,8 @@ def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, sto
     frame = _build_frame(surface, kernel, paper_density(), g, x)
     with np.errstate(all="ignore"):
         solved = {
-            "phi0": _phi_root(frame, frame.theta_star, frame.phi_star, nearest=True),
-            "t0": _theta_root(frame, frame.phi_star, frame.theta_star, nearest=True),
+            "phi0": _root(frame, VAR_PHI, frame.theta_star, frame.phi_star, nearest=True),
+            "t0": _root(frame, VAR_THETA, frame.phi_star, frame.theta_star, nearest=True),
         }
     bd = full_estimate(surface, kernel, paper_density(), g, x)
     pos, d_t, d_phi = (np.real(v) for v in surface.eval_t(bd.t_star, bd.phi_star))
@@ -484,10 +485,11 @@ def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, sto
     "surface, want",
     [
         (SPHERE, {"sphere_theta_root": 9, "axisym_phi_root": 9}),
+        (Spheroid(1.0, 1.0), {"sphere_theta_root": 9, "axisym_phi_root": 9}),
         (Spheroid(1.0, 3.0), {"axisym_phi_root": 9, "newton_root nearest": 1, "newton_root": 8}),
         (paper_blob(), {"newton_root nearest": 2, "newton_root": 16}),
     ],
-    ids=["sphere", "spheroid", "blob"],
+    ids=["sphere", "round-spheroid", "spheroid", "blob"],
 )
 def test_root_solves_go_through_the_module_names(monkeypatch, surface, want):
     # a per-layer tracer counts root solves by wrapping these three names of
@@ -533,6 +535,71 @@ def test_blob_shell_estimate_makes_one_newton_run_per_solve(monkeypatch):
     assert bd.errors == (None,) * len(cfg.targets)
     assert runs == ([7] + [1] * 8) * 2
     assert sum(failed) == 128
+
+
+@pytest.mark.parametrize("theta_map", [COSINE_MAP, LINEAR_MAP], ids=["cosine", "linear"])
+def test_round_spheroid_is_estimated_as_the_sphere(theta_map):
+    # the closed forms are chosen from the geometry, not the class: a spheroid
+    # with a = b gives the sphere's estimates bit for bit, near, on-axis, pole
+    # and centre targets alike
+    a, g = 1.5, grid(16, 32)
+    near = 1.05 * np.real(Sphere(a).position(np.array([0.7, 2.2]), np.array([0.4, 3.9]))).T
+    xs = np.vstack([near, [[0.0, 0.0, 1.3 * a], [0.0, 0.0, a], [0.0, 0.0, 0.0]]])
+    fields = ("e_tz", "e_gl", "total", "tz_skipped", "phi0", "t0", "t_star", "phi_star",
+              "grid_distance")
+    for kernel in (harmonic_single(), harmonic_double(), mod_helmholtz_single(3.0)):
+        for density in (unit_density(), paper_density()):
+            want, got = (full_estimate(s, kernel, density, g, xs)
+                         for s in (Sphere(a, theta_map), Spheroid(a, a, theta_map)))
+            for f in fields:
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+            assert [(type(e), str(e)) for e in got.errors] == [
+                (type(e), str(e)) for e in want.errors]
+            assert want.errors[:3] == (None,) * 3
+
+
+def test_found_target_on_the_round_spheroid():
+    # single layer, unit density, 30x60: the sphere's Gauss-Legendre estimate
+    # and not half of it, which is what the cosine map's doubling keyed on the
+    # class gave
+    x = np.array([0.3, 0.5, 1.05])
+    bd = full_estimate(Spheroid(1.0, 1.0), KER, DEN, grid(30, 60), x)
+    assert bd.e_gl == pytest.approx(5.685439719241007e-06, rel=1e-10, abs=0.0)
+    assert bd.e_gl.tobytes() == full_estimate(SPHERE, KER, DEN, grid(30, 60), x).e_gl.tobytes()
+
+
+def test_gl_sweep_reads_the_rotated_model_within_a_quarter_turn(monkeypatch):
+    # the polar sweep reads its rotated-slice model at the nearest node and on
+    # live nodes, a quarter turn each way at most; on blob-shell's targets at
+    # 20x40, where warm starts fail and the model stands in, a model clamped
+    # at a quarter turn gives every estimate bit for bit
+    cfg = preset_config("blob-shell")
+    g = grid(20, 40)
+    want = full_estimate(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets)
+    clamped, failed = [], []
+
+    def quarter_turn_model(t_star, phi_star, position, d_t, x):
+        def rotated(phi):
+            dphi = np.clip(phi - phi_star, -math.pi / 2, math.pi / 2)
+            clamped.append(bool((dphi != phi - phi_star).any()))
+            return roots._turn(position, dphi) - x, roots._turn(d_t, dphi)
+
+        return roots.RootModel(t_star, phi_star, rotated)
+
+    root = estimates._root
+
+    def counted(frame, var, fixed, initial, nearest=False):
+        out = root(frame, var, fixed, initial, nearest)
+        if var == VAR_THETA and not nearest:
+            failed.append(int((np.isfinite(initial) & np.isnan(out)).sum()))
+        return out
+
+    monkeypatch.setattr(estimates, "azimuthal_sweep_model", quarter_turn_model)
+    monkeypatch.setattr(estimates, "_root", counted)
+    got = full_estimate(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets)
+    assert any(clamped) and sum(failed) > 0
+    for f in ("e_tz", "e_gl", "total", "phi0", "t0"):
+        assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
 
 
 # ------------------------------------------------------- batched estimates

@@ -527,6 +527,34 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
 
 
 @needs_affinity
+def test_scan_and_sum_buffers_start_on_64_byte_boundaries(monkeypatch):
+    # the nearest-node scan's R^2 and scratch buffers and each sum worker's
+    # tile buffers start on a 64-byte boundary, on grids whose node count is
+    # not a multiple of 8 and with two workers, wherever the heap puts them
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
+    coordinate_sum, sum_tiles = potentials._coordinate_sum, potentials._sum_tiles
+    scans, tiles = [], []
+
+    def scanned(out, scratch, *args):
+        scans.append((out.ctypes.data % 64, scratch.ctypes.data % 64))
+        coordinate_sum(out, scratch, *args)
+
+    def summed(*args, cpu=None):
+        tiles.append([b.ctypes.data % 64 for b in args[-1]])
+        sum_tiles(*args, cpu=cpu)
+
+    monkeypatch.setattr(potentials, "_coordinate_sum", scanned)
+    monkeypatch.setattr(potentials, "_sum_tiles", summed)
+    block = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
+    for surface, g in [(BLOB, G_BLOB), (SPHERE, grid(7, 13)), (Spheroid(1.0, 3.0), grid(60, 120))]:
+        nearest_grid_node(surface, g, block)
+        potential_quadrature(surface, harmonic_double(), unit_density(), g, block)
+    assert scans and set(scans) == {(0, 0)}
+    assert len(tiles) >= 2 * 3 and all(t == [0, 0, 0] for t in tiles)
+
+
+@needs_affinity
 def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     block = _worker_block()
     third = block[2 * _TILE_TARGETS : 3 * _TILE_TARGETS]

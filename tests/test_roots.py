@@ -436,7 +436,9 @@ def test_azimuthal_sweep_model_matches_linear_near_anchor():
     )
 
 
-def test_azimuthal_sweep_model_clamps_at_half_turn():
+def test_azimuthal_sweep_model_turns_by_the_whole_offset():
+    # no clamp: past half a turn the slice turns on, as by the offset less a
+    # whole turn
     s = Spheroid(1.0, 3.0)
     t_star, phi_star = 0.1, 0.5
     pos, d_t, _ = node_vectors(s, t_star, phi_star)
@@ -444,4 +446,5 @@ def test_azimuthal_sweep_model_clamps_at_half_turn():
     rot = azimuthal_sweep_model(t_star, phi_star, pos, d_t, x)
     at_pi = rot.model_root(phi_star + math.pi, 0.2j)
     beyond = rot.model_root(phi_star + math.pi + 2.0, 0.2j)
-    assert beyond == at_pi
+    assert beyond == pytest.approx(rot.model_root(phi_star + 2.0 - math.pi, 0.2j), abs=1e-12)
+    assert abs(beyond - at_pi) > 1e-3
