@@ -11,7 +11,8 @@ quadrature on a grid upsampled five-fold in both directions. That grid has
 25 times the base nodes, so the sums never build a whole node table: they
 stream the nodes through slabs of a few node tiles. What is cached per
 base grid is what the nearest-node scan and the surface scale read, the node
-positions and their largest |gamma|; no normals or weights are kept.
+positions, cut into patches with a bounding sphere each, and their largest
+|gamma|; no normals or weights are kept.
 """
 from __future__ import annotations
 
@@ -134,10 +135,25 @@ def integrand_f_at(kernel: KernelSpec, density: DensitySpec, theta, phi, diff, d
 @dataclass(frozen=True, eq=False)
 class _GridTables:
     """What the nearest-node scan and the scale read of a base grid: its node
-    positions, coordinate first with node index k * n_phi + l last, and their
-    largest |gamma|. The sums fill their own normals and weights slab by slab."""
+    positions, cut into patches, and their largest |gamma|. The sums fill their
+    own positions, normals and weights slab by slab.
 
-    positions: np.ndarray  # (3, N)
+    A patch is a rectangle of whole grid rows and columns, about N^(1/4) of
+    them each way: about sqrt(N) patches of about sqrt(N) nodes, also on a
+    grid of few rows. The last range of rows and the last of columns end at the
+    grid's edge, so they may overlap the range before them and every patch has
+    the same shape. positions holds each patch's nodes in row-major order,
+    coordinate first, (3, patches, nodes per patch); the first node of patch p
+    is grid node first[p] (index k * n_phi + l), and its rows are cols nodes
+    long. No node of patch p lies farther than radii[p], in computed distance,
+    from centres[:, p], the middle of the patch's bounding box.
+    """
+
+    positions: np.ndarray  # (3, patches, rows * cols)
+    cols: int
+    first: np.ndarray  # (patches,)
+    centres: np.ndarray  # (3, patches)
+    radii: np.ndarray  # (patches,)
     scale: float
 
 
@@ -175,18 +191,34 @@ def _fill_rows(surface, density, g, r0, r1, positions, normals, weights):
 
 @lru_cache(maxsize=64)
 def _grid_tables(surface: Surface, g: QuadratureGrid) -> _GridTables:
-    """The _GridTables of a base grid, filled a block of whole rows at a time
-    as _fill_rows fills them, with the scale a running max over the blocks:
-    a norm over the whole table would take 1.3x the table it measures."""
+    """The _GridTables of a base grid, filled a band of patches at a time: one
+    evaluation of the band's rows against the phi row, copied into its patches,
+    with the scale a running max over the bands. No temporary is larger than a
+    band, about N^(3/4) nodes: a norm over the whole table would take 1.3x the
+    table it measures."""
+    n_t, n_phi = g.n_t, g.n_phi
+    # about side x side patches; a grid of fewer than side rows has one row
+    # per patch and wider patches, so there are still about side^2
+    side = round((n_t * n_phi) ** 0.25)
+    rows = -(-n_t // side)
+    cols = -(-n_phi * -(-n_t // rows) // side**2)
+    ks = np.minimum(np.arange(0, n_t, rows), n_t - rows)
+    ls = np.minimum(np.arange(0, n_phi, cols), n_phi - cols)
     thetas, phis = surface.theta_map.theta(g.t_rule.nodes), g.phi_rule.nodes
-    positions = np.empty((3, g.n_t, g.n_phi))
-    block_rows = max(1, _TILE_NODES // g.n_phi)
+    positions = np.empty((3, len(ks), len(ls), rows * cols))
+    centres, radii = np.empty((3, len(ks), len(ls))), np.empty((len(ks), len(ls)))
     scale = 0.0
-    for start in range(0, g.n_t, block_rows):
-        block = positions[:, start : start + block_rows]
-        block[...] = np.real(surface.position(thetas[start : start + block_rows, None], phis))
-        scale = max(scale, float(np.max(np.linalg.norm(block, axis=0))))
-    return _GridTables(positions.reshape(3, -1), scale)
+    for i, k in enumerate(ks):
+        band = np.real(surface.position(thetas[k : k + rows, None], phis))
+        scale = max(scale, float(np.max(np.linalg.norm(band, axis=0))))
+        patches = positions[:, i].reshape(3, len(ls), rows, cols)
+        patches[...] = band[:, :, ls[:, None] + np.arange(cols)].swapaxes(1, 2)
+        centre = (np.min(positions[:, i], axis=2) + np.max(positions[:, i], axis=2)) / 2
+        offsets = np.linalg.norm(positions[:, i] - centre[..., None], axis=0)
+        centres[:, i], radii[i] = centre, np.max(offsets, axis=1)
+    first = (ks[:, None] * n_phi + ls).ravel()
+    return _GridTables(positions.reshape(3, len(first), -1), cols, first,
+                       centres.reshape(3, -1), radii.ravel(), scale)
 
 
 def surface_scale(surface: Surface, g: QuadratureGrid) -> float:
@@ -255,28 +287,110 @@ def _coordinate_sum(out, scratch, positions, xs, factors=None):
             out += scratch
 
 
-def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
-    """Closest grid node to each target by exhaustive scan: (k, l, t_star,
-    phi_star, distance), five scalars for one target x of shape (3,) and five
-    arrays for a block (M, 3).
+# The nearest-node scan works in three buffers of this many entries, together
+# the size of one of the sums' tiles: its (target, patch) bounds, and its
+# (target, node) R^2 and scratch.
+_SCAN_ENTRIES = _TILE_TARGETS * _TILE_NODES // 3
+# Skipping a patch is exact where its bound lb = |x - c| - r exceeds the best
+# distance found, ub, by more than _PRUNE_REL * (lb + 2 r + ub) + _PRUNE_ABS.
+# With eps the machine epsilon: the computed norms |x - c|, and each |y - c|
+# behind r, lie within 1.75 eps of the exact ones, and lb within eps / 2 of
+# the sum |x - c| + r; a computed R^2 lies within 2.5 eps of |x - y|^2, so its
+# root within 1.25 eps of |x - y|; and ub within eps / 2 of the root of its
+# R^2. Together they take less than 3.5 eps (lb + 2 r) + 0.5 eps ub off the
+# gap between a patch's nodes and ub, and rounding the test itself less than
+# what is left of 4 eps. Squares that underflow take at most
+# sqrt(3 * 2^-1075) off a distance, less than the root of the smallest normal.
+_PRUNE_REL = 4 * np.finfo(float).eps
+_PRUNE_ABS = math.sqrt(np.finfo(float).tiny)
 
-    A block is scanned in chunks of targets, each R^2 = (dx dx + dy dy) + dz dz
-    formed by the sums' _coordinate_sum in two buffers that every chunk reuses,
-    of at most _TILE_TARGETS * _TILE_NODES (target, node) entries or one
-    target's row. A tie goes to the first node; the distance is inf or NaN for
-    a target that is too far away (its R^2 overflows) or not finite.
+
+def _patch_r2(out, scratch, positions, patches, xs):
+    """out[j] = R^2 from the target xs[j] to each node of patch patches[j], as
+    _coordinate_sum forms it: (dx dx + dy dy) + dz dz. positions is the
+    patch table of _GridTables, (3, patches, nodes per patch)."""
+    for c in range(3):
+        # mode="clip" gathers straight into the buffer; the default buffers out
+        d = np.take(positions[c], patches, axis=0, out=scratch if c else out, mode="clip")
+        d -= xs[:, c, None]
+        d *= d
+        if c:
+            out += scratch
+
+
+def _scan_patches(tab: _GridTables, n_phi, xs, lanes, patches, r2, scratch):
+    """The least R^2 from each target xs[lanes[j]] to a node of patch
+    patches[j], and that node's grid index; the first such node in the patch
+    on a tie. The pairs are scanned as many at a time as fill r2."""
+    size = tab.positions.shape[2]
+    per = max(1, r2.size // size)
+    least, at = np.empty(len(lanes)), np.empty(len(lanes), dtype=np.intp)
+    for j in range(0, len(lanes), per):
+        pairs = slice(j, j + per)
+        n = len(lanes[pairs])
+        out, temp = r2[: n * size].reshape(n, size), scratch[: n * size].reshape(n, size)
+        _patch_r2(out, temp, tab.positions, patches[pairs], xs[lanes[pairs]])
+        np.argmin(out, axis=1, out=at[pairs])
+        np.min(out, axis=1, out=least[pairs])
+    row, col = np.divmod(at, tab.cols)
+    return least, tab.first[patches] + row * n_phi + col
+
+
+def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
+    """Closest grid node to each target: (k, l, t_star, phi_star, distance),
+    five scalars for one target x of shape (3,) and five arrays for a block
+    (M, 3).
+
+    An exact scan pruned by the patches of _GridTables. For a block of
+    targets, every (target, patch) pair is bounded from below by
+    lb = |x - c| - r; each target's patch of least lb is scanned, which gives
+    it an upper bound ub; then only the pairs whose lb does not exceed ub by
+    more than a bound on rounding (_PRUNE_REL) are scanned. Each node's R^2 is
+    (dx dx + dy dy) + dz dz, and a tie goes to the node of least index. A
+    target whose bounds or R^2 overflow, or that is not finite, prunes no
+    patch; its distance is inf or NaN, and its node (0, 0). The scan works in
+    three buffers of _SCAN_ENTRIES, whatever the grid.
     """
     block = target_block(x)
-    positions = _grid_tables(surface, g).positions
-    chunk = max(1, _TILE_TARGETS * _TILE_NODES // positions.shape[1])
-    buffers = _work_buffers(2, (min(chunk, len(block)), positions.shape[1]))
+    tab = _grid_tables(surface, g)
+    n_patches = len(tab.radii)
+    per = max(1, _SCAN_ENTRIES // n_patches)
+    bounds, r2, scratch = _work_buffers(3, (_SCAN_ENTRIES,))
     idx, d2 = np.empty(len(block), dtype=np.intp), np.empty(len(block))
-    with np.errstate(over="ignore"):
-        for i in range(0, len(block), chunk):
-            r2, scratch = buffers[:, : len(block[i : i + chunk])]
-            _coordinate_sum(r2, scratch, positions, block[i : i + chunk])
-            np.argmin(r2, axis=1, out=idx[i : i + chunk])
-            np.min(r2, axis=1, out=d2[i : i + chunk])
+    # a NaN target makes NaN bounds and R^2, where np.minimum.at flags invalid
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(block), per):
+            xs = block[i : i + per]
+            lanes = np.arange(len(xs))
+            lb, gap = (b[: len(xs) * n_patches].reshape(len(xs), n_patches)
+                       for b in (bounds, scratch))
+            _coordinate_sum(lb, gap, tab.centres, xs)
+            np.sqrt(lb, out=lb)
+            lb -= tab.radii
+            nearest = np.argmin(lb, axis=1)
+            least, node = _scan_patches(tab, g.n_phi, xs, lanes, nearest, r2, scratch)
+            ub = np.sqrt(least)[:, None]
+            # skip where lb > ub + _PRUNE_REL * (lb + 2 r + ub) + _PRUNE_ABS;
+            # a NaN or inf bound skips nothing
+            np.add(lb, ub, out=gap)
+            gap += 2.0 * tab.radii
+            gap *= _PRUNE_REL
+            gap += ub + _PRUNE_ABS
+            scan = ~(lb > gap)
+            scan[lanes, nearest] = False
+            lane, patch = np.nonzero(scan)
+            more, more_node = _scan_patches(tab, g.n_phi, xs, lane, patch, r2, scratch)
+            # per lane the least R^2, then the least index of a node at it; a
+            # NaN R^2 is the least, as argmin takes it. The indices go through
+            # np.minimum.at as floats, exact below 2^53: its integer loop, run
+            # nowhere else, added 0.2 MB to spheroid-random's peak RSS
+            best = d2[i : i + len(xs)]
+            best[...] = least
+            np.minimum.at(best, lane, more)
+            first = np.where(least > best, math.inf, node)
+            tied = ~(more > best[lane])
+            np.minimum.at(first, lane[tied], more_node[tied])
+            idx[i : i + len(xs)] = first
     k, l = np.divmod(idx, g.n_phi)
     found = (k, l, g.t_rule.nodes[k], g.phi_rule.nodes[l], np.sqrt(d2))
     return found if np.ndim(x) > 1 else tuple(v[0].item() for v in found)

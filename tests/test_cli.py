@@ -179,8 +179,8 @@ def test_run_peak_is_its_larger_phase(tmp_path):
 
 def test_run_caches_the_base_grid_tables_only(tmp_path):
     # the sums stream the 5x reference grid, so after a run the one cached
-    # table is the base grid's node positions, and the run keeps less than
-    # five times those
+    # table is the base grid's, and the run keeps less than five times one
+    # copy of its node positions, 3 x N doubles
     cfg = preset_config("sphere-cosine")
     g = grid(cfg.n_t, cfg.n_phi)
     potentials._grid_tables.cache_clear()
@@ -194,10 +194,10 @@ def test_run_caches_the_base_grid_tables_only(tmp_path):
         if not tracing:
             tracemalloc.stop()
     cached = potentials._grid_tables.cache_info()
-    tab = potentials._grid_tables(cfg.surface, g)
+    potentials._grid_tables(cfg.surface, g)
     assert cached.currsize == 1
     assert potentials._grid_tables.cache_info().hits == cached.hits + 1
-    assert held < 5 * sum(a.nbytes for a in vars(tab).values() if isinstance(a, np.ndarray))
+    assert held < 5 * 3 * g.n_t * g.n_phi * 8
 
 
 def test_random_targets_redraw_rejected_candidates_in_rounds(tmp_path, monkeypatch):

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from layerr import potentials
 from layerr.errors import EvaluationError
@@ -29,6 +31,7 @@ from layerr.potentials import (
     reference_potential,
     unit_density,
 )
+from layerr.cli import preset_config
 from layerr.estimates import _build_frame, _root_terms, full_estimate
 from layerr.quadrature import grid
 from layerr.surfaces import LINEAR_MAP, Sphere, Spheroid, paper_blob
@@ -50,6 +53,13 @@ def _streamed_tables(surface, g, density):
         patch.setattr(potentials, "_sum_tiles", recorded)
         potential_quadrature(surface, harmonic_single(), density, g, [[9.0, 0.0, 0.0]])
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*slabs))
+
+
+def _node_positions(surface, g):
+    """The positions of the grid g's nodes in node order, (3, N), evaluated as
+    the base grid's table is: each row's theta a column against the phi row."""
+    thetas = surface.theta_map.theta(g.t_rule.nodes)
+    return np.real(surface.position(thetas[:, None], g.phi_rule.nodes)).reshape(3, -1)
 
 
 def _whole_tables(surface, g):
@@ -390,8 +400,8 @@ def _worker_block():
     targets nor their 5 tiles divide among 2 or 3 workers. Mixed in: a NaN
     target, an overflowing one, and a node of each grid of the sums."""
     ordinary = np.random.default_rng(9).uniform(-2.0, 2.0, (67, 3))
-    base_node = _grid_tables(BLOB, G_BLOB).positions[:, 50]
-    fine_node = _grid_tables(BLOB, grid(65, 135)).positions[:, 8200]
+    base_node = _node_positions(BLOB, G_BLOB)[:, 50]
+    fine_node = _node_positions(BLOB, grid(65, 135))[:, 8200]
     bad = [[0.3, math.nan, 0.1], [1e200, 0.0, 0.0], base_node, fine_node]
     return np.vstack([ordinary[:20], bad[:2], ordinary[20:50], bad[2:], ordinary[50:]])
 
@@ -483,7 +493,7 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
     slabs = math.ceil(n_nodes / _SLAB_NODES)
     assert slabs >= 3 and _TILE_NODES % g.n_phi and _SLAB_NODES % g.n_phi
     # a NaN target, an overflowing one and a node of the last slab among 71
-    last_slab_node = _grid_tables(BLOB, g).positions[:, n_nodes - 700]
+    last_slab_node = _node_positions(BLOB, g)[:, n_nodes - 700]
     assert n_nodes - 700 >= (slabs - 1) * _SLAB_NODES
     ordinary = np.random.default_rng(9).uniform(-2.0, 2.0, (68, 3))
     bad = [[0.3, math.nan, 0.1], [1e200, 0.0, 0.0], last_slab_node]
@@ -528,23 +538,30 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
 
 @needs_affinity
 def test_scan_and_sum_buffers_start_on_64_byte_boundaries(monkeypatch):
-    # the nearest-node scan's R^2 and scratch buffers and each sum worker's
-    # tile buffers start on a 64-byte boundary, on grids whose node count is
-    # not a multiple of 8 and with two workers, wherever the heap puts them
+    # the nearest-node scan's bound, R^2 and scratch buffers and each sum
+    # worker's tile buffers start on a 64-byte boundary, on grids whose node
+    # count is not a multiple of 8 and with two workers, wherever the heap
+    # puts them
     cpu = min(os.sched_getaffinity(0))
     monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
-    coordinate_sum, sum_tiles = potentials._coordinate_sum, potentials._sum_tiles
+    coordinate_sum, patch_r2 = potentials._coordinate_sum, potentials._patch_r2
+    sum_tiles = potentials._sum_tiles
     scans, tiles = [], []
 
     def scanned(out, scratch, *args):
         scans.append((out.ctypes.data % 64, scratch.ctypes.data % 64))
         coordinate_sum(out, scratch, *args)
 
+    def scanned_patches(out, scratch, *args):
+        scans.append((out.ctypes.data % 64, scratch.ctypes.data % 64))
+        patch_r2(out, scratch, *args)
+
     def summed(*args, cpu=None):
         tiles.append([b.ctypes.data % 64 for b in args[-1]])
         sum_tiles(*args, cpu=cpu)
 
     monkeypatch.setattr(potentials, "_coordinate_sum", scanned)
+    monkeypatch.setattr(potentials, "_patch_r2", scanned_patches)
     monkeypatch.setattr(potentials, "_sum_tiles", summed)
     block = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
     for surface, g in [(BLOB, G_BLOB), (SPHERE, grid(7, 13)), (Spheroid(1.0, 3.0), grid(60, 120))]:
@@ -612,14 +629,20 @@ def test_empty_block_has_no_outcomes(f, monkeypatch):
 # ------------------------------------------------------------- grid lookups
 
 
-def _scan_one(surface, g, x):
-    """One target's scan as the estimator made it before it scanned blocks."""
-    px, py, pz = _grid_tables(surface, g).positions
+def _exhaustive_scan(surface, g, block):
+    """The reference for nearest_grid_node, one target at a time: its R^2 to
+    every node, (dx dx + dy dy) + dz dz, and its first least entry, as
+    (k, l, t_star, phi_star, distance) arrays."""
+    positions = _node_positions(surface, g)
+    idx, d2 = np.empty(len(block), dtype=np.intp), np.empty(len(block))
     with np.errstate(over="ignore"):
-        d2 = (px - x[0]) ** 2 + (py - x[1]) ** 2 + (pz - x[2]) ** 2
-    idx = int(np.argmin(d2))
-    k, l = divmod(idx, g.n_phi)
-    return k, l, float(g.t_rule.nodes[k]), float(g.phi_rule.nodes[l]), math.sqrt(d2[idx])
+        for i, x in enumerate(block):
+            d = positions - x[:, None]
+            r2 = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+            idx[i] = np.argmin(r2)
+            d2[i] = r2[idx[i]]
+    k, l = np.divmod(idx, g.n_phi)
+    return k, l, g.t_rule.nodes[k], g.phi_rule.nodes[l], np.sqrt(d2)
 
 
 def _bitwise_equal(a, b):
@@ -641,8 +664,8 @@ def test_nearest_grid_node_matches_exhaustive_scan():
     # NaN, an on-axis and an on-node target: each entry is bitwise its own scan's
     for surface, g in [(SPHERE, G_SPHERE), (Spheroid(1.0, 3.0), grid(20, 40)),
                        (paper_blob(), grid(25, 25))]:
-        chunk = _TILE_TARGETS * _TILE_NODES // (g.n_t * g.n_phi)
-        node = _grid_tables(surface, g).positions[:, 7]
+        chunk = potentials._SCAN_ENTRIES // len(_grid_tables(surface, g).radii)
+        node = _node_positions(surface, g)[:, 7]
         ordinary = np.random.default_rng(5).normal(scale=1.5, size=(chunk + 9, 3))
         block = np.vstack([ordinary, _FAR, [math.nan, 0.0, 0.0], [0.0, 0.0, 2.5], node])
         found = nearest_grid_node(surface, g, block)
@@ -650,11 +673,110 @@ def test_nearest_grid_node_matches_exhaustive_scan():
         for i, xi in enumerate(block):
             one = nearest_grid_node(surface, g, xi)
             assert [type(v) for v in one] == [int, int, float, float, float]
-            for got, single, want in zip(found, one, _scan_one(surface, g, xi)):
+            for got, single, want in zip(found, one, _exhaustive_scan(surface, g, xi[None])):
                 assert _bitwise_equal(got[i], single) and _bitwise_equal(single, want)
         assert found[4][-1] == 0.0 and math.isnan(found[4][len(ordinary) + 3])
         empty = nearest_grid_node(surface, g, np.empty((0, 3)))
         assert [v.shape for v in empty] == [(0,)] * 5
+
+
+def _patch_nodes(tab, g):
+    """The grid index k * n_phi + l of every entry of the patch table of
+    _GridTables, (patches, nodes per patch)."""
+    q = np.arange(tab.positions.shape[2])
+    return tab.first[:, None] + q // tab.cols * g.n_phi + q % tab.cols
+
+
+def _assert_exhaustive(surface, g, block):
+    found = nearest_grid_node(surface, g, block)
+    for got, want in zip(found, _exhaustive_scan(surface, g, block)):
+        assert got.dtype == want.dtype and _bitwise_equal(got, want)
+
+
+_SCAN_SURFACES = [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    surface=st.sampled_from(_SCAN_SURFACES),
+    shape=st.one_of(st.sampled_from([(4, 4), (5, 4097), (7, 1000)]),
+                    st.tuples(st.integers(4, 64), st.integers(4, 128))),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([1e-9, 1e-3, 0.1, 1.0]),
+)
+def test_pruned_scan_is_the_exhaustive_scan(surface, shape, seed, spread):
+    # near nodes, on nodes, on the axis, off the surface and far from it
+    g = grid(*shape)
+    rng = np.random.default_rng(seed)
+    nodes = _node_positions(surface, g)[:, rng.integers(0, g.n_t * g.n_phi, 12)].T
+    block = np.vstack([
+        nodes[:3],
+        nodes[3:] * rng.uniform(1.0 - spread, 1.0 + spread, (9, 1)),
+        nodes[3:6] + rng.normal(scale=spread, size=(3, 3)),
+        [[0.0, 0.0, z] for z in rng.uniform(-4.0, 4.0, 3)],
+        rng.normal(scale=2.0, size=(6, 3)),
+        rng.normal(scale=1e6, size=(2, 3)),
+    ])
+    _assert_exhaustive(surface, g, block)
+
+
+@pytest.mark.parametrize("surface", _SCAN_SURFACES, ids=["sphere-cosine", "sphere-linear",
+                                                         "spheroid", "blob"])
+def test_pruned_scan_is_the_exhaustive_scan_on_hard_targets(surface):
+    # at 480 x 960: the centre and points on the axis, whose R^2 ties across
+    # whole rows of a surface of revolution; on and next to a node; far;
+    # overflowing in one or two coordinates; NaN and infinite
+    g = grid(480, 960)
+    nodes = _node_positions(surface, g)[:, [0, 7, 230_000, 460_799]].T
+    axis = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, -2.0], [0.0, 0.0, 1e-9]]
+    block = np.vstack([axis, nodes, nodes + 1e-3, [[1e6, 0.0, 0.0], [0.0, 1e6, 1e6]], _FAR,
+                       [[1e154, 1e154, 0.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
+                        [-math.inf, math.inf, 0.0]]])
+    _assert_exhaustive(surface, g, block)
+    if surface.axisymmetric:
+        # a tie is real: on the axis many nodes share the least R^2
+        positions = _node_positions(surface, g)
+        d = positions - np.array([[0.0], [0.0], [0.5]])
+        r2 = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+        assert np.count_nonzero(r2 == r2.min()) > 1
+
+
+def test_pruned_scan_forms_few_entries():
+    # spheroid-random's targets on its 4x grid: the scan forms at most a fifth
+    # of the exhaustive scan's (target, node) entries
+    cfg = preset_config("spheroid-random")
+    g = grid(4 * cfg.n_t, 4 * cfg.n_phi)
+    patch_r2, entries = potentials._patch_r2, []
+
+    def counted(out, *args):
+        entries.append(out.size)
+        patch_r2(out, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potentials, "_patch_r2", counted)
+        found = nearest_grid_node(cfg.surface, g, cfg.targets)
+    assert sum(entries) <= len(cfg.targets) * g.n_t * g.n_phi / 5
+    for got, want in zip(found, _exhaustive_scan(cfg.surface, g, cfg.targets)):
+        assert _bitwise_equal(got, want)
+
+
+def test_scan_buffers_do_not_grow_with_the_grid(monkeypatch):
+    # one set of work buffers per call, of at most two sum tiles together,
+    # the same on every grid and for every block
+    work_buffers, made = potentials._work_buffers, []
+
+    def recorded(count, shape):
+        made.append(count * math.prod(shape))
+        return work_buffers(count, shape)
+
+    monkeypatch.setattr(potentials, "_work_buffers", recorded)
+    block = np.random.default_rng(6).uniform(-2.0, 2.0, (700, 3))
+    for g in [grid(4, 4), grid(7, 1000), grid(60, 120), grid(240, 480)]:
+        for targets in (block[0], block):
+            nearest_grid_node(Spheroid(1.0, 3.0), g, targets)
+    assert len(made) == 8 and len(set(made)) == 1
+    assert made[0] <= 2 * _TILE_TARGETS * _TILE_NODES
 
 
 def _per_node_tables(surface, g):
@@ -678,14 +800,25 @@ def _per_node_tables(surface, g):
     [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()],
     ids=["sphere-cosine", "sphere-linear", "spheroid", "blob"],
 )
-# 7 x 1000 spans blocks of 4096 // 1000 = 4 rows, the last one short
+# patches of 3 x 4 nodes, the last band of rows overlapping the one before;
+# 3 x 6, which divide the grid; and 1 x 87, the last columns overlapping
 @pytest.mark.parametrize("n_t,n_phi", [(7, 12), (12, 24), (7, 1000)])
 def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
     g = grid(n_t, n_phi)
     positions, normals, weights, scale = _per_node_tables(surface, g)
     tab = _grid_tables(surface, g)
-    # the tables are coordinate first: (3, N) against the per-node (N, 3)
-    assert np.array_equal(tab.positions, positions.T)
+    # each patch is a rectangle of whole rows and columns inside the grid, and
+    # every node lies in one at least
+    rows = tab.positions.shape[2] // tab.cols
+    assert np.all(tab.first // n_phi + rows <= n_t) and np.all(tab.first % n_phi + tab.cols <= n_phi)
+    nodes = _patch_nodes(tab, g)
+    assert np.array_equal(np.unique(nodes), np.arange(n_t * n_phi))
+    # the table is coordinate first: (3, patches, nodes per patch) against the
+    # per-node (N, 3), and no node is farther from its patch's centre than
+    # the patch's radius
+    assert np.array_equal(tab.positions, positions.T[:, nodes])
+    assert np.all(np.linalg.norm(tab.positions - tab.centres[..., None], axis=0)
+                  <= tab.radii[:, None])
     assert tab.scale == scale
     # the sums' streamed positions are the cached ones, their normals and
     # weights times sigma those of the per-node build
@@ -694,7 +827,7 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
         sigma = [density.value(theta, phi) for theta in thetas for phi in g.phi_rule.nodes]
         want = weights * np.array(sigma, dtype=float)
         streamed = _streamed_tables(surface, g, density)
-        assert streamed[0].tobytes() == tab.positions.tobytes()
+        assert streamed[0].tobytes() == positions.T.tobytes()
         assert np.max(np.abs(streamed[1] - normals.T)) <= 1e-15
         # the paper density is 0 at some nodes, where both products are 0
         assert np.all(np.abs(streamed[2] - want) <= 1e-15 * np.abs(want))
