@@ -9,10 +9,12 @@ analytic continuation sqrt(sum of squares) of the norms involved.
 The measured quadrature error compares the base grid against the same
 quadrature on a grid upsampled five-fold in both directions. That grid has
 25 times the base nodes, so the sums never build a whole node table: they
-stream the nodes through slabs of a few node tiles. What is cached per
-base grid is what the nearest-node scan and the surface scale read, the node
-positions, cut into patches with a bounding sphere each, and their largest
-|gamma|; no normals or weights are kept.
+stream the nodes through slabs of a few node tiles, and fill and hold only
+what their kernel reads, the unit normals and a third tile buffer per worker
+for the double layer alone. What is cached per base grid is what the
+nearest-node scan and the surface scale read, the node positions, cut into
+patches with a bounding sphere each, and their largest |gamma|; no normals or
+weights are kept.
 """
 from __future__ import annotations
 
@@ -160,33 +162,55 @@ class _GridTables:
 def _fill_rows(surface, density, g, r0, r1, positions, normals, weights):
     """Fill the nodes of the Gauss-Legendre rows r0 to r1 of grid g into a
     sum's slab tables positions, normals and weights, from their first node on,
-    and return the largest |gamma| among them.
+    and return the largest |gamma| among them. normals is None for a kernel
+    that reads no normals, and then none is normalised.
 
     One array evaluation per block of whole rows, of about _TILE_NODES nodes,
     the rows' theta a column against the phi row, so theta, its Jacobian and
     their sines run once per row. Each block's positions, unit normals and
-    weights w_t * w_phi * area element * sigma go straight into the tables,
-    so no temporary is larger than a block.
+    weights w_t * w_phi * area element * sigma go straight into the tables.
+    Component c of the cross product d gamma/dt x d gamma/dphi is
+    a_i b_j - a_j b_i, in the normal table or in a block buffer, and the area
+    element sqrt((n0 n0 + n1 n1) + n2 n2) is formed in the weight table: the
+    bits of np.cross and np.linalg.norm, with no temporary of three blocks.
     """
     theta_map, phis, n_phi = surface.theta_map, g.phi_rule.nodes, g.n_phi
     block_rows = max(1, _TILE_NODES // n_phi)
-    scale = 0.0
+    scratch = np.empty((2, block_rows * n_phi))
+    largest = 0.0
     for start in range(r0, r1, block_rows):
         rows = slice(start, min(start + block_rows, r1))
         nodes = slice((start - r0) * n_phi, (rows.stop - r0) * n_phi)
         thetas = theta_map.theta(g.t_rule.nodes[rows, None])
         pos, d_theta, d_phi = surface.eval_sph(thetas, phis)
-        d_t = d_theta * theta_map.dtheta_dt_at(thetas)
-        position, normal = (table[:, nodes].reshape(pos.shape) for table in (positions, normals))
+        a, b = np.real(d_theta * theta_map.dtheta_dt_at(thetas)), np.real(d_phi)
+        shape = pos.shape[1:]
+        position = positions[:, nodes].reshape(pos.shape)
         position[...] = np.real(pos)
-        normal[...] = np.cross(np.real(d_t), np.real(d_phi), axis=0)
-        areas = np.linalg.norm(normal, axis=0)
-        normal /= areas
-        weight = np.multiply(np.outer(g.t_rule.weights[rows], g.phi_rule.weights), areas,
-                             out=weights[nodes].reshape(areas.shape))
+        # the area element first, then times the rule weights and sigma
+        weight = weights[nodes].reshape(shape)
+        cross, temp = (buf[: weight.size].reshape(shape) for buf in scratch)
+        for c in range(3):
+            i, j = (c + 1) % 3, (c + 2) % 3
+            normal = cross if normals is None else normals[c, nodes].reshape(shape)
+            np.multiply(a[i], b[j], out=normal)
+            normal -= np.multiply(a[j], b[i], out=temp)
+            np.multiply(normal, normal, out=temp if c else weight)
+            if c:
+                weight += temp
+        np.sqrt(weight, out=weight)
+        if normals is not None:
+            normals[:, nodes] /= weight.ravel()
+        weight *= np.outer(g.t_rule.weights[rows], g.phi_rule.weights)
         weight *= density.value(thetas, phis)
-        scale = max(scale, float(np.max(np.linalg.norm(position, axis=0))))
-    return scale
+        # the largest |gamma| as the root of the largest (p0 p0 + p1 p1) + p2 p2:
+        # the root is monotone and correctly rounded, so this is its largest norm
+        for c in range(3):
+            np.multiply(position[c], position[c], out=temp if c else cross)
+            if c:
+                cross += temp
+        largest = max(largest, float(np.max(cross)))
+    return math.sqrt(largest)
 
 
 @lru_cache(maxsize=64)
@@ -401,14 +425,15 @@ def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs, buffers):
     tile, and each target's nearest node distance there; the node tables are
     coordinate first, the targets xs of shape (m, 3).
 
-    The arithmetic runs in place in buffers, of shape (3, at least m x nodes)
-    and shared by all tiles of a sum: R^2, R, and n_y . (y - x) for the
-    double layer.
+    The arithmetic runs in place in buffers, of shape (2 or 3, at least
+    m x nodes) and shared by all tiles of a sum: R^2, R, and n_y . (y - x) for
+    the double layer, the one kernel that reads the normals.
     """
     m, n = len(xs), len(weights)
-    r2, dist, ndot = buffers[:, : m * n].reshape(3, m, n)
+    r2, dist, *rest = buffers[:, : m * n].reshape(len(buffers), m, n)
     _coordinate_sum(r2, dist, positions, xs)
     if kernel.kind == HARMONIC_DOUBLE:
+        ndot = rest[0]
         _coordinate_sum(ndot, dist, positions, xs, normals)
     np.sqrt(r2, out=dist)
     nearest = np.min(dist, axis=1)
@@ -435,19 +460,31 @@ def _affinity_cpus() -> list:
     return sorted(os.sched_getaffinity(0))
 
 
+def _target_tiles(n_targets, workers):
+    """The target tiles of a sum, as slices: contiguous, of at most
+    _TILE_TARGETS targets and as even as can be, and as few as that allows
+    with a count that is a multiple of workers, so that no worker idles for
+    the last tile of a slab."""
+    count = -(-n_targets // _TILE_TARGETS)
+    count = -(-count // workers) * workers
+    edges = [i * n_targets // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest, buffers,
                cpu=None):
-    """One worker of a sum over one slab of nodes: takes target tiles from the
-    shared iterator tiles until it is exhausted, and adds each tile's terms
-    into its rows of sums and nearest, node tile by node tile in node order.
-    The node tables of the slab are coordinate first; buffers, of shape
-    (3, _TILE_TARGETS * _TILE_NODES), are this worker's own.
+    """One worker of a sum over one slab of nodes: takes target tiles, slices
+    of block, from the shared iterator tiles until it is exhausted, and adds
+    each tile's terms into its rows of sums and nearest, node tile by node
+    tile in node order. The node tables of the slab are coordinate first,
+    normals None where the kernel reads none; buffers, of shape (2 or 3,
+    _TILE_TARGETS * _TILE_NODES), are this worker's own.
 
     A worker on a thread of its own first pins that thread to cpu (on Linux,
     sched_setaffinity(0) sets the calling thread's mask only): two unpinned
     numpy threads often ran one after the other on a 2-CPU host. The inline
     worker, cpu None, leaves the calling thread's mask alone. next() on a
-    range iterator is atomic under the interpreter lock, so each tile goes
+    list iterator is atomic under the interpreter lock, so each tile goes
     to one worker.
     """
     if cpu is not None:
@@ -458,13 +495,12 @@ def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest,
     # numpy keeps its error state per context and a new thread starts at the
     # defaults, so each worker sets its own.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in tiles:
-            rows = slice(i, i + _TILE_TARGETS)
+        for rows in tiles:
             for j in range(0, len(weights), _TILE_NODES):
                 nodes = slice(j, j + _TILE_NODES)
                 s, d = _tile_sums(
-                    kernel, positions[:, nodes], normals[:, nodes], weights[nodes],
-                    block[rows], buffers,
+                    kernel, positions[:, nodes], normals if normals is None else normals[:, nodes],
+                    weights[nodes], block[rows], buffers,
                 )
                 sums[rows] += s
                 nearest[rows] = np.minimum(nearest[rows], d)
@@ -491,26 +527,29 @@ def potential_quadrature(
     The nodes stream through slabs of _SLAB_NODES, whose starts are multiples
     of _TILE_NODES, so no table of the whole grid is built. For each slab the
     calling thread's _fill_rows fills the Gauss-Legendre rows that cover it,
-    weights times sigma, into one set of slab tables, reused by every slab,
-    and updates the running scale. Then the target tiles are shared out to one
-    worker thread per CPU the process may run on, each pinned to its CPU and
-    kept for the whole sum, and never more workers than tiles; a block of one
-    tile, or a process on one CPU, runs its one worker inline. The next slab
-    is filled once every worker has finished this one.
+    positions and weights times sigma, and unit normals for the double layer
+    only, into one set of slab tables, reused by every slab, and updates the
+    running scale. Then the target tiles of _target_tiles are shared out to
+    one worker thread per CPU the process may run on, each pinned to its CPU
+    and kept for the whole sum, and never more workers than tiles of
+    _TILE_TARGETS; a block of one tile, or a process on one CPU, runs its one
+    worker inline. Each worker holds two tile buffers, three for the double
+    layer. The next slab is filled once every worker has finished this one.
     """
     block = target_block(x)
     if not len(block):
         return []
     n_phi, n_nodes = g.n_phi, g.n_t * g.n_phi
+    double = kernel.kind == HARMONIC_DOUBLE
     # rows that can cover one slab, however its start falls in a row
-    slab_rows = min(g.n_t, -(-_SLAB_NODES // n_phi) + 1)
-    positions, normals = np.empty((2, 3, slab_rows * n_phi))
-    weights = np.empty(slab_rows * n_phi)
+    slab_nodes = min(g.n_t, -(-_SLAB_NODES // n_phi) + 1) * n_phi
+    positions, weights = np.empty((3, slab_nodes)), np.empty(slab_nodes)
+    normals = np.empty((3, slab_nodes)) if double else None
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
-    starts = range(0, len(block), _TILE_TARGETS)
-    cpus = _affinity_cpus()[: len(starts)]
-    buffers = _work_buffers(max(1, len(cpus)), (3, _TILE_TARGETS * _TILE_NODES))
+    cpus = _affinity_cpus()[: -(-len(block) // _TILE_TARGETS)]
+    tiles = _target_tiles(len(block), max(1, len(cpus)))
+    buffers = _work_buffers(max(1, len(cpus)), (3 if double else 2, _TILE_TARGETS * _TILE_NODES))
     scale = 0.0
     with ExitStack() as stack:
         # one thread per CPU for the whole sum: a thread of a shared pool could
@@ -522,8 +561,8 @@ def potential_quadrature(
             scale = max(scale, _fill_rows(surface, density, g, r0, r1,
                                           positions, normals, weights))
             nodes = slice(start - r0 * n_phi, min(start + _SLAB_NODES, n_nodes) - r0 * n_phi)
-            args = (kernel, positions[:, nodes], normals[:, nodes], weights[nodes], block,
-                    iter(starts), sums, nearest)
+            args = (kernel, positions[:, nodes], normals if normals is None else normals[:, nodes],
+                    weights[nodes], block, iter(tiles), sums, nearest)
             if pools:
                 workers = [pool.submit(_sum_tiles, *args, b, cpu=cpu)
                            for pool, b, cpu in zip(pools, buffers, cpus)]

@@ -19,9 +19,11 @@ import numpy as np
 
 
 def entrywise(fn, *args):
-    """fn applied to the entries of the broadcast args as Python scalars."""
-    out = np.frompyfunc(fn, len(args), 1)(*args)
-    return np.array(out.tolist()) if isinstance(out, np.ndarray) else out
+    """fn applied to the entries of the broadcast args as Python scalars; one
+    value for 0-d args."""
+    args = np.broadcast_arrays(*args)
+    out = list(map(fn, *(a.ravel().tolist() for a in args)))
+    return np.array(out).reshape(args[0].shape) if args[0].ndim else out[0]
 
 
 def cmul(a, b):

@@ -41,18 +41,24 @@ SPHERE = Sphere(1.0)
 G_SPHERE = grid(30, 60)
 
 
-def _streamed_tables(surface, g, density):
-    """The node tables a sum streams, slab by slab, joined: positions, normals
-    and the weights times sigma, recorded from one inline sum at one target."""
+def _streamed_tables(surface, g, density, kernel=harmonic_double()):
+    """The node tables a sum of kernel streams, slab by slab, joined:
+    positions, normals and the weights times sigma, recorded from one inline
+    sum at one target. Only the double layer streams normals; for the single
+    layers they are None."""
     slabs = []
 
     def recorded(kernel, positions, normals, weights, *args, cpu=None):
-        slabs.append((positions.copy(), normals.copy(), weights.copy()))
+        slabs.append((positions.copy(), normals if normals is None else normals.copy(),
+                      weights.copy()))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(potentials, "_sum_tiles", recorded)
-        potential_quadrature(surface, harmonic_single(), density, g, [[9.0, 0.0, 0.0]])
-    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*slabs))
+        potential_quadrature(surface, kernel, density, g, [[9.0, 0.0, 0.0]])
+    positions, normals, weights = zip(*slabs)
+    return (np.concatenate(positions, axis=-1),
+            None if normals[0] is None else np.concatenate(normals, axis=-1),
+            np.concatenate(weights))
 
 
 def _node_positions(surface, g):
@@ -371,14 +377,18 @@ def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
     on_node, nan, far = positions[:, 8200], [0.3, math.nan, 0.1], [1e200, 0.0, 0.0]
     full = np.vstack([xs[: _TILE_TARGETS - 3], [nan, far, positions[:, 100]]])
     partial = np.vstack([on_node, xs[5:7], far, nan])
-    # buffers left full of NaN and reused by the next tile, as in a sum
-    buffers = np.full((3, _TILE_TARGETS * _TILE_NODES), np.nan)
+    # buffers left full of NaN and reused by the next tile, as in a sum: two
+    # and no normals for the single layers, three and the normals for the
+    # double layer
+    double = kernel.kind == "harmonic_double"
+    buffers = np.full((3 if double else 2, _TILE_TARGETS * _TILE_NODES), np.nan)
     tiles = [(full, slice(0, _TILE_NODES)), (partial, slice(2 * _TILE_NODES, None))]
     assert len(full) == _TILE_TARGETS and len(partial) < _TILE_TARGETS
     assert 0 < len(weights[tiles[1][1]]) < _TILE_NODES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block, nodes in tiles:
-            args = (kernel, positions[:, nodes], normals[:, nodes], weights[nodes], block)
+            tile_normals = normals[:, nodes] if double else None
+            args = (kernel, positions[:, nodes], tile_normals, weights[nodes], block)
             sums, nearest = _tile_sums(*args, buffers)
             want_sums, want_nearest = _expression_tile_sums(*args)
             assert np.array_equal(sums, want_sums, equal_nan=True)
@@ -395,10 +405,29 @@ needs_affinity = pytest.mark.skipif(
 )
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_targets", [1, 15, 17, 33, 300, 1152, 1600])
+def test_target_tiles_share_out_evenly_to_the_workers(n_targets, workers):
+    # a sum uses no more workers than tiles of _TILE_TARGETS; its plan covers
+    # each target once, in contiguous tiles of at most _TILE_TARGETS, as few
+    # as a count that is a multiple of those workers allows
+    used = min(workers, math.ceil(n_targets / _TILE_TARGETS))
+    tiles = potentials._target_tiles(n_targets, used)
+    covered = np.concatenate([np.arange(n_targets)[t] for t in tiles])
+    assert np.array_equal(covered, np.arange(n_targets))
+    assert all(t.step is None and 0 < t.stop - t.start <= _TILE_TARGETS for t in tiles)
+    assert len(tiles) % used == 0 and (len(tiles) - used) * _TILE_TARGETS < n_targets
+    if (n_targets, workers) == (300, 2):
+        # spheroid-random's targets on two CPUs: 20 tiles of 15, not 19 of 16
+        assert [t.stop - t.start for t in tiles] == [15] * 20
+
+
 def _worker_block():
-    """71 blob targets: four full tiles and a part, so that neither the 71
-    targets nor their 5 tiles divide among 2 or 3 workers. Mixed in: a NaN
-    target, an overflowing one, and a node of each grid of the sums."""
+    """71 blob targets, more than four tiles of _TILE_TARGETS: a sum on 2 or 3
+    workers cuts them into 6 tiles of 11 or 12 targets, so that neither the
+    targets nor a tile divides into tiles of _TILE_TARGETS or among the
+    workers. Mixed in: a NaN target, an overflowing one, and a node of each
+    grid of the sums."""
     ordinary = np.random.default_rng(9).uniform(-2.0, 2.0, (67, 3))
     base_node = _node_positions(BLOB, G_BLOB)[:, 50]
     fine_node = _node_positions(BLOB, grid(65, 135))[:, 8200]
@@ -420,7 +449,9 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
         pytest.skip("two workers need two CPUs")
     block, d = _worker_block(), paper_density()
     assert len(block) % _TILE_TARGETS and len(block) % workers
-    assert math.ceil(len(block) / _TILE_TARGETS) % workers
+    # tiles of two sizes, neither of them _TILE_TARGETS
+    sizes = {t.stop - t.start for t in potentials._target_tiles(len(block), workers)}
+    assert len(sizes) == 2 and _TILE_TARGETS not in sizes
     listed = {n: [cpus[i % len(cpus)] for i in range(n)] for n in (1, workers)}
     sum_tiles, calls = potentials._sum_tiles, []
 
@@ -574,7 +605,7 @@ def test_scan_and_sum_buffers_start_on_64_byte_boundaries(monkeypatch):
 @needs_affinity
 def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     block = _worker_block()
-    third = block[2 * _TILE_TARGETS : 3 * _TILE_TARGETS]
+    third = block[potentials._target_tiles(len(block), 2)[2]]
     tile_sums = potentials._tile_sums
 
     class TileFailed(RuntimeError):
@@ -780,13 +811,14 @@ def test_scan_buffers_do_not_grow_with_the_grid(monkeypatch):
 
 
 def _per_node_tables(surface, g):
-    """The grid tables built one node at a time, from eval_t and np.cross."""
+    """The grid tables built one node at a time, from eval_t, np.cross and
+    np.linalg.norm along the coordinate axis, (n0 n0 + n1 n1) + n2 n2."""
     positions, normals, weights = [], [], []
     for k, t in enumerate(g.t_rule.nodes):
         for l, phi in enumerate(g.phi_rule.nodes):
             pos, d_t, d_phi = surface.eval_t(t, phi)
             cr = np.cross(np.real(d_t), np.real(d_phi))
-            area = np.linalg.norm(cr)
+            area = np.linalg.norm(cr, axis=0)
             positions.append(np.real(pos))
             normals.append(cr / area)
             weights.append(g.t_rule.weights[k] * g.phi_rule.weights[l] * area)
@@ -831,6 +863,52 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
         assert np.max(np.abs(streamed[1] - normals.T)) <= 1e-15
         # the paper density is 0 at some nodes, where both products are 0
         assert np.all(np.abs(streamed[2] - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("surface", _SCAN_SURFACES, ids=["sphere-cosine", "sphere-linear",
+                                                         "spheroid", "blob"])
+def test_fill_without_normals_writes_the_same_tables(surface):
+    # the normals and unit-density weights of a fill are the per-node build's
+    # bitwise; a fill without a normal table writes the positions, weights
+    # and scale of one with it, from any first row, with either density
+    for g in (grid(7, 12), grid(12, 24), grid(7, 1000)):
+        _, _, normals, weights, _ = _whole_tables(surface, g)
+        _, per_node_normals, per_node_weights, _ = _per_node_tables(surface, g)
+        assert _bitwise_equal(normals, per_node_normals.T.copy())
+        assert _bitwise_equal(weights, per_node_weights)
+    g = G_SLABS
+    for density, r0 in [(unit_density(), 0), (paper_density(), 37)]:
+        n_nodes = (g.n_t - r0) * g.n_phi
+        positions, weights = np.empty((2, 3, n_nodes)), np.empty((2, n_nodes))
+        scale = potentials._fill_rows(surface, density, g, r0, g.n_t,
+                                      positions[0], np.empty((3, n_nodes)), weights[0])
+        bare = potentials._fill_rows(surface, density, g, r0, g.n_t,
+                                     positions[1], None, weights[1])
+        assert bare.hex() == scale.hex()
+        assert _bitwise_equal(positions[1], positions[0])
+        assert _bitwise_equal(weights[1], weights[0])
+
+
+@pytest.mark.parametrize("kernel", KERNELS[:1] + KERNELS[2:], ids=["single", "helmholtz"])
+def test_streamed_positions_weights_and_scale_are_the_same_for_every_kernel(kernel):
+    # over G_SLABS's three slabs: a single layer streams no normals, and the
+    # positions, weights times sigma and scale of the double layer bitwise
+    fill_rows = potentials._fill_rows
+    streamed = {}
+    for k in (kernel, harmonic_double()):
+        scales = []
+
+        def filled(*args):
+            scales.append(fill_rows(*args))
+            return scales[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(potentials, "_fill_rows", filled)
+            positions, normals, weights = _streamed_tables(BLOB, G_SLABS, paper_density(), k)
+        assert (normals is None) == (k.kind != "harmonic_double")
+        streamed[k.kind] = (positions.tobytes(), weights.tobytes(), [s.hex() for s in scales])
+    assert len(scales) == math.ceil(G_SLABS.n_t * G_SLABS.n_phi / _SLAB_NODES)
+    assert streamed[kernel.kind] == streamed["harmonic_double"]
 
 
 def test_grid_table_build_holds_no_whole_table_temporary():
@@ -880,6 +958,37 @@ def test_measured_error_builds_no_whole_reference_table(monkeypatch):
     # positions, normals, weights and sum weights of the whole reference grid
     assert bound < 0.6 * 8 * 8 * fine_nodes
     assert peak <= bound
+    assert held < base_table
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_measured_error_holds_only_what_its_kernel_reads(kernel, monkeypatch):
+    # as above, per kernel: the double layer's peak stays within the slab
+    # tables of 7 floats per node (positions, unit normals, weights) and three
+    # tile buffers per worker; a single layer's, which reads no normals,
+    # within 4 floats per node and two buffers per worker. Both with room
+    # the size of the base grid's table, and keeping nothing
+    surface, g = Spheroid(1.0, 3.0), grid(60, 120)
+    block = np.random.default_rng(4).uniform(-2.0, 2.0, (300, 3))
+    cpus = potentials._affinity_cpus()[:2]
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: cpus)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        errors = measured_error(surface, kernel, paper_density(), g, block)
+        held, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert all(isinstance(e, float) for e in errors)
+    floats, buffers = (7, 3) if kernel.kind == "harmonic_double" else (4, 2)
+    n_phi = 5 * g.n_phi
+    slab_tables = floats * 8 * (math.ceil(_SLAB_NODES / n_phi) + 1) * n_phi
+    tile_buffers = max(1, len(cpus)) * buffers * 8 * _TILE_TARGETS * _TILE_NODES
+    base_table = 7 * 8 * g.n_t * g.n_phi
+    assert peak <= 1.25 * (slab_tables + tile_buffers + base_table)
     assert held < base_table
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from layerr.rounding import cdiv, dot3
+from layerr.rounding import cdiv, dot3, entrywise
 
 
 def _per_lane_dot(u, v):
@@ -86,3 +86,36 @@ def test_cdiv_of_scalars_is_a_scalar():
         got = cdiv(a, b)
         assert np.ndim(got) == 0
         assert np.array(got).tobytes() == np.array(complex(a) / b).tobytes()
+
+
+def _frompyfunc_entrywise(fn, *args):
+    """entrywise as np.frompyfunc forms it: an object array of fn's values,
+    round-tripped through tolist(), or fn's one value for 0-d args."""
+    out = np.frompyfunc(fn, len(args), 1)(*args)
+    return np.array(out.tolist()) if isinstance(out, np.ndarray) else out
+
+
+_E = np.random.default_rng(12)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (math.log, (_E.uniform(1e-3, 1e3, 200),)),
+        (math.atan2, (_E.standard_normal((4, 1)), _E.standard_normal(6))),  # broadcast
+        (math.atan2, (np.array([math.nan, 0.0, -0.0, 1.0]), np.array([-0.0, -1.0, 0.0, math.nan]))),
+        (math.log, (np.array([math.nan, 1.0, 2.5]),)),
+        (math.log, (2.5,)),  # a Python float
+        (math.log, (np.array(0.75),)),  # 0-d array
+        (math.atan2, (np.float64(-0.5), np.array(2.0))),
+        (math.log, (np.empty(0),)),
+        (math.atan2, (np.empty((2, 0)), np.empty(0))),
+    ],
+    ids=["log", "atan2-broadcast", "atan2-nan-and-zeros", "log-nan", "scalar", "0-d",
+         "0-d-pair", "empty", "empty-broadcast"],
+)
+def test_entrywise_is_bitwise_the_frompyfunc_form(fn, args):
+    got, want = entrywise(fn, *args), _frompyfunc_entrywise(fn, *args)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
