@@ -21,11 +21,13 @@ the geometry factors. All magnitude combinations happen in log space so that
 estimates remain meaningful down to the underflow threshold.
 
 A block of targets is estimated as arrays with one lane per target: each
-anchor solve, and each sweep node in both directions, is one masked array
-operation over all lanes. A lane that has no root, or whose term vanishes,
-carries NaN or -inf from there on, so the block runs under np.errstate and
-the masks decide each lane's outcome; full_estimate scatters the lanes back
-to their targets, into one array per field, NaN at a target that failed.
+anchor solve, and each sweep call in both directions, is one masked array
+operation over all lanes. A closed-form sweep evaluates a run of nodes per
+call, a Newton sweep one node per call from its warm-start chain. A lane
+that has no root, or whose term vanishes, carries NaN or -inf from there on,
+so the block runs under np.errstate and the masks decide each lane's
+outcome; full_estimate scatters the lanes back to their targets, into one
+array per field, NaN at a target that failed.
 
 Near the symmetry axis of an axisymmetric surface the azimuthal root does
 not exist; a cone criterion, tested once for both directions, detects that
@@ -298,36 +300,38 @@ def _in_cone(frame: _Frame, cone: ConeParams):
     return rho / cone.A < (cone.K_c * math.pi / frame.grid.n_t) * frame.grid_distance
 
 
-def _log_sweep_integral(node, start, width, tail_n: int):
+def _log_sweep_integral(node, start, width, tail_n: int, closed: bool):
     """log of width times the Gauss-Laguerre sum of the kernel over both half
-    lines, with log(w_i) + x_i + log kernel(x_i) per node.
+    lines, with (log kernel(x_i) + x_i) + log(w_i) per node, -inf at w_i = 0.
 
-    node(offsets, chain) takes the offsets of one node in both directions,
-    shape (2, 1), and each direction's warm start, shape (2, lanes), and
-    returns its roots there, NaN where it found none, and the log kernel, both
-    of that shape. Nodes run in ascending order; a direction's chain starts at
-    the anchor roots start and keeps the latest root each lane found.
-    """
+    node(offsets, chain) takes the offsets of a run of k nodes in both
+    directions, shape (2, k, 1), and each direction's warm start, shape
+    (2, 1, lanes); it returns the roots there, NaN where none was found, and
+    the log kernel, both (2, k, lanes). A closed form (closed) reads no start:
+    its runs fill a tile of _TILE_NODES (node, lane) entries. A Newton run is
+    one node, its chain the anchor roots start, then each lane's latest root."""
     rule = gauss_laguerre(tail_n)
-    signs = np.array([[1.0], [-1.0]])
-    chain, terms = np.array([start, start]), []
-    for xi, wi in zip(rule.nodes, rule.weights):
-        root, log_kernel = node(signs * xi, chain)
-        chain = np.where(np.isnan(root), chain, root)
-        terms.append(log_kernel + xi + math.log(wi))
+    run = max(1, potentials._TILE_NODES // (2 * max(1, len(start)))) if closed else 1
+    chain, terms = np.array([start, start])[:, None], []
+    for i in range(0, tail_n, run):
+        xi = rule.nodes[i:i + run, None]
+        root, log_kernel = node(np.array([xi, -xi]), chain)
+        chain = np.where(np.isnan(root[:, -1:]), chain, root[:, -1:])
+        log_w = [[math.log(w) if w > 0.0 else -math.inf] for w in rule.weights[i:i + run]]
+        terms.append(log_kernel + xi + np.array(log_w))
     # the positive direction first, each in node order
-    return np.log(width) + _logsumexp(np.swapaxes(np.array(terms), 0, 1).reshape(2 * tail_n, -1))
+    return np.log(width) + _logsumexp(np.concatenate(terms, axis=1).reshape(2 * tail_n, -1))
 
 
 def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
     """log of the integral of |f G2^p| est along the polar sweep of the
     azimuthal roots phi0 (NaN on lanes that do not sweep).
 
-    Each in-range sweep node takes its root from _root, warm-started
-    from the previous node in the same direction, and re-evaluates the
-    smooth and geometry factors there. The linearized model with the
-    anchor weight covers the (negligible) tail beyond the parameter
-    interval and any node where Newton fails.
+    Each in-range sweep node takes its root from _root, a run of nodes per
+    call in closed form, else one node warm-started from the previous one in
+    its direction, and re-evaluates the smooth and geometry factors there.
+    The linearized model with the anchor weight covers the (negligible) tail
+    beyond the parameter interval and any node where Newton fails.
     """
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
@@ -343,13 +347,9 @@ def _log_tz_sweep(frame: _Frame, phi0, log_fg_anchor, model, tail_n: int):
         found = inside & ~np.isnan(root)
         log_fg = _log_fg(frame, theta_s, root, polar=False)
         val = np.where(log_fg == np.inf, -np.inf, log_fg + log_est_tz(np.abs(root.imag), g.n_phi, p))
-        # a closed form without a root contributes nothing; a failed Newton
-        # solve falls back to the model
-        missed = -np.inf if _closed_form(surf, VAR_PHI) else from_model
-        val = np.where(found, val, np.where(inside, missed, from_model))
-        return np.where(found, root, np.nan), val
+        return np.where(found, root, np.nan), np.where(found, val, from_model)
 
-    return _log_sweep_integral(node, phi0, width, tail_n)
+    return _log_sweep_integral(node, phi0, width, tail_n, _closed_form(surf, VAR_PHI))
 
 
 def _tz_internal(frame: _Frame, near_axis, tail_n: int):
@@ -424,13 +424,13 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
     polar roots theta0 (NaN on lanes that do not sweep), whose t-values are
     t0, and bad_t.
 
-    Each sweep node takes its root from _root, warm-started from the
-    previous node in the same direction, and re-evaluates the smooth and
-    geometry factors there. The rotated-slice model with the anchor
-    weight, whose chord growth stays faithful at large azimuthal offsets,
-    backs up any node where Newton fails; polar roots in closed form need
-    none. bad_t is a lane's first sweep root on [-1, 1]
-    in the positive direction, else in the negative one, else NaN.
+    Each sweep node takes its root from _root, a run of nodes per call in
+    closed form, else one node warm-started from the previous one in its
+    direction, and re-evaluates the smooth and geometry factors there. The
+    rotated-slice model with the anchor weight, whose chord growth stays
+    faithful at large azimuthal offsets, backs up a failed Newton node;
+    closed-form polar roots need none. bad_t is a lane's first sweep root
+    on [-1, 1] in the positive direction, else in the negative one, else NaN.
     """
     surf, g = frame.surface, frame.grid
     p = frame.kernel.p
@@ -455,11 +455,11 @@ def _log_gl_sweep(frame: _Frame, theta0, t0, log_fg_anchor, model, tail_n: int):
             log_fg = np.where(fallback, log_fg_anchor, log_fg)
         log_k, undefined = log_est_gl(t_s, g.n_t, p)
         used = (found & (log_fg != np.inf)) | fallback
-        first = used & undefined & np.isnan(first_undefined)
-        first_undefined[first] = t_s[first]
+        for t in np.swapaxes(np.where(used & undefined, t_s, np.nan), 0, 1):
+            np.copyto(first_undefined, t, where=np.isnan(first_undefined))
         return np.where(found, root, np.nan), np.where(used, log_fg + log_k, -np.inf)
 
-    log_val = _log_sweep_integral(node, theta0, width, tail_n)
+    log_val = _log_sweep_integral(node, theta0, width, tail_n, model is None)
     plus, minus = first_undefined
     return log_val, np.where(np.isnan(plus), minus, plus)
 

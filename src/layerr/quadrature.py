@@ -20,7 +20,7 @@ _NEWTON_TOL = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class Rule1D:
-    """A one-dimensional quadrature rule: nodes and positive weights."""
+    """A one-dimensional quadrature rule: nodes and weights, positive or underflowed to 0."""
 
     n: int
     nodes: np.ndarray

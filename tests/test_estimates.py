@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from layerr import estimates, roots
 from layerr.cli import preset_config
 from layerr.estimates import (
     ConeParams,
+    Estimates,
     _build_frame,
     _in_cone,
     _log_fg,
@@ -30,7 +32,7 @@ from layerr.potentials import (
     paper_density,
     unit_density,
 )
-from layerr.quadrature import grid
+from layerr.quadrature import gauss_laguerre, grid
 from layerr.roots import (
     VAR_PHI,
     VAR_THETA,
@@ -434,6 +436,22 @@ def test_tail_rule_insensitivity_spot():
     assert abs(bd8.total / bd64.total - 1) < 0.05
 
 
+@pytest.mark.parametrize("tail_n", [200, 362])
+@pytest.mark.parametrize("surface", [SPHERE, Spheroid(1.0, 3.0), paper_blob()],
+                         ids=["sphere", "spheroid", "blob"])
+def test_tail_rules_with_zero_weights_give_finite_estimates(surface, tail_n):
+    # from 199 nodes the Gauss-Laguerre rule has weights that underflow to 0
+    # (3 at 200, 69 at 362); such a node adds nothing to a sweep
+    assert (gauss_laguerre(tail_n).weights == 0.0).any()
+    x = 1.2 * np.real(surface.position(np.array([0.7, 2.4]), np.array([0.3, 4.5]))).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd = full_estimate(surface, KER, DEN, grid(12, 24), x, tail_n=tail_n)
+    assert bd.errors == (None, None)
+    for f in ("e_tz", "e_gl", "total"):
+        assert np.isfinite(getattr(bd, f)).all() and (getattr(bd, f) >= 0.0).all(), f
+
+
 def test_cone_parameters_respected():
     # an enormous cone constant forces the trapezoidal skip everywhere
     g = grid(20, 40)
@@ -484,18 +502,18 @@ def test_failed_anchor_solve_takes_the_model_anchor(theta_map, kernel, n, z, sto
 @pytest.mark.parametrize(
     "surface, want",
     [
-        (SPHERE, {"sphere_theta_root": 9, "axisym_phi_root": 9}),
-        (Spheroid(1.0, 1.0), {"sphere_theta_root": 9, "axisym_phi_root": 9}),
-        (Spheroid(1.0, 3.0), {"axisym_phi_root": 9, "newton_root nearest": 1, "newton_root": 8}),
+        (SPHERE, {"sphere_theta_root": 2, "axisym_phi_root": 2}),
+        (Spheroid(1.0, 1.0), {"sphere_theta_root": 2, "axisym_phi_root": 2}),
+        (Spheroid(1.0, 3.0), {"axisym_phi_root": 2, "newton_root nearest": 1, "newton_root": 8}),
         (paper_blob(), {"newton_root nearest": 2, "newton_root": 16}),
     ],
     ids=["sphere", "round-spheroid", "spheroid", "blob"],
 )
 def test_root_solves_go_through_the_module_names(monkeypatch, surface, want):
     # a per-layer tracer counts root solves by wrapping these three names of
-    # layerr.estimates and reading nearest by keyword: one anchor solve and 8
-    # sweep nodes per direction, whatever the block's size, and no solve that
-    # bypasses them
+    # layerr.estimates and reading nearest by keyword: per direction, one
+    # anchor solve, then one call for all 8 sweep nodes of a closed form at 3
+    # lanes, or one per node for Newton, and no solve that bypasses them
     calls = {}
 
     def counted(name, solve):
@@ -653,6 +671,42 @@ def test_block_matches_its_batches_of_one():
                                 complex(getattr(want, f)), rel=1e-12, abs=0.0)
     # the pole, on-surface and NaN targets fail with every kernel
     assert errors >= 4 * 3
+
+
+def test_sweep_runs_keep_every_estimate_bit(monkeypatch):
+    # sphere-cosine's closed-form sweeps take one node per call in the preset's
+    # block of 1600 lanes and all 8 in blocks of 100; every field keeps its
+    # bits, and no closed-form call sees more than one node tile of entries
+    cfg = preset_config("sphere-cosine")
+    g, fields = grid(cfg.n_t, cfg.n_phi), [f.name for f in dataclasses.fields(Estimates)]
+    shapes = []
+
+    def counted(solve):
+        def wrapper(surface_or_radius, fixed, x):
+            shapes.append(np.shape(x)[:-1])
+            return solve(surface_or_radius, fixed, x)
+
+        return wrapper
+
+    for name in ("axisym_phi_root", "sphere_theta_root"):
+        monkeypatch.setattr(estimates, name, counted(getattr(estimates, name)))
+
+    def estimate(size):
+        blocks = [full_estimate(cfg.surface, cfg.kernel, cfg.density, g, cfg.targets[i:i + size],
+                                cfg.cone) for i in range(0, len(cfg.targets), size)]
+        assert all(math.prod(s) <= max(potentials._TILE_NODES, 2 * s[-1]) for s in shapes)
+        runs = {s[1] for s in shapes if len(s) == 3}
+        shapes.clear()
+        return runs, {f: [e for b in blocks for e in b.errors] if f == "errors" else
+                      np.concatenate([getattr(b, f) for b in blocks]) for f in fields}
+
+    (whole_runs, want), (runs, got) = estimate(len(cfg.targets)), estimate(100)
+    assert whole_runs == {1} and runs == {8}
+    for f in fields:
+        if f == "errors":
+            assert [(type(e), str(e)) for e in got[f]] == [(type(e), str(e)) for e in want[f]]
+        else:
+            assert got[f].tobytes() == want[f].tobytes(), f
 
 
 @pytest.mark.parametrize("surface", [Sphere(1.0), Spheroid(1.0, 3.0), paper_blob()],
