@@ -308,8 +308,8 @@ def _log_sweep_integral(node, start, width, tail_n: int, closed: bool):
     directions, shape (2, k, 1), and each direction's warm start, shape
     (2, 1, lanes); it returns the roots there, NaN where none was found, and
     the log kernel, both (2, k, lanes). A closed form (closed) reads no start:
-    its runs fill a tile of _TILE_NODES (node, lane) entries. A Newton run is
-    one node, its chain the anchor roots start, then each lane's latest root."""
+    a run is as many nodes as fit one tile of _TILE_NODES (node, lane) entries.
+    A Newton run is one node, chained from start to each lane's latest root."""
     rule = gauss_laguerre(tail_n)
     run = max(1, potentials._TILE_NODES // (2 * max(1, len(start)))) if closed else 1
     chain, terms = np.array([start, start])[:, None], []
