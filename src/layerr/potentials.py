@@ -10,11 +10,11 @@ The measured quadrature error compares the base grid against the same
 quadrature on a grid upsampled five-fold in both directions. That grid has
 25 times the base nodes, so the sums never build a whole node table: they
 stream the nodes through slabs of a few node tiles, and fill and hold only
-what their kernel reads, the unit normals and a third tile buffer per worker
-for the double layer alone. What is cached per base grid is what the
-nearest-node scan and the surface scale read, the node positions, cut into
-patches with a bounding sphere each, and their largest |gamma|; no normals or
-weights are kept.
+what their kernel reads, the unit normals for the double layer alone. Each
+worker of a sum holds the same 1 MiB of tile buffers for every kernel. What
+is cached per base grid is what the nearest-node scan and the surface scale
+read, the node positions, cut into patches with a bounding sphere each, and
+their largest |gamma|; no normals or weights are kept.
 """
 from __future__ import annotations
 
@@ -55,6 +55,10 @@ class KernelSpec:
         screened = self.kind == MOD_HELMHOLTZ_SINGLE
         if screened and not (self.omega is not None and 0.0 < self.omega < math.inf):
             raise ValueError(f"KernelSpec.omega must be finite and positive, got {self.omega}")
+        # the sums tell the screened kernel by its omega
+        if not screened and self.omega is not None:
+            raise ValueError(f"KernelSpec.omega is for {MOD_HELMHOLTZ_SINGLE} only, "
+                             f"got {self.omega} for {self.kind}")
 
     @property
     def p(self) -> float:
@@ -281,8 +285,10 @@ def _not_located(x) -> EvaluationError:
 
 
 # A sum walks (targets x nodes) tiles of at most this many entries. Every
-# tile a worker of a sum takes works in place in that worker's own 512 KiB
-# tile buffers, two of them (three for the double layer).
+# tile a worker of a sum takes works in place in that worker's own tile
+# buffers, 2 x _TILE_TARGETS x _TILE_NODES doubles (1 MiB) for every kernel:
+# two of these tiles for the single layers, and four of tiles of half the
+# targets for the double layer (_tile_layout).
 _TILE_TARGETS = 16
 _TILE_NODES = 4096
 # A sum fills the node tables of this many nodes at a time, eight node tiles.
@@ -301,12 +307,12 @@ def _work_buffers(count: int, shape) -> np.ndarray:
     return buffers[:, :size].reshape(count, *shape)
 
 
-def _coordinate_sum(out, scratch, positions, xs, factors=None):
-    """out = (d0 f0 + d1 f1) + d2 f2, with d_c = positions[c] - xs[:, c] and
-    f_c = factors[c], or f_c = d_c (R^2) where factors is None."""
+def _coordinate_sum(out, scratch, positions, columns):
+    """out = R^2 = (d0 d0 + d1 d1) + d2 d2, with d_c = positions[c] - columns[c]
+    and columns the targets' coordinates, (3, m, 1)."""
     for c in range(3):
-        d = np.subtract(positions[c], xs[:, c, None], out=scratch if c else out)
-        d *= d if factors is None else factors[c]
+        d = np.subtract(positions[c], columns[c], out=scratch if c else out)
+        d *= d
         if c:
             out += scratch
 
@@ -388,7 +394,7 @@ def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
             lanes = np.arange(len(xs))
             lb, gap = (b[: len(xs) * n_patches].reshape(len(xs), n_patches)
                        for b in (bounds, scratch))
-            _coordinate_sum(lb, gap, tab.centres, xs)
+            _coordinate_sum(lb, gap, tab.centres, xs.T[:, :, None])
             np.sqrt(lb, out=lb)
             lb -= tab.radii
             nearest = np.argmin(lb, axis=1)
@@ -420,36 +426,62 @@ def nearest_grid_node(surface: Surface, g: QuadratureGrid, x):
     return found if np.ndim(x) > 1 else tuple(v[0].item() for v in found)
 
 
-def _tile_sums(kernel: KernelSpec, positions, normals, weights, xs, buffers):
+def _tile_layout(kernel: KernelSpec):
+    """(buffers, targets): the tile buffers each worker of a sum of kernel
+    holds, and the most targets a tile has. Together the buffers hold
+    2 x _TILE_TARGETS x _TILE_NODES doubles for every kernel: R^2 and R for
+    the single layers; R^2, n_y . (y - x), a coordinate difference and a
+    product for the double layer, in tiles of half the targets."""
+    if kernel.kind == HARMONIC_DOUBLE:
+        return 4, _TILE_TARGETS // 2
+    return 2, _TILE_TARGETS
+
+
+def _tile_sums(kernel: KernelSpec, positions, normals, weights, columns, buffers):
     """Sums of the quadrature terms over the nodes of one (targets x nodes)
     tile, and each target's nearest node distance there; the node tables are
-    coordinate first, the targets xs of shape (m, 3).
+    coordinate first, and columns holds the m targets' coordinates as three
+    columns, (3, m, 1).
 
-    The arithmetic runs in place in buffers, of shape (2 or 3, at least
-    m x nodes) and shared by all tiles of a sum: R^2, R, and n_y . (y - x) for
-    the double layer, the one kernel that reads the normals.
+    The arithmetic runs in place in buffers, of shape (_tile_layout's count,
+    at least m x nodes) and shared by all tiles of a sum. The kernel is told
+    by what the sum passes: normals for the double layer, the one kernel that
+    reads them, and omega for the screened single layer. The double layer
+    forms each coordinate difference d_c once and adds d_c n_c into
+    n_y . (y - x) and d_c d_c into R^2, both as (c0 + c1) + c2, the
+    association of the single layers' R^2.
     """
-    m, n = len(xs), len(weights)
-    r2, dist, *rest = buffers[:, : m * n].reshape(len(buffers), m, n)
-    _coordinate_sum(r2, dist, positions, xs)
-    if kernel.kind == HARMONIC_DOUBLE:
-        ndot = rest[0]
-        _coordinate_sum(ndot, dist, positions, xs, normals)
+    m, n = columns.shape[1], len(weights)
+    tiles = buffers[:, : m * n].reshape(len(buffers), m, n)
+    if normals is None:
+        r2, dist = tiles
+        _coordinate_sum(r2, dist, positions, columns)
+    else:
+        # dist holds each coordinate difference until it holds R
+        r2, ndot, dist, product = tiles
+        for c in range(3):
+            d = np.subtract(positions[c], columns[c], out=dist)
+            np.multiply(d, normals[c], out=product if c else ndot)
+            if c:
+                ndot += product
+            np.multiply(d, d, out=product if c else r2)
+            if c:
+                r2 += product
     np.sqrt(r2, out=dist)
-    nearest = np.min(dist, axis=1)
+    nearest = np.minimum.reduce(dist, axis=1)
     # f / R^(2p) for the half-integer powers p = 1/2 and 3/2, without a pow
-    if kernel.kind == HARMONIC_DOUBLE:
+    if normals is not None:
         ndot *= weights
         r2 *= dist
         terms = np.divide(ndot, r2, out=ndot)
-    elif kernel.kind == MOD_HELMHOLTZ_SINGLE:
+    elif kernel.omega is None:
+        terms = np.divide(weights, dist, out=dist)
+    else:
         terms = np.multiply(-kernel.omega, dist, out=r2)
         np.exp(terms, out=terms)
         terms *= weights
         terms /= dist
-    else:
-        terms = np.divide(weights, dist, out=dist)
-    return np.sum(terms, axis=1), nearest
+    return np.add.reduce(terms, axis=1), nearest
 
 
 def _affinity_cpus() -> list:
@@ -460,12 +492,12 @@ def _affinity_cpus() -> list:
     return sorted(os.sched_getaffinity(0))
 
 
-def _target_tiles(n_targets, workers):
-    """The target tiles of a sum, as slices: contiguous, of at most
-    _TILE_TARGETS targets and as even as can be, and as few as that allows
-    with a count that is a multiple of workers, so that no worker idles for
-    the last tile of a slab."""
-    count = -(-n_targets // _TILE_TARGETS)
+def _target_tiles(n_targets, workers, size=_TILE_TARGETS):
+    """The target tiles of a sum, as slices: contiguous, of at most size
+    targets and as even as can be, and as few as that allows with a count
+    that is a multiple of workers, so that no worker idles for the last tile
+    of a slab."""
+    count = -(-n_targets // size)
     count = -(-count // workers) * workers
     edges = [i * n_targets // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -477,8 +509,9 @@ def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest,
     of block, from the shared iterator tiles until it is exhausted, and adds
     each tile's terms into its rows of sums and nearest, node tile by node
     tile in node order. The node tables of the slab are coordinate first,
-    normals None where the kernel reads none; buffers, of shape (2 or 3,
-    _TILE_TARGETS * _TILE_NODES), are this worker's own.
+    normals None where the kernel reads none; buffers, of _tile_layout's
+    shape, are this worker's own. The node tiles are cut once per slab and
+    each target tile's coordinate columns once per target tile.
 
     A worker on a thread of its own first pins that thread to cpu (on Linux,
     sched_setaffinity(0) sets the calling thread's mask only): two unpinned
@@ -489,6 +522,10 @@ def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest,
     """
     if cpu is not None:
         os.sched_setaffinity(0, {cpu})
+    node_tiles = [
+        (positions[:, nodes], normals if normals is None else normals[:, nodes], weights[nodes])
+        for nodes in (slice(j, j + _TILE_NODES) for j in range(0, len(weights), _TILE_NODES))
+    ]
     # a target on a node divides by zero, one that is not finite makes NaN
     # terms, and one whose R^2 overflows makes inf: their sums are discarded.
     # Where only a double-layer R^3 overflows, the term underflows to zero.
@@ -496,14 +533,12 @@ def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest,
     # defaults, so each worker sets its own.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows in tiles:
-            for j in range(0, len(weights), _TILE_NODES):
-                nodes = slice(j, j + _TILE_NODES)
-                s, d = _tile_sums(
-                    kernel, positions[:, nodes], normals if normals is None else normals[:, nodes],
-                    weights[nodes], block[rows], buffers,
-                )
-                sums[rows] += s
-                nearest[rows] = np.minimum(nearest[rows], d)
+            columns = block[rows].T[:, :, None]
+            tile_sums, tile_nearest = sums[rows], nearest[rows]
+            for node_tile in node_tiles:
+                s, d = _tile_sums(kernel, *node_tile, columns, buffers)
+                tile_sums += s
+                np.minimum(tile_nearest, d, out=tile_nearest)
 
 
 def potential_quadrature(
@@ -531,10 +566,13 @@ def potential_quadrature(
     only, into one set of slab tables, reused by every slab, and updates the
     running scale. Then the target tiles of _target_tiles are shared out to
     one worker thread per CPU the process may run on, each pinned to its CPU
-    and kept for the whole sum, and never more workers than tiles of
-    _TILE_TARGETS; a block of one tile, or a process on one CPU, runs its one
-    worker inline. Each worker holds two tile buffers, three for the double
-    layer. The next slab is filled once every worker has finished this one.
+    and kept for the whole sum, and never more workers than tiles; a block
+    of one tile, or a process on one CPU, runs its one
+    worker inline. Each worker holds the tile buffers of _tile_layout, the
+    same 1 MiB for every kernel: two of 16-target tiles for the single layers,
+    four of 8-target tiles for the double layer, whose tiles and whose
+    workers are counted in 8-target tiles. The next slab is filled once every
+    worker has finished this one.
     """
     block = target_block(x)
     if not len(block):
@@ -547,9 +585,10 @@ def potential_quadrature(
     normals = np.empty((3, slab_nodes)) if double else None
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
-    cpus = _affinity_cpus()[: -(-len(block) // _TILE_TARGETS)]
-    tiles = _target_tiles(len(block), max(1, len(cpus)))
-    buffers = _work_buffers(max(1, len(cpus)), (3 if double else 2, _TILE_TARGETS * _TILE_NODES))
+    count, size = _tile_layout(kernel)
+    cpus = _affinity_cpus()[: -(-len(block) // size)]
+    tiles = _target_tiles(len(block), max(1, len(cpus)), size)
+    buffers = _work_buffers(max(1, len(cpus)), (count, size * _TILE_NODES))
     scale = 0.0
     with ExitStack() as stack:
         # one thread per CPU for the whole sum: a thread of a shared pool could

@@ -158,11 +158,12 @@ def test_paper_density_formula():
         (lambda: mod_helmholtz_single(0.0), "KernelSpec.omega"),
         (lambda: mod_helmholtz_single(-1.0), "KernelSpec.omega"),
         (lambda: KernelSpec("mod_helmholtz_single"), "KernelSpec.omega"),
+        (lambda: KernelSpec("harmonic_single", 3.0), "KernelSpec.omega"),
         (lambda: KernelSpec("foo"), "KernelSpec.kind"),
         (lambda: DensitySpec("bogus"), "DensitySpec.kind"),
     ],
-    ids=["nan-omega", "inf-omega", "zero-omega", "negative-omega", "no-omega", "kind",
-         "density-kind"],
+    ids=["nan-omega", "inf-omega", "zero-omega", "negative-omega", "no-omega",
+         "harmonic-omega", "kind", "density-kind"],
 )
 def test_invalid_kernel_and_density_specs_are_rejected(make, field):
     # unchecked, these summed as another kernel or density, or failed later
@@ -375,22 +376,25 @@ def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
     positions, normals, weights = _streamed_tables(BLOB, grid(65, 135), paper_density())
     xs = _blob_targets()
     on_node, nan, far = positions[:, 8200], [0.3, math.nan, 0.1], [1e200, 0.0, 0.0]
-    full = np.vstack([xs[: _TILE_TARGETS - 3], [nan, far, positions[:, 100]]])
-    partial = np.vstack([on_node, xs[5:7], far, nan])
     # buffers left full of NaN and reused by the next tile, as in a sum: two
-    # and no normals for the single layers, three and the normals for the
-    # double layer
+    # of 16-target tiles and no normals for the single layers, four of 8-target
+    # tiles and the normals for the double layer
     double = kernel.kind == "harmonic_double"
-    buffers = np.full((3 if double else 2, _TILE_TARGETS * _TILE_NODES), np.nan)
+    count, size = potentials._tile_layout(kernel)
+    assert (count, size) == ((4, 8) if double else (2, _TILE_TARGETS))
+    full = np.vstack([xs[: size - 3], [nan, far, positions[:, 100]]])
+    partial = np.vstack([on_node, xs[5:7], far, nan])
+    buffers = np.full((count, size * _TILE_NODES), np.nan)
     tiles = [(full, slice(0, _TILE_NODES)), (partial, slice(2 * _TILE_NODES, None))]
-    assert len(full) == _TILE_TARGETS and len(partial) < _TILE_TARGETS
+    assert len(full) == size and len(partial) < size
     assert 0 < len(weights[tiles[1][1]]) < _TILE_NODES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block, nodes in tiles:
             tile_normals = normals[:, nodes] if double else None
-            args = (kernel, positions[:, nodes], tile_normals, weights[nodes], block)
-            sums, nearest = _tile_sums(*args, buffers)
-            want_sums, want_nearest = _expression_tile_sums(*args)
+            args = (kernel, positions[:, nodes], tile_normals, weights[nodes])
+            # the kernel takes the targets as three coordinate columns
+            sums, nearest = _tile_sums(*args, block.T[:, :, None], buffers)
+            want_sums, want_nearest = _expression_tile_sums(*args, block)
             assert np.array_equal(sums, want_sums, equal_nan=True)
             assert np.array_equal(nearest, want_nearest, equal_nan=True)
             assert np.isnan(sums[np.isnan(block).any(axis=1)]).all()
@@ -405,21 +409,26 @@ needs_affinity = pytest.mark.skipif(
 )
 
 
+@pytest.mark.parametrize("size", [_TILE_TARGETS, _TILE_TARGETS // 2])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n_targets", [1, 15, 17, 33, 300, 1152, 1600])
-def test_target_tiles_share_out_evenly_to_the_workers(n_targets, workers):
-    # a sum uses no more workers than tiles of _TILE_TARGETS; its plan covers
-    # each target once, in contiguous tiles of at most _TILE_TARGETS, as few
-    # as a count that is a multiple of those workers allows
-    used = min(workers, math.ceil(n_targets / _TILE_TARGETS))
-    tiles = potentials._target_tiles(n_targets, used)
+def test_target_tiles_share_out_evenly_to_the_workers(n_targets, workers, size):
+    # a sum uses no more workers than tiles of size targets, 16 for the single
+    # layers and 8 for the double layer; its plan covers each target once, in
+    # contiguous tiles of at most size, as few as a count that is a multiple
+    # of those workers allows
+    used = min(workers, math.ceil(n_targets / size))
+    tiles = potentials._target_tiles(n_targets, used, size)
     covered = np.concatenate([np.arange(n_targets)[t] for t in tiles])
     assert np.array_equal(covered, np.arange(n_targets))
-    assert all(t.step is None and 0 < t.stop - t.start <= _TILE_TARGETS for t in tiles)
-    assert len(tiles) % used == 0 and (len(tiles) - used) * _TILE_TARGETS < n_targets
-    if (n_targets, workers) == (300, 2):
+    assert all(t.step is None and 0 < t.stop - t.start <= size for t in tiles)
+    assert len(tiles) % used == 0 and (len(tiles) - used) * size < n_targets
+    if (n_targets, workers, size) == (300, 2, _TILE_TARGETS):
         # spheroid-random's targets on two CPUs: 20 tiles of 15, not 19 of 16
         assert [t.stop - t.start for t in tiles] == [15] * 20
+    if (n_targets, workers, size) == (300, 2, _TILE_TARGETS // 2):
+        # and in the double layer's tiles: 38 tiles of 7-8
+        assert len(tiles) == 38 and {t.stop - t.start for t in tiles} == {7, 8}
 
 
 def _worker_block():
@@ -492,19 +501,22 @@ G_SLABS = grid(200, 375)
 def _whole_table_sums(surface, kernel, density, g, block):
     """The outcomes in the order of the sums before they streamed: every
     target tile against the whole tables of g, node tile by node tile, with
-    the weights times sigma over the whole table."""
+    the weights times sigma over the whole table, in the kernel's tiles."""
     thetas, positions, normals, weights, scale = _whole_tables(surface, g)
     sigma = density.value(thetas[:, None], g.phi_rule.nodes)
     weights = (weights.reshape(g.n_t, g.n_phi) * np.asarray(sigma, dtype=float)).ravel()
     sums, nearest = np.zeros(len(block)), np.full(len(block), np.inf)
-    buffers = np.empty((3, _TILE_TARGETS * _TILE_NODES))
+    count, size = potentials._tile_layout(kernel)
+    buffers = np.empty((count, size * _TILE_NODES))
+    double = kernel.kind == "harmonic_double"
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, len(block), _TILE_TARGETS):
-            rows = slice(i, i + _TILE_TARGETS)
+        for i in range(0, len(block), size):
+            rows = slice(i, i + size)
             for j in range(0, len(weights), _TILE_NODES):
                 nodes = slice(j, j + _TILE_NODES)
-                s, d = _tile_sums(kernel, positions[:, nodes], normals[:, nodes],
-                                  weights[nodes], block[rows], buffers)
+                s, d = _tile_sums(kernel, positions[:, nodes],
+                                  normals[:, nodes] if double else None,
+                                  weights[nodes], block[rows].T[:, :, None], buffers)
                 sums[rows] += s
                 nearest[rows] = np.minimum(nearest[rows], d)
     return [
@@ -599,7 +611,32 @@ def test_scan_and_sum_buffers_start_on_64_byte_boundaries(monkeypatch):
         nearest_grid_node(surface, g, block)
         potential_quadrature(surface, harmonic_double(), unit_density(), g, block)
     assert scans and set(scans) == {(0, 0)}
-    assert len(tiles) >= 2 * 3 and all(t == [0, 0, 0] for t in tiles)
+    assert len(tiles) >= 2 * 3 and all(t and set(t) == {0} for t in tiles)
+
+
+@needs_affinity
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_every_kernel_holds_the_same_tile_buffers_per_worker(kernel, monkeypatch):
+    # each of two workers holds 2 x _TILE_TARGETS x _TILE_NODES doubles of
+    # tile buffers (1 MiB), whatever the kernel: two buffers of 16-target tiles
+    # for the single layers, four of 8-target tiles for the double layer, each
+    # on a 64-byte boundary
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
+    sum_tiles, held = potentials._sum_tiles, {}
+
+    def summed(*args, cpu=None):
+        buffers = args[-1]
+        held[buffers.ctypes.data] = (buffers.dtype, buffers.shape,
+                                     {b.ctypes.data % 64 for b in buffers})
+        sum_tiles(*args, cpu=cpu)
+
+    monkeypatch.setattr(potentials, "_sum_tiles", summed)
+    block = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
+    potential_quadrature(BLOB, kernel, paper_density(), G_SLABS, block)
+    shape = (4, 8 * _TILE_NODES) if kernel.kind == "harmonic_double" else (2, 16 * _TILE_NODES)
+    assert list(held.values()) == [(np.dtype(float), shape, {0})] * 2
+    assert math.prod(shape) == 2 * _TILE_TARGETS * _TILE_NODES
 
 
 @needs_affinity
@@ -612,7 +649,8 @@ def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
         pass
 
     def failing(kernel, positions, normals, weights, xs, buffers):
-        if np.array_equal(xs, third, equal_nan=True):
+        # xs holds the tile's targets as three coordinate columns, (3, m, 1)
+        if np.array_equal(xs[:, :, 0].T, third, equal_nan=True):
             raise TileFailed("the third tile")
         return tile_sums(kernel, positions, normals, weights, xs, buffers)
 
@@ -952,7 +990,7 @@ def test_measured_error_builds_no_whole_reference_table(monkeypatch):
     assert all(isinstance(e, float) for e in errors)
     fine_nodes, n_phi = 25 * g.n_t * g.n_phi, 5 * g.n_phi
     slab_tables = 7 * 8 * (math.ceil(_SLAB_NODES / n_phi) + 1) * n_phi
-    tile_buffers = max(1, len(cpus)) * 3 * 8 * _TILE_TARGETS * _TILE_NODES
+    tile_buffers = max(1, len(cpus)) * 2 * 8 * _TILE_TARGETS * _TILE_NODES
     base_table = 7 * 8 * g.n_t * g.n_phi
     bound = 1.25 * (slab_tables + tile_buffers + base_table)
     # positions, normals, weights and sum weights of the whole reference grid
@@ -964,10 +1002,10 @@ def test_measured_error_builds_no_whole_reference_table(monkeypatch):
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_measured_error_holds_only_what_its_kernel_reads(kernel, monkeypatch):
     # as above, per kernel: the double layer's peak stays within the slab
-    # tables of 7 floats per node (positions, unit normals, weights) and three
-    # tile buffers per worker; a single layer's, which reads no normals,
-    # within 4 floats per node and two buffers per worker. Both with room
-    # the size of the base grid's table, and keeping nothing
+    # tables of 7 floats per node (positions, unit normals, weights); a single
+    # layer's, which reads no normals, within 4 floats per node. Both within
+    # two full tile buffers per worker, with room the size of the base grid's
+    # table, and keeping nothing
     surface, g = Spheroid(1.0, 3.0), grid(60, 120)
     block = np.random.default_rng(4).uniform(-2.0, 2.0, (300, 3))
     cpus = potentials._affinity_cpus()[:2]
@@ -983,10 +1021,10 @@ def test_measured_error_holds_only_what_its_kernel_reads(kernel, monkeypatch):
         if not tracing:
             tracemalloc.stop()
     assert all(isinstance(e, float) for e in errors)
-    floats, buffers = (7, 3) if kernel.kind == "harmonic_double" else (4, 2)
+    floats = 7 if kernel.kind == "harmonic_double" else 4
     n_phi = 5 * g.n_phi
     slab_tables = floats * 8 * (math.ceil(_SLAB_NODES / n_phi) + 1) * n_phi
-    tile_buffers = max(1, len(cpus)) * buffers * 8 * _TILE_TARGETS * _TILE_NODES
+    tile_buffers = max(1, len(cpus)) * 2 * 8 * _TILE_TARGETS * _TILE_NODES
     base_table = 7 * 8 * g.n_t * g.n_phi
     assert peak <= 1.25 * (slab_tables + tile_buffers + base_table)
     assert held < base_table
