@@ -10,8 +10,10 @@ The measured quadrature error compares the base grid against the same
 quadrature on a grid upsampled five-fold in both directions. That grid has
 25 times the base nodes, so the sums never build a whole node table: they
 stream the nodes through slabs of a few node tiles, and fill and hold only
-what their kernel reads, the unit normals for the double layer alone. Each
-worker of a sum holds the same 1 MiB of tile buffers for every kernel. What
+what their kernel reads, the unit normals for the double layer alone. The
+calling thread fills each slab and cuts its node tiles; one worker thread per
+CPU, pinned when it starts, sums them over tiles of 16 targets, or 8 for the
+double layer, in the same 1 MiB of tile buffers for every kernel. What
 is cached per base grid is what the nearest-node scan and the surface scale
 read, the node positions, cut into patches with a bounding sphere each, and
 their largest |gamma|; no normals or weights are kept.
@@ -492,40 +494,16 @@ def _affinity_cpus() -> list:
     return sorted(os.sched_getaffinity(0))
 
 
-def _target_tiles(n_targets, workers, size=_TILE_TARGETS):
-    """The target tiles of a sum, as slices: contiguous, of at most size
-    targets and as even as can be, and as few as that allows with a count
-    that is a multiple of workers, so that no worker idles for the last tile
-    of a slab."""
-    count = -(-n_targets // size)
-    count = -(-count // workers) * workers
-    edges = [i * n_targets // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _sum_tiles(kernel, positions, normals, weights, block, tiles, sums, nearest, buffers,
-               cpu=None):
+def _sum_tiles(kernel, node_tiles, block, tiles, sums, nearest, buffers):
     """One worker of a sum over one slab of nodes: takes target tiles, slices
     of block, from the shared iterator tiles until it is exhausted, and adds
     each tile's terms into its rows of sums and nearest, node tile by node
-    tile in node order. The node tables of the slab are coordinate first,
-    normals None where the kernel reads none; buffers, of _tile_layout's
-    shape, are this worker's own. The node tiles are cut once per slab and
-    each target tile's coordinate columns once per target tile.
-
-    A worker on a thread of its own first pins that thread to cpu (on Linux,
-    sched_setaffinity(0) sets the calling thread's mask only): two unpinned
-    numpy threads often ran one after the other on a 2-CPU host. The inline
-    worker, cpu None, leaves the calling thread's mask alone. next() on a
-    list iterator is atomic under the interpreter lock, so each tile goes
-    to one worker.
+    tile of node_tiles in node order. node_tiles holds the slab's
+    (positions, normals, weights) tiles, coordinate first, normals None where
+    the kernel reads none; buffers, of _tile_layout's shape, are this
+    worker's own. next() on a list iterator is atomic under the interpreter
+    lock, so each tile goes to one worker.
     """
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
-    node_tiles = [
-        (positions[:, nodes], normals if normals is None else normals[:, nodes], weights[nodes])
-        for nodes in (slice(j, j + _TILE_NODES) for j in range(0, len(weights), _TILE_NODES))
-    ]
     # a target on a node divides by zero, one that is not finite makes NaN
     # terms, and one whose R^2 overflows makes inf: their sums are discarded.
     # Where only a double-layer R^3 overflows, the term underflows to zero.
@@ -564,15 +542,14 @@ def potential_quadrature(
     calling thread's _fill_rows fills the Gauss-Legendre rows that cover it,
     positions and weights times sigma, and unit normals for the double layer
     only, into one set of slab tables, reused by every slab, and updates the
-    running scale. Then the target tiles of _target_tiles are shared out to
-    one worker thread per CPU the process may run on, each pinned to its CPU
-    and kept for the whole sum, and never more workers than tiles; a block
-    of one tile, or a process on one CPU, runs its one
-    worker inline. Each worker holds the tile buffers of _tile_layout, the
-    same 1 MiB for every kernel: two of 16-target tiles for the single layers,
-    four of 8-target tiles for the double layer, whose tiles and whose
-    workers are counted in 8-target tiles. The next slab is filled once every
-    worker has finished this one.
+    running scale; then it cuts the slab into node tiles. The targets are cut
+    once into tiles of _tile_layout's size, 16 targets, or 8 for the double
+    layer, in target order, and each slab's tiles are shared out to one worker
+    thread per CPU the process may run on, pinned to it when the thread starts
+    and kept for the whole sum, never more workers than tiles. A block of one
+    tile, or a process on one CPU, runs its one worker inline. Each worker
+    holds the tile buffers of _tile_layout, the same 1 MiB for every kernel.
+    The next slab is filled once every worker has finished this one.
     """
     block = target_block(x)
     if not len(block):
@@ -586,25 +563,30 @@ def potential_quadrature(
     sums = np.zeros(len(block))
     nearest = np.full(len(block), np.inf)
     count, size = _tile_layout(kernel)
-    cpus = _affinity_cpus()[: -(-len(block) // size)]
-    tiles = _target_tiles(len(block), max(1, len(cpus)), size)
+    tiles = [slice(i, i + size) for i in range(0, len(block), size)]
+    cpus = _affinity_cpus()[: len(tiles)]
     buffers = _work_buffers(max(1, len(cpus)), (count, size * _TILE_NODES))
     scale = 0.0
     with ExitStack() as stack:
-        # one thread per CPU for the whole sum: a thread of a shared pool could
-        # take another CPU's worker in the next slab, and a thread that moved to
-        # a CPU still running the other worker started a scheduler slice late
+        # one thread per CPU for the whole sum, pinned by its first task (on
+        # Linux, sched_setaffinity(0) sets the calling thread's mask only):
+        # two unpinned numpy threads often ran one after the other on a 2-CPU
+        # host, and a thread of a shared pool could take another CPU's worker
+        # in the next slab and start a scheduler slice late
         pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in cpus] if len(cpus) > 1 else []
+        for pin in [pool.submit(os.sched_setaffinity, 0, {cpu}) for pool, cpu in zip(pools, cpus)]:
+            pin.result()
         for start in range(0, n_nodes, _SLAB_NODES):
             r0, r1 = start // n_phi, min(g.n_t, -(-(start + _SLAB_NODES) // n_phi))
             scale = max(scale, _fill_rows(surface, density, g, r0, r1,
                                           positions, normals, weights))
-            nodes = slice(start - r0 * n_phi, min(start + _SLAB_NODES, n_nodes) - r0 * n_phi)
-            args = (kernel, positions[:, nodes], normals if normals is None else normals[:, nodes],
-                    weights[nodes], block, iter(tiles), sums, nearest)
+            first, last = start - r0 * n_phi, min(start + _SLAB_NODES, n_nodes) - r0 * n_phi
+            cuts = [slice(j, min(j + _TILE_NODES, last)) for j in range(first, last, _TILE_NODES)]
+            node_tiles = [(positions[:, t], normals if normals is None else normals[:, t], weights[t])
+                          for t in cuts]
+            args = (kernel, node_tiles, block, iter(tiles), sums, nearest)
             if pools:
-                workers = [pool.submit(_sum_tiles, *args, b, cpu=cpu)
-                           for pool, b, cpu in zip(pools, buffers, cpus)]
+                workers = [pool.submit(_sum_tiles, *args, b) for pool, b in zip(pools, buffers)]
                 for worker in workers:
                     worker.result()
             else:

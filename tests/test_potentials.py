@@ -1,3 +1,5 @@
+import errno
+import itertools
 import math
 import os
 import re
@@ -42,20 +44,20 @@ G_SPHERE = grid(30, 60)
 
 
 def _streamed_tables(surface, g, density, kernel=harmonic_double()):
-    """The node tables a sum of kernel streams, slab by slab, joined:
+    """The node tables a sum of kernel streams, node tile by node tile, joined:
     positions, normals and the weights times sigma, recorded from one inline
     sum at one target. Only the double layer streams normals; for the single
     layers they are None."""
-    slabs = []
+    tiles = []
 
-    def recorded(kernel, positions, normals, weights, *args, cpu=None):
-        slabs.append((positions.copy(), normals if normals is None else normals.copy(),
-                      weights.copy()))
+    def recorded(kernel, node_tiles, *args):
+        tiles.extend((positions.copy(), normals if normals is None else normals.copy(),
+                      weights.copy()) for positions, normals, weights in node_tiles)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(potentials, "_sum_tiles", recorded)
         potential_quadrature(surface, kernel, density, g, [[9.0, 0.0, 0.0]])
-    positions, normals, weights = zip(*slabs)
+    positions, normals, weights = zip(*tiles)
     return (np.concatenate(positions, axis=-1),
             None if normals[0] is None else np.concatenate(normals, axis=-1),
             np.concatenate(weights))
@@ -285,6 +287,9 @@ def test_tile_sizes_do_not_divide_the_test_blocks():
     assert n_ref > 2 * _TILE_NODES and n_ref % _TILE_NODES
     assert G_BLOB.n_t * G_BLOB.n_phi % _TILE_NODES
     assert len(_blob_targets()) > 2 * _TILE_TARGETS and len(_blob_targets()) % _TILE_TARGETS
+    # and the double layer's last tile of 8 targets is partial too
+    assert potentials._tile_layout(harmonic_double())[1] == _TILE_TARGETS // 2
+    assert len(_blob_targets()) % (_TILE_TARGETS // 2)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
@@ -409,39 +414,47 @@ needs_affinity = pytest.mark.skipif(
 )
 
 
-@pytest.mark.parametrize("size", [_TILE_TARGETS, _TILE_TARGETS // 2])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n_targets", [1, 15, 17, 33, 300, 1152, 1600])
-def test_target_tiles_share_out_evenly_to_the_workers(n_targets, workers, size):
-    # a sum uses no more workers than tiles of size targets, 16 for the single
-    # layers and 8 for the double layer; its plan covers each target once, in
-    # contiguous tiles of at most size, as few as a count that is a multiple
-    # of those workers allows
-    used = min(workers, math.ceil(n_targets / size))
-    tiles = potentials._target_tiles(n_targets, used, size)
-    covered = np.concatenate([np.arange(n_targets)[t] for t in tiles])
-    assert np.array_equal(covered, np.arange(n_targets))
-    assert all(t.step is None and 0 < t.stop - t.start <= size for t in tiles)
-    assert len(tiles) % used == 0 and (len(tiles) - used) * size < n_targets
-    if (n_targets, workers, size) == (300, 2, _TILE_TARGETS):
-        # spheroid-random's targets on two CPUs: 20 tiles of 15, not 19 of 16
-        assert [t.stop - t.start for t in tiles] == [15] * 20
-    if (n_targets, workers, size) == (300, 2, _TILE_TARGETS // 2):
-        # and in the double layer's tiles: 38 tiles of 7-8
-        assert len(tiles) == 38 and {t.stop - t.start for t in tiles} == {7, 8}
-
-
 def _worker_block():
-    """71 blob targets, more than four tiles of _TILE_TARGETS: a sum on 2 or 3
-    workers cuts them into 6 tiles of 11 or 12 targets, so that neither the
-    targets nor a tile divides into tiles of _TILE_TARGETS or among the
-    workers. Mixed in: a NaN target, an overflowing one, and a node of each
-    grid of the sums."""
+    """71 blob targets, more than four tiles of _TILE_TARGETS, whose last tile
+    is partial in every kernel's tiles: 5 of 16 targets (the last of 7) for
+    the single layers, 9 of 8 (the last of 7) for the double layer. Mixed in:
+    a NaN target, an overflowing one, and a node of each grid of the sums."""
     ordinary = np.random.default_rng(9).uniform(-2.0, 2.0, (67, 3))
     base_node = _node_positions(BLOB, G_BLOB)[:, 50]
     fine_node = _node_positions(BLOB, grid(65, 135))[:, 8200]
     bad = [[0.3, math.nan, 0.1], [1e200, 0.0, 0.0], base_node, fine_node]
     return np.vstack([ordinary[:20], bad[:2], ordinary[20:50], bad[2:], ordinary[50:]])
+
+
+def _record_workers(monkeypatch):
+    """Patches _sum_tiles to record, for each call, whether it runs on the main
+    thread, its thread, that thread's CPU mask and its tile buffers, the last
+    argument; returns the list the calls go to."""
+    sum_tiles, calls = potentials._sum_tiles, []
+
+    def recorded(*args):
+        calls.append((threading.current_thread() is threading.main_thread(),
+                      threading.get_ident(), os.sched_getaffinity(0), args[-1]))
+        sum_tiles(*args)
+
+    monkeypatch.setattr(potentials, "_sum_tiles", recorded)
+    return calls
+
+
+def _check_workers(calls, listed, mask, slabs):
+    """The recorded calls of one sum over slabs slabs, on the CPUs listed, in a
+    process of CPU mask mask: one worker runs inline on the calling thread with
+    the mask unchanged; W workers run on W threads that are not the main
+    thread, each pinned to one listed CPU and kept, with its own tile buffers,
+    for the whole sum. Each worker takes every slab."""
+    assert len(calls) == len(listed) * slabs
+    workers = {(main, ident, tuple(sorted(m)), b.ctypes.data) for main, ident, m, b in calls}
+    if len(listed) == 1:
+        assert workers == {(True, threading.get_ident(), tuple(sorted(mask)), calls[0][3].ctypes.data)}
+        return
+    assert len(workers) == len({w[1] for w in workers}) == len({w[3] for w in workers}) == len(listed)
+    assert not any(w[0] for w in workers)
+    assert sorted(w[2] for w in workers) == sorted((cpu,) for cpu in listed)
 
 
 def _outcome_bits(outcomes):
@@ -457,18 +470,12 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
     if workers == 2 and len(cpus) < 2:
         pytest.skip("two workers need two CPUs")
     block, d = _worker_block(), paper_density()
-    assert len(block) % _TILE_TARGETS and len(block) % workers
-    # tiles of two sizes, neither of them _TILE_TARGETS
-    sizes = {t.stop - t.start for t in potentials._target_tiles(len(block), workers)}
-    assert len(sizes) == 2 and _TILE_TARGETS not in sizes
+    # the kernel's own tiles, with a partial last one: 5 of 16 targets for the
+    # single layers, 9 of 8 for the double layer, the last of 7 in both
+    size = potentials._tile_layout(kernel)[1]
+    assert len(block) % size == 7 and math.ceil(len(block) / size) == {16: 5, 8: 9}[size]
     listed = {n: [cpus[i % len(cpus)] for i in range(n)] for n in (1, workers)}
-    sum_tiles, calls = potentials._sum_tiles, []
-
-    def recorded(*args, cpu=None):
-        calls.append((threading.current_thread() is threading.main_thread(), cpu))
-        sum_tiles(*args, cpu=cpu)
-
-    monkeypatch.setattr(potentials, "_sum_tiles", recorded)
+    calls = _record_workers(monkeypatch)
     runs = {}
     # a short switch interval, so that workers interleave at every bytecode;
     # a warning of a worker is an error that the sum raises
@@ -479,18 +486,17 @@ def test_sums_in_worker_threads_equal_one_worker_bitwise(kernel, workers, monkey
             warnings.simplefilter("error")
             for n in (1, workers):
                 monkeypatch.setattr(potentials, "_affinity_cpus", lambda: listed[n])
-                runs[n] = [
-                    _outcome_bits(potential_quadrature(BLOB, kernel, d, g, block))
-                    for g in (G_BLOB, grid(65, 135))
-                ]
+                runs[n] = []
+                # each grid's sum is one slab
+                for g in (G_BLOB, grid(65, 135)):
+                    calls.clear()
+                    runs[n].append(_outcome_bits(potential_quadrature(BLOB, kernel, d, g, block)))
+                    _check_workers(calls, listed[n], cpus, 1)
     finally:
         sys.setswitchinterval(switch)
     assert runs[workers] == runs[1]
     assert [type(o) for o in runs[1][0][20:22]] == [tuple, tuple]
     assert [type(o) for o in runs[1][1][52:54]] == [str, tuple]
-    # one inline worker per one-worker sum; a pinned thread per CPU otherwise
-    assert calls[:2] == [(True, None)] * 2
-    assert sorted(calls[2:]) == sorted([(False, cpu) for cpu in listed[workers]] * 2)
     assert os.sched_getaffinity(0) == set(cpus)
 
 
@@ -544,15 +550,7 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
     cpus = sorted(os.sched_getaffinity(0))
     listed = [cpus[i % len(cpus)] for i in range(workers)]
     monkeypatch.setattr(potentials, "_affinity_cpus", lambda: listed)
-    sum_tiles, calls, threads = potentials._sum_tiles, [], {}
-
-    def recorded(*args, cpu=None):
-        calls.append((threading.current_thread() is threading.main_thread(), cpu))
-        # the threads that ran with each worker's tile buffers, the last argument
-        threads.setdefault(args[-1].ctypes.data, set()).add(threading.get_ident())
-        sum_tiles(*args, cpu=cpu)
-
-    monkeypatch.setattr(potentials, "_sum_tiles", recorded)
+    calls = _record_workers(monkeypatch)
     # workers interleave at every bytecode; a warning of a worker is an error
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -569,13 +567,8 @@ def test_streamed_sums_equal_whole_table_sums_bitwise(kernel, workers, monkeypat
     ]
     assert got[52] == (EvaluationError, "a quadrature node coincides with the target point")
     # every slab goes to every worker: inline for one, a pinned thread per CPU
-    # otherwise
-    if workers == 1:
-        assert calls == [(True, None)] * slabs
-    else:
-        assert sorted(calls) == sorted([(False, cpu) for cpu in listed] * slabs)
-    # and each worker keeps one thread and its buffers for the whole sum
-    assert len(threads) == workers and all(len(t) == 1 for t in threads.values())
+    # otherwise, each kept with its buffers for the whole sum
+    _check_workers(calls, listed, cpus, slabs)
     assert os.sched_getaffinity(0) == set(cpus)
 
 
@@ -588,7 +581,6 @@ def test_scan_and_sum_buffers_start_on_64_byte_boundaries(monkeypatch):
     cpu = min(os.sched_getaffinity(0))
     monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
     coordinate_sum, patch_r2 = potentials._coordinate_sum, potentials._patch_r2
-    sum_tiles = potentials._sum_tiles
     scans, tiles = [], []
 
     def scanned(out, scratch, *args):
@@ -599,17 +591,17 @@ def test_scan_and_sum_buffers_start_on_64_byte_boundaries(monkeypatch):
         scans.append((out.ctypes.data % 64, scratch.ctypes.data % 64))
         patch_r2(out, scratch, *args)
 
-    def summed(*args, cpu=None):
-        tiles.append([b.ctypes.data % 64 for b in args[-1]])
-        sum_tiles(*args, cpu=cpu)
-
     monkeypatch.setattr(potentials, "_coordinate_sum", scanned)
     monkeypatch.setattr(potentials, "_patch_r2", scanned_patches)
-    monkeypatch.setattr(potentials, "_sum_tiles", summed)
+    calls = _record_workers(monkeypatch)
     block = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
     for surface, g in [(BLOB, G_BLOB), (SPHERE, grid(7, 13)), (Spheroid(1.0, 3.0), grid(60, 120))]:
         nearest_grid_node(surface, g, block)
+        calls.clear()
+        # each grid's sum is one slab
         potential_quadrature(surface, harmonic_double(), unit_density(), g, block)
+        _check_workers(calls, [cpu, cpu], os.sched_getaffinity(0), 1)
+        tiles += [[b.ctypes.data % 64 for b in buffers] for *_, buffers in calls]
     assert scans and set(scans) == {(0, 0)}
     assert len(tiles) >= 2 * 3 and all(t and set(t) == {0} for t in tiles)
 
@@ -623,17 +615,13 @@ def test_every_kernel_holds_the_same_tile_buffers_per_worker(kernel, monkeypatch
     # on a 64-byte boundary
     cpu = min(os.sched_getaffinity(0))
     monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
-    sum_tiles, held = potentials._sum_tiles, {}
-
-    def summed(*args, cpu=None):
-        buffers = args[-1]
-        held[buffers.ctypes.data] = (buffers.dtype, buffers.shape,
-                                     {b.ctypes.data % 64 for b in buffers})
-        sum_tiles(*args, cpu=cpu)
-
-    monkeypatch.setattr(potentials, "_sum_tiles", summed)
+    calls = _record_workers(monkeypatch)
     block = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
     potential_quadrature(BLOB, kernel, paper_density(), G_SLABS, block)
+    _check_workers(calls, [cpu, cpu], os.sched_getaffinity(0), 3)
+    held = {buffers.ctypes.data: (buffers.dtype, buffers.shape,
+                                  {b.ctypes.data % 64 for b in buffers})
+            for *_, buffers in calls}
     shape = (4, 8 * _TILE_NODES) if kernel.kind == "harmonic_double" else (2, 16 * _TILE_NODES)
     assert list(held.values()) == [(np.dtype(float), shape, {0})] * 2
     assert math.prod(shape) == 2 * _TILE_TARGETS * _TILE_NODES
@@ -642,7 +630,7 @@ def test_every_kernel_holds_the_same_tile_buffers_per_worker(kernel, monkeypatch
 @needs_affinity
 def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     block = _worker_block()
-    third = block[potentials._target_tiles(len(block), 2)[2]]
+    third = block[32:48]
     tile_sums = potentials._tile_sums
 
     class TileFailed(RuntimeError):
@@ -671,6 +659,40 @@ def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     assert not caller.is_alive()
     assert [str(exc) for exc in raised] == ["the third tile"]
     assert threading.active_count() == before
+
+
+@needs_affinity
+def test_a_failed_pin_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    # the second of two workers cannot pin its thread: the sum raises that
+    # error instead of hanging, leaves no thread behind, and the calling
+    # thread keeps its CPU mask
+    mask, pins, setaffinity = os.sched_getaffinity(0), itertools.count(), os.sched_setaffinity
+    cpu = min(mask)
+
+    def pin(pid, cpus):
+        if next(pins) == 1:
+            raise OSError(errno.EINVAL, "the second pin failed")
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(potentials.os, "sched_setaffinity", pin)
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu, cpu])
+    before, raised, masks = threading.active_count(), [], []
+
+    def call():
+        try:
+            potential_quadrature(BLOB, harmonic_single(), unit_density(), G_BLOB, _worker_block())
+        except OSError as exc:
+            raised.append(exc)
+        masks.append(os.sched_getaffinity(0))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [exc.strerror for exc in raised] == ["the second pin failed"]
+    assert next(pins) == 2
+    assert threading.active_count() == before
+    assert masks == [mask] and os.sched_getaffinity(0) == mask
 
 
 @pytest.mark.parametrize("shape", [(0,), (2,), (4,), (2, 2), (2, 3, 1)])
