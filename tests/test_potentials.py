@@ -414,6 +414,58 @@ needs_affinity = pytest.mark.skipif(
 )
 
 
+@needs_affinity
+@pytest.mark.parametrize("size", [_TILE_TARGETS, _TILE_TARGETS // 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_targets", [1, 15, 17, 33, 300, 1152, 1600])
+def test_target_tiles_share_out_evenly_to_the_workers(n_targets, workers, size, monkeypatch):
+    # a sum cuts its targets into fixed-size tiles of _tile_layout's size, 16
+    # for the single layers and 8 for the double layer, in target order; it
+    # uses no more workers than tiles, and the one shared iterator hands each
+    # tile to one worker, so every target is summed once
+    kernel = harmonic_single() if size == _TILE_TARGETS else harmonic_double()
+    assert potentials._tile_layout(kernel)[1] == size
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(potentials, "_affinity_cpus", lambda: [cpu] * workers)
+    sum_tiles, calls, taken = potentials._sum_tiles, [], []
+
+    class Recorded:
+        def __init__(self, tiles):
+            self.tiles = tiles
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            t = next(self.tiles)
+            taken.append((threading.get_ident(), t))
+            return t
+
+    def recorded(kernel, node_tiles, block, tiles, *args):
+        calls.append(threading.get_ident())
+        sum_tiles(kernel, node_tiles, block, Recorded(tiles), *args)
+
+    monkeypatch.setattr(potentials, "_sum_tiles", recorded)
+    block = np.random.default_rng(5).uniform(2.0, 3.0, (n_targets, 3))
+    # a grid of one slab: each worker is called once
+    got = potential_quadrature(SPHERE, kernel, unit_density(), grid(7, 13), block)
+    assert len(got) == n_targets and all(isinstance(o, float) for o in got)
+    count = math.ceil(n_targets / size)
+    used = min(workers, count)
+    assert len(calls) == len(set(calls)) == used
+    assert {ident for ident, _ in taken} <= set(calls)
+    tiles = sorted((t for _, t in taken), key=lambda t: t.start)
+    assert tiles == [slice(i, i + size) for i in range(0, n_targets, size)]
+    covered = np.concatenate([np.arange(n_targets)[t] for t in tiles])
+    assert np.array_equal(covered, np.arange(n_targets))
+    if (n_targets, size) == (300, _TILE_TARGETS):
+        # spheroid-random's targets: 18 tiles of 16 and a last one of 12
+        assert [len(np.arange(n_targets)[t]) for t in tiles] == [16] * 18 + [12]
+    if (n_targets, size) == (300, _TILE_TARGETS // 2):
+        # and in the double layer's tiles: 37 tiles of 8 and a last one of 4
+        assert [len(np.arange(n_targets)[t]) for t in tiles] == [8] * 37 + [4]
+
+
 def _worker_block():
     """71 blob targets, more than four tiles of _TILE_TARGETS, whose last tile
     is partial in every kernel's tiles: 5 of 16 targets (the last of 7) for
