@@ -57,6 +57,7 @@ from .quadrature import QuadratureGrid, gauss_laguerre
 from .roots import (
     VAR_PHI,
     VAR_THETA,
+    _canonical,
     axisym_phi_root,
     azimuthal_sweep_model,
     linear_root_model,
@@ -393,7 +394,7 @@ def _gl_internal(frame: _Frame, near_axis, tail_n: int):
         # the tangent-plane root stands in for a failed Newton solve
         theta0 = np.where(np.isnan(t0), surf.theta_map.theta(model.anchor), theta0)
         t0 = np.where(np.isnan(t0), model.anchor, t0)
-    t0 = np.where(t0.imag < 0, np.conj(t0), t0)
+    t0 = _canonical(t0)
     found = ~np.isnan(t0)
     log_fg = _log_fg(frame, theta0, frame.phi_star, polar=True)
     log_kernel, undefined = log_est_gl(t0, g.n_t, p)

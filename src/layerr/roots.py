@@ -130,10 +130,9 @@ def axisym_phi_root(surface, theta_bar, x: np.ndarray) -> RootResult:
     """
     x0, x1, x2 = _coords(x)
     rho2 = x0 * x0 + x1 * x1
-    st = np.sin(theta_bar)
-    none = (rho2 == 0.0) | (st == 0.0) | (theta_bar <= 0.0) | (theta_bar >= math.pi)
+    none = (rho2 == 0.0) | (theta_bar <= 0.0) | (theta_bar >= math.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_t = surface.a * st
+        a_t = surface.a * np.sin(theta_bar)
         b_t = surface.b * np.cos(theta_bar)
         lam = (a_t * a_t + rho2 + (b_t - x2) ** 2) / (2.0 * a_t * np.sqrt(rho2))
         root = _canonical(np.where(none, np.nan, entrywise(math.atan2, x1, x0) + 1j * _log_beta(lam)))

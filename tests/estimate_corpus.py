@@ -21,6 +21,11 @@ prints each case whose stored outcome it replaced with the old and the new
 outcome; an outcome that is NaN or an exception other than LayerrError is
 stored as "unfixed". The second form recomputes only the unfixed outcomes
 with the importable code and keeps what they were under "fixed_from".
+
+After a rewrite, rerun the tests marked stored_bits, the corpus's among them,
+under numpy's default dispatch and with its AVX512 targets disabled:
+
+    PYTHONPATH=src python -m pytest -q -m stored_bits tests
 """
 from __future__ import annotations
 

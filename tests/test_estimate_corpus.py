@@ -6,12 +6,15 @@ estimator rewrites.
 """
 import json
 
+import pytest
+
 import estimate_corpus
 from estimate_corpus import CORPUS, main, matches, outcome
 
 ENTRIES = json.loads(CORPUS.read_text())
 
 
+@pytest.mark.stored_bits
 def test_full_estimate_matches_stored_corpus():
     assert len(ENTRIES) >= 100
     mismatches = []
@@ -23,6 +26,7 @@ def test_full_estimate_matches_stored_corpus():
     assert not mismatches
 
 
+@pytest.mark.stored_bits
 def test_full_rewrite_keeps_the_outcomes_that_still_match(tmp_path, monkeypatch, capsys):
     # a rewrite with the current code changes no byte of the committed corpus,
     # not even where a stored value is 1e-12 off or has a fixed_from, since
@@ -44,6 +48,7 @@ def test_full_rewrite_keeps_the_outcomes_that_still_match(tmp_path, monkeypatch,
     assert capsys.readouterr().out == f"wrote {copy} ({len(ENTRIES)} cases, 0 unfixed)\n"
 
 
+@pytest.mark.stored_bits
 def test_full_rewrite_names_each_case_it_replaced(tmp_path, monkeypatch, capsys):
     # over the first three cases, the second stored 1e-6 off: the rewrite
     # replaces that outcome only, and prints it with its old and new outcome

@@ -17,6 +17,7 @@ from layerr.estimates import (
     _log_fg,
     _root,
     _root_terms,
+    _tz_internal,
     e_fac_tz_analytic,
     full_estimate,
     log_est_gl,
@@ -179,6 +180,19 @@ def test_root_terms_pole_and_overflow_vanish():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _root_terms(frame, frame.theta_star, 18.9j)[1:] == (0j, 0j)
+
+
+def test_closed_form_anchor_without_a_root_gets_no_model_stand_in():
+    # on a sphere's axis the azimuthal closed form has no root; the tangent-plane
+    # model's anchor is finite there, since (p - x) . d_phi = 0, but it stands
+    # in for a failed Newton solve only, so the lane is skipped with no anchor
+    frame = _build_frame(SPHERE, KER, DEN, grid(20, 40), np.array([0.0, 0.0, 1.5]))
+    model = linear_root_model(frame.t_star, frame.phi_star, frame.position, frame.d_t,
+                              frame.d_phi, frame.x)
+    assert np.all(np.isfinite(model.anchor))
+    with np.errstate(all="ignore"):  # as full_estimate calls it
+        value, skipped, phi0 = _tz_internal(frame, np.zeros(frame.t_star.shape, bool), 8)
+    assert np.all(np.isnan(phi0)) and np.all(value == 0.0) and np.all(skipped)
 
 
 # ------------------------------------------------------------- cone region
@@ -623,6 +637,7 @@ def test_gl_sweep_reads_the_rotated_model_within_a_quarter_turn(monkeypatch):
 # ------------------------------------------------------- batched estimates
 
 
+@pytest.mark.stored_bits
 def test_block_matches_its_batches_of_one():
     # one block per surface and grid mixes failing and ordinary targets; each
     # target's outcome must not depend on the block it is estimated in
@@ -673,6 +688,7 @@ def test_block_matches_its_batches_of_one():
     assert errors >= 4 * 3
 
 
+@pytest.mark.stored_bits
 def test_sweep_runs_keep_every_estimate_bit(monkeypatch):
     # sphere-cosine's closed-form sweeps take one node per call in the preset's
     # block of 1600 lanes and all 8 in blocks of 100; every field keeps its

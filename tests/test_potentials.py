@@ -376,6 +376,7 @@ def _expression_tile_sums(kernel, positions, normals, weights, xs):
     return np.sum(terms, axis=1), np.min(dist, axis=1)
 
 
+@pytest.mark.stored_bits
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_tile_kernel_matches_expression_arithmetic_bitwise(kernel):
     positions, normals, weights = _streamed_tables(BLOB, grid(65, 135), paper_density())
@@ -585,6 +586,7 @@ def _whole_table_sums(surface, kernel, density, g, block):
     ]
 
 
+@pytest.mark.stored_bits
 @needs_affinity
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
@@ -792,6 +794,7 @@ def _bitwise_equal(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+@pytest.mark.stored_bits
 def test_nearest_grid_node_matches_exhaustive_scan():
     x = np.array([0.8, -0.3, 0.9])
     k, l, t_star, phi_star, dist = nearest_grid_node(SPHERE, G_SPHERE, x)
@@ -839,6 +842,7 @@ def _assert_exhaustive(surface, g, block):
 _SCAN_SURFACES = [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()]
 
 
+@pytest.mark.stored_bits
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -864,6 +868,7 @@ def test_pruned_scan_is_the_exhaustive_scan(surface, shape, seed, spread):
     _assert_exhaustive(surface, g, block)
 
 
+@pytest.mark.stored_bits
 @pytest.mark.parametrize("surface", _SCAN_SURFACES, ids=["sphere-cosine", "sphere-linear",
                                                          "spheroid", "blob"])
 def test_pruned_scan_is_the_exhaustive_scan_on_hard_targets(surface):
@@ -977,6 +982,7 @@ def test_grid_tables_match_per_node_build(surface, n_t, n_phi):
         assert np.all(np.abs(streamed[2] - want) <= 1e-15 * np.abs(want))
 
 
+@pytest.mark.stored_bits
 @pytest.mark.parametrize("surface", _SCAN_SURFACES, ids=["sphere-cosine", "sphere-linear",
                                                          "spheroid", "blob"])
 def test_fill_without_normals_writes_the_same_tables(surface):
@@ -1001,6 +1007,7 @@ def test_fill_without_normals_writes_the_same_tables(surface):
         assert _bitwise_equal(weights[1], weights[0])
 
 
+@pytest.mark.stored_bits
 @pytest.mark.parametrize("kernel", KERNELS[:1] + KERNELS[2:], ids=["single", "helmholtz"])
 def test_streamed_positions_weights_and_scale_are_the_same_for_every_kernel(kernel):
     # over G_SLABS's three slabs: a single layer streams no normals, and the

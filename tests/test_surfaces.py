@@ -359,6 +359,7 @@ def test_evaluate_is_eval_sph_bitwise(entries, var):
                     assert g.tobytes() == wv.tobytes() and g.dtype == wv.dtype, (name, partials)
 
 
+@pytest.mark.stored_bits
 @pytest.mark.parametrize(
     "surface",
     [Sphere(1.0), Sphere(1.0, LINEAR_MAP), Spheroid(1.0, 3.0), paper_blob()],
